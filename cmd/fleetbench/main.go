@@ -33,7 +33,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/ring"
-	"repro/internal/vocab"
 )
 
 type shardResult struct {
@@ -122,11 +121,9 @@ func runMigration(homes, shards int) (migrationResult, error) {
 		return migrationResult{}, err
 	}
 	defer func() { _ = srcHub.Close() }()
-	lex := vocab.Default()
 	dstHub, err := fleet.NewHub(
 		fleet.WithShards(shards),
 		fleet.WithClock(func() time.Time { return benchwork.Epoch }),
-		fleet.WithLexiconFactory(func(string) *vocab.Lexicon { return lex }),
 		fleet.WithLogLimit(64),
 	)
 	if err != nil {

@@ -35,7 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/simplex"
-	"repro/internal/vocab"
 )
 
 // RunMeta is the run environment block every BENCH_*.json report embeds, so
@@ -483,15 +482,12 @@ func (w *ChurnWorkload) Symbols() int { return w.Engine.SymbolStats().Symbols }
 // FleetRule is the one rule every benchmark home registers.
 const FleetRule = "If temperature is higher than 28 degrees, turn on the air conditioner."
 
-// BuildHub seeds a hub with the standard fleet workload: homes sharing one
-// lexicon (none defines words; a per-home vocab.Default() would dominate
-// setup at 100k homes), each holding one user and one temperature rule.
+// BuildHub seeds a hub with the standard fleet workload: homes each holding
+// one user and one temperature rule.
 func BuildHub(homes, shards int) (*fleet.Hub, []string, error) {
-	lex := vocab.Default()
 	hub, err := fleet.NewHub(
 		fleet.WithShards(shards),
 		fleet.WithClock(func() time.Time { return Epoch }),
-		fleet.WithLexiconFactory(func(string) *vocab.Lexicon { return lex }),
 		fleet.WithLogLimit(64),
 	)
 	if err != nil {

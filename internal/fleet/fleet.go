@@ -129,8 +129,10 @@ type OnFire func(home string, f engine.Fired)
 type Authorizer func(home, owner string, device core.DeviceRef, verb string) bool
 
 // LexiconFactory builds the lexicon for a new home. The default gives every
-// home its own vocab.Default(); a benchmark over many word-less homes can
-// share one lexicon across all of them instead.
+// home its own vocab.Default(): a private overlay for the home's persons and
+// words over the one built-in base every home shares. A caller that must
+// reach a home's lexicon from outside the hub (cadel.Server hands it to the
+// lookup service) supplies the lexicon itself.
 type LexiconFactory func(home string) *vocab.Lexicon
 
 type config struct {

@@ -35,9 +35,10 @@ type Home struct {
 	users     []string
 	favorites map[string][]string
 	// words tracks the definitions THIS home made, in definition order. The
-	// lexicon cannot be consulted for this: with a shared LexiconFactory its
-	// entries span every home, and snapshotting them per home would duplicate
-	// (and then fail to replay) other homes' words.
+	// lexicon cannot be consulted for this: it also holds the built-in
+	// entries, and a custom LexiconFactory may share one lexicon across
+	// homes, whose words a per-home snapshot would then duplicate (and fail
+	// to replay).
 	words     []wordDef
 	authorize Authorizer
 	ruleSeq   uint64
@@ -116,8 +117,8 @@ func (h *Home) RegisterUser(name string, favorites ...string) error {
 	if h.isUser(name) {
 		return fmt.Errorf("%w: %q (person)", vocab.ErrDuplicate, name)
 	}
-	// With a shared lexicon (WithLexiconFactory) another home may have added
-	// the person already; per-home duplicates are caught above.
+	// A LexiconFactory may hand several homes one lexicon, where another home
+	// may have added the person already; per-home duplicates are caught above.
 	if err := h.lex.Add(vocab.Entry{Phrase: name, Kind: vocab.KindPerson}); err != nil && !errors.Is(err, vocab.ErrDuplicate) {
 		return err
 	}

@@ -1,12 +1,27 @@
 package vocab
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
-// Default builds the English CADEL lexicon with the verbs, states,
+// Default returns the English CADEL lexicon with the verbs, states,
 // parameters, units, places and period names used throughout the paper's
 // examples (Sect. 3.1, 4.2 and Fig. 1). Other natural languages can be
 // supported by building a different table, as the paper notes.
+//
+// The built-in entries live in one frozen base shared by every Default
+// lexicon, so the call is cheap; each result starts with an empty overlay of
+// its own for the persons and words it adds.
 func Default() *Lexicon {
+	return &Lexicon{base: defaultBase()}
+}
+
+// defaultBase builds the shared built-in layer once per process.
+var defaultBase = sync.OnceValue(func() *table { return &buildDefault().own })
+
+// buildDefault builds the built-in tables as a flat lexicon.
+func buildDefault() *Lexicon {
 	l := New()
 
 	verbs := []struct{ phrase, canon string }{

@@ -8,12 +8,22 @@
 // contexts or device configurations. The lexicon is the shared dictionary
 // that both the parser (phrase recognition) and the lookup service (word →
 // sensor mapping) consult.
+//
+// A lexicon from Default has two layers. The built-in English tables form
+// one frozen base, built once per process and shared by every Default
+// lexicon; each lexicon adds only its own overlay of persons and words on
+// top. Reads see both layers as one dictionary, exactly as if the base
+// entries had been added first to a flat lexicon. Removing a base phrase
+// first copies the base into that lexicon's overlay (copy-on-write), so no
+// other lexicon sees the removal. Entry.Meta maps may be shared with every
+// other lexicon and must be treated as read-only.
 package vocab
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -91,16 +101,13 @@ const (
 
 // Entry is a single lexicon item. Phrase is the lowercase, single-spaced
 // surface form; Canon is the canonical identifier used by the compiler
-// (defaults to Phrase).
+// (defaults to Phrase). Meta is read-only: entries returned by a lexicon may
+// share it with other lexicons.
 type Entry struct {
 	Phrase string            `json:"phrase"`
 	Kind   Kind              `json:"kind"`
 	Canon  string            `json:"canon"`
 	Meta   map[string]string `json:"meta,omitempty"`
-}
-
-func (e Entry) tokens() []string {
-	return strings.Fields(e.Phrase)
 }
 
 // MetaValue returns the value for a meta key, empty when absent.
@@ -118,17 +125,26 @@ var (
 // Lexicon is a concurrency-safe dictionary of phrases. The zero value is not
 // usable; construct with New or Default.
 type Lexicon struct {
-	mu        sync.RWMutex
+	mu   sync.RWMutex
+	base *table // frozen shared layer, read without locking; nil when flat
+	own  table  // this lexicon's entries, guarded by mu
+}
+
+// table is one layer of phrases. Its maps are created on first add.
+type table struct {
 	byKind    map[Kind]map[string]Entry
-	firstWord map[string][]Entry // sorted by token count, longest first
+	firstWord map[string][]item // by first token; longest first, then insertion order
+}
+
+// item is an entry with its phrase pre-split into tokens for matching.
+type item struct {
+	Entry
+	toks []string
 }
 
 // New returns an empty lexicon.
 func New() *Lexicon {
-	return &Lexicon{
-		byKind:    make(map[Kind]map[string]Entry),
-		firstWord: make(map[string][]Entry),
-	}
+	return &Lexicon{}
 }
 
 // Normalize lowercases and single-spaces a phrase.
@@ -148,16 +164,10 @@ func (l *Lexicon) Add(e Entry) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	km := l.byKind[e.Kind]
-	if km == nil {
-		km = make(map[string]Entry)
-		l.byKind[e.Kind] = km
-	}
-	if _, ok := km[e.Phrase]; ok {
+	if _, ok := l.lookup(e.Kind, e.Phrase); ok {
 		return fmt.Errorf("%w: %q (%v)", ErrDuplicate, e.Phrase, e.Kind)
 	}
-	km[e.Phrase] = e
-	l.insertFirstWord(e)
+	l.own.add(item{e, strings.Fields(e.Phrase)})
 	return nil
 }
 
@@ -169,35 +179,64 @@ func (l *Lexicon) MustAdd(e Entry) {
 	}
 }
 
-func (l *Lexicon) insertFirstWord(e Entry) {
-	toks := e.tokens()
-	head := toks[0]
-	list := append(l.firstWord[head], e)
-	sort.SliceStable(list, func(i, j int) bool {
-		return len(list[i].tokens()) > len(list[j].tokens())
-	})
-	l.firstWord[head] = list
+func (t *table) add(p item) {
+	if t.byKind == nil {
+		t.byKind = make(map[Kind]map[string]Entry)
+		t.firstWord = make(map[string][]item)
+	}
+	km := t.byKind[p.Kind]
+	if km == nil {
+		km = make(map[string]Entry)
+		t.byKind[p.Kind] = km
+	}
+	km[p.Phrase] = p.Entry
+	// Insert after every phrase at least as long, keeping insertion order
+	// among equal lengths.
+	list := t.firstWord[p.toks[0]]
+	i := sort.Search(len(list), func(i int) bool { return len(list[i].toks) < len(p.toks) })
+	t.firstWord[p.toks[0]] = slices.Insert(list, i, p)
 }
 
-// Remove deletes a phrase of the given kind.
+// Remove deletes a phrase of the given kind. Removing a base phrase copies
+// the base into this lexicon first, so other lexicons keep it.
 func (l *Lexicon) Remove(kind Kind, phrase string) error {
 	phrase = Normalize(phrase)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	km := l.byKind[kind]
-	if _, ok := km[phrase]; !ok {
+	if _, ok := l.lookup(kind, phrase); !ok {
 		return fmt.Errorf("%w: %q (%v)", ErrNotFound, phrase, kind)
 	}
-	delete(km, phrase)
+	if _, ok := l.own.byKind[kind][phrase]; !ok {
+		l.flatten()
+	}
+	delete(l.own.byKind[kind], phrase)
 	head := strings.Fields(phrase)[0]
-	list := l.firstWord[head]
-	for i, e := range list {
-		if e.Kind == kind && e.Phrase == phrase {
-			l.firstWord[head] = append(list[:i:i], list[i+1:]...)
-			break
+	l.own.firstWord[head] = slices.DeleteFunc(l.own.firstWord[head], func(p item) bool {
+		return p.Kind == kind && p.Phrase == phrase
+	})
+	return nil
+}
+
+// flatten merges the base under the overlay into one private table. Base
+// entries keep their precedence over overlay entries of equal length.
+func (l *Lexicon) flatten() {
+	var t table
+	for _, src := range l.layers() {
+		for _, list := range src.firstWord {
+			for _, p := range list {
+				t.add(p)
+			}
 		}
 	}
-	return nil
+	l.base, l.own = nil, t
+}
+
+// layers returns the lexicon's tables, base first; the caller holds mu.
+func (l *Lexicon) layers() []*table {
+	if l.base == nil {
+		return []*table{&l.own}
+	}
+	return []*table{l.base, &l.own}
 }
 
 // Lookup returns the entry for an exact phrase of the given kind.
@@ -205,52 +244,84 @@ func (l *Lexicon) Lookup(kind Kind, phrase string) (Entry, bool) {
 	phrase = Normalize(phrase)
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	e, ok := l.byKind[kind][phrase]
+	return l.lookup(kind, phrase)
+}
+
+// lookup finds a normalized phrase in either layer; the caller holds mu.
+func (l *Lexicon) lookup(kind Kind, phrase string) (Entry, bool) {
+	if l.base != nil {
+		if e, ok := l.base.byKind[kind][phrase]; ok {
+			return e, true
+		}
+	}
+	e, ok := l.own.byKind[kind][phrase]
 	return e, ok
+}
+
+// kindSet is a bitmask of kinds. Kinds outside [0, 16) have no bit and never
+// pass a kind filter.
+type kindSet uint16
+
+func kindBit(k Kind) kindSet {
+	if k < 0 || k >= 16 {
+		return 0
+	}
+	return 1 << k
 }
 
 // MatchLongest finds the longest entry of one of the given kinds whose phrase
 // equals a prefix of tokens. It returns the entry and the number of tokens
-// consumed.
+// consumed. Among equally long matches the earliest added wins, base entries
+// before overlay entries. It does not allocate.
 func (l *Lexicon) MatchLongest(tokens []string, kinds ...Kind) (Entry, int, bool) {
 	if len(tokens) == 0 {
 		return Entry{}, 0, false
 	}
+	var set kindSet
+	for _, k := range kinds {
+		set |= kindBit(k)
+	}
+	all := len(kinds) == 0
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	kindSet := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		kindSet[k] = true
+	var best *item
+	if l.base != nil {
+		best = l.base.match(tokens, set, all)
 	}
-	for _, e := range l.firstWord[tokens[0]] {
-		if len(kinds) > 0 && !kindSet[e.Kind] {
+	if p := l.own.match(tokens, set, all); p != nil && (best == nil || len(p.toks) > len(best.toks)) {
+		best = p
+	}
+	if best == nil {
+		return Entry{}, 0, false
+	}
+	return best.Entry, len(best.toks), true
+}
+
+// match returns the first (longest, then earliest) item of the kind set
+// that prefixes tokens, or nil. all disables the kind filter.
+func (t *table) match(tokens []string, set kindSet, all bool) *item {
+	list := t.firstWord[tokens[0]]
+	for i := range list {
+		p := &list[i]
+		if (!all && set&kindBit(p.Kind) == 0) || len(p.toks) > len(tokens) {
 			continue
 		}
-		etoks := e.tokens()
-		if len(etoks) > len(tokens) {
-			continue
-		}
-		match := true
-		for i, w := range etoks {
-			if tokens[i] != w {
-				match = false
-				break
-			}
-		}
-		if match {
-			return e, len(etoks), true
+		if slices.Equal(p.toks, tokens[:len(p.toks)]) {
+			return p
 		}
 	}
-	return Entry{}, 0, false
+	return nil
 }
 
 // Entries returns all entries of a kind, sorted by phrase.
 func (l *Lexicon) Entries(kind Kind) []Entry {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]Entry, 0, len(l.byKind[kind]))
-	for _, e := range l.byKind[kind] {
-		out = append(out, e)
+	out := []Entry{}
+	for _, t := range l.layers() {
+		for _, e := range t.byKind[kind] {
+			out = append(out, e)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Phrase < out[j].Phrase })
 	return out
@@ -280,38 +351,35 @@ type lexiconJSON struct {
 	Entries []Entry `json:"entries"`
 }
 
-// MarshalJSON serializes all entries.
+// MarshalJSON serializes all entries of both layers, sorted by kind and then
+// phrase.
 func (l *Lexicon) MarshalJSON() ([]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var doc lexiconJSON
-	kinds := make([]Kind, 0, len(l.byKind))
-	for k := range l.byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	for _, k := range kinds {
-		phrases := make([]string, 0, len(l.byKind[k]))
-		for p := range l.byKind[k] {
-			phrases = append(phrases, p)
-		}
-		sort.Strings(phrases)
-		for _, p := range phrases {
-			doc.Entries = append(doc.Entries, l.byKind[k][p])
+	for _, t := range l.layers() {
+		for _, km := range t.byKind {
+			for _, e := range km {
+				doc.Entries = append(doc.Entries, e)
+			}
 		}
 	}
+	sort.Slice(doc.Entries, func(i, j int) bool {
+		a, b := doc.Entries[i], doc.Entries[j]
+		return a.Kind < b.Kind || (a.Kind == b.Kind && a.Phrase < b.Phrase)
+	})
 	return json.Marshal(doc)
 }
 
-// UnmarshalJSON replaces the lexicon content with the serialized entries.
+// UnmarshalJSON replaces the lexicon content, both layers, with the
+// serialized entries.
 func (l *Lexicon) UnmarshalJSON(data []byte) error {
 	var doc lexiconJSON
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
 	}
 	l.mu.Lock()
-	l.byKind = make(map[Kind]map[string]Entry)
-	l.firstWord = make(map[string][]Entry)
+	l.base, l.own = nil, table{}
 	l.mu.Unlock()
 	for _, e := range doc.Entries {
 		if err := l.Add(e); err != nil {
