@@ -378,20 +378,16 @@ func benchmarkEngineWorkload(b *testing.B, name string, n int, opts ...engine.Op
 }
 
 // BenchmarkEngineEvaluate compares the symbol-interned incremental evaluator
-// (the default) against the string-keyed incremental oracle and the
-// full-scan oracle at 100, 1k and 10k rules, for a single-key change (the
-// paper's Example Rule 1 shape: the incremental evaluator re-checks only the
-// one affected rule via the dependency index; the full scan walks all n).
-// The acceptance targets are 0 allocs/op and ≥ 2x over the string-keyed path
-// at 10k rules on the interned path; cmd/corebench records the same sweep in
-// BENCH_core.json.
+// (the default) against the string-keyed full-scan oracle at 100, 1k and 10k
+// rules, for a single-key change (the paper's Example Rule 1 shape: the
+// incremental evaluator re-checks only the one affected rule via the
+// dependency index; the full scan walks all n). The acceptance targets are
+// 0 allocs/op and ≥ 2x over the full scan at 10k rules on the interned path;
+// cmd/corebench records the same sweep in BENCH_core.json.
 func BenchmarkEngineEvaluate(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("incremental-%d", n), func(b *testing.B) {
 			benchmarkEngineWorkload(b, "engine_evaluate", n)
-		})
-		b.Run(fmt.Sprintf("stringkeys-%d", n), func(b *testing.B) {
-			benchmarkEngineWorkload(b, "engine_evaluate", n, engine.WithStringKeys())
 		})
 		b.Run(fmt.Sprintf("fullscan-%d", n), func(b *testing.B) {
 			benchmarkEngineWorkload(b, "engine_evaluate", n, engine.WithFullScan())
@@ -407,8 +403,8 @@ func BenchmarkEngineEvaluateFiring(b *testing.B) {
 	b.Run("interned", func(b *testing.B) {
 		benchmarkEngineWorkload(b, "engine_evaluate_firing", 1000, engine.WithLogLimit(64))
 	})
-	b.Run("stringkeys", func(b *testing.B) {
-		benchmarkEngineWorkload(b, "engine_evaluate_firing", 1000, engine.WithLogLimit(64), engine.WithStringKeys())
+	b.Run("fullscan", func(b *testing.B) {
+		benchmarkEngineWorkload(b, "engine_evaluate_firing", 1000, engine.WithLogLimit(64), engine.WithFullScan())
 	})
 }
 
@@ -416,15 +412,15 @@ func BenchmarkEngineEvaluateFiring(b *testing.B) {
 // Example Rules 2/3: a user moving between rooms re-evaluates every
 // quantified presence condition without flipping any readiness) across rule
 // counts and evaluator configurations. Acceptance: 0 allocs/op on the
-// interned rows; the string-keyed oracle iterates the location map per
-// quantifier.
+// interned rows; the full-scan oracle re-evaluates every rule and iterates
+// the location map per quantifier.
 func BenchmarkPresenceEval(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("interned-%d", n), func(b *testing.B) {
 			benchmarkEngineWorkload(b, "presence_eval", n)
 		})
-		b.Run(fmt.Sprintf("stringkeys-%d", n), func(b *testing.B) {
-			benchmarkEngineWorkload(b, "presence_eval", n, engine.WithStringKeys())
+		b.Run(fmt.Sprintf("fullscan-%d", n), func(b *testing.B) {
+			benchmarkEngineWorkload(b, "presence_eval", n, engine.WithFullScan())
 		})
 	}
 }
@@ -433,16 +429,17 @@ func BenchmarkPresenceEval(b *testing.B) {
 // dirties the contextual priority order's dependency, so every pass
 // re-arbitrates the stereo's contenders — and the winner never changes, so
 // nothing fires) across rule counts and evaluator configurations. The
-// interned path rank-scans the pre-interned owner index; the string-keyed
-// oracle rebuilds an owner-position map and sorts per reconciliation.
-// Acceptance: 0 allocs/op on the interned rows, flat from 100 to 10k rules.
+// interned path rank-scans the pre-interned owner index; the full-scan
+// oracle re-evaluates every rule and re-arbitrates every device with a
+// ranked-list build. Acceptance: 0 allocs/op on the interned rows, flat from
+// 100 to 10k rules.
 func BenchmarkArbitrate(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("interned-%d", n), func(b *testing.B) {
 			benchmarkEngineWorkload(b, "arbitrate", n)
 		})
-		b.Run(fmt.Sprintf("stringkeys-%d", n), func(b *testing.B) {
-			benchmarkEngineWorkload(b, "arbitrate", n, engine.WithStringKeys())
+		b.Run(fmt.Sprintf("fullscan-%d", n), func(b *testing.B) {
+			benchmarkEngineWorkload(b, "arbitrate", n, engine.WithFullScan())
 		})
 	}
 }
@@ -455,8 +452,8 @@ func BenchmarkArbitrateHandoff(b *testing.B) {
 	b.Run("interned", func(b *testing.B) {
 		benchmarkEngineWorkload(b, "arbitrate_handoff", 1000, engine.WithLogLimit(64))
 	})
-	b.Run("stringkeys", func(b *testing.B) {
-		benchmarkEngineWorkload(b, "arbitrate_handoff", 1000, engine.WithLogLimit(64), engine.WithStringKeys())
+	b.Run("fullscan", func(b *testing.B) {
+		benchmarkEngineWorkload(b, "arbitrate_handoff", 1000, engine.WithLogLimit(64), engine.WithFullScan())
 	})
 }
 

@@ -87,13 +87,12 @@ var (
 type Option interface{ apply(*options) }
 
 type options struct {
-	now        func() time.Time
-	eventTTL   time.Duration
-	onFire     func(Fired)
-	interval   bool
-	fullScan   bool
-	stringKeys bool
-	perms      *auth.Store
+	now      func() time.Time
+	eventTTL time.Duration
+	onFire   func(Fired)
+	interval bool
+	fullScan bool
+	perms    *auth.Store
 }
 
 type optionFunc func(*options)
@@ -126,20 +125,12 @@ func WithIntervalFastPath() Option {
 
 // WithFullScanEngine makes the rule execution module re-evaluate every
 // registered rule on every context change, as the paper's prototype does,
-// instead of the default incremental evaluation that only re-checks rules
+// over a plain map-backed context with unbound conditions, instead of the
+// default symbol-interned incremental evaluation that only re-checks rules
 // whose condition dependencies were touched. Mostly useful as an oracle or
 // baseline; results are identical (see the engine's equivalence tests).
 func WithFullScanEngine() Option {
 	return optionFunc(func(o *options) { o.fullScan = true })
-}
-
-// WithStringKeyedEngine makes the rule execution module evaluate on the
-// retained string-keyed path — map-backed context, per-leaf name resolution,
-// string dirty keys — instead of the default symbol-interned hot path.
-// Mostly useful as an oracle or baseline; results are identical (see the
-// engine's interned-equivalence tests).
-func WithStringKeyedEngine() Option {
-	return optionFunc(func(o *options) { o.stringKeys = true })
 }
 
 // WithPermissions installs a privilege store (the paper's future-work
@@ -195,9 +186,6 @@ func NewServer(network *Network, opts ...Option) (*Server, error) {
 	}
 	if o.fullScan {
 		hubOpts = append(hubOpts, fleet.WithFullScan())
-	}
-	if o.stringKeys {
-		hubOpts = append(hubOpts, fleet.WithStringKeys())
 	}
 	if o.interval {
 		hubOpts = append(hubOpts, fleet.WithIntervalFeasibility())

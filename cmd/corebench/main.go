@@ -25,9 +25,9 @@
 //
 // each on the evaluator configurations:
 //
-//	interned    pre-bound conditions + id-indexed context (the default)
-//	stringkeys  the retained string-keyed oracle path
-//	fullscan    the naive re-evaluate-everything oracle (engine_evaluate only)
+//	interned  pre-bound conditions + id-indexed context (the default)
+//	fullscan  the naive re-evaluate-everything oracle: map-backed context,
+//	          unbound conditions, no dependency index
 //
 // recording ns/op, allocs/op and B/op. The interned rows carry the
 // acceptance targets: 0 allocs/op, flat across rule counts. A fleet section
@@ -89,20 +89,12 @@ func main() {
 	d := doc{GeneratedUnix: time.Now().Unix(), Meta: benchwork.NewRunMeta()}
 
 	for _, n := range parseInts(*rulesFlag) {
-		for _, mode := range []string{"interned", "stringkeys", "fullscan"} {
-			r := benchEngine("engine_evaluate", n, mode)
-			d.Engine = append(d.Engine, r)
-			printRow(r)
-		}
-		for _, mode := range []string{"interned", "stringkeys"} {
-			r := benchEngine("presence_eval", n, mode)
-			d.Engine = append(d.Engine, r)
-			printRow(r)
-		}
-		for _, mode := range []string{"interned", "stringkeys"} {
-			r := benchEngine("arbitrate", n, mode)
-			d.Engine = append(d.Engine, r)
-			printRow(r)
+		for _, bench := range []string{"engine_evaluate", "presence_eval", "arbitrate"} {
+			for _, mode := range []string{"interned", "fullscan"} {
+				r := benchEngine(bench, n, mode)
+				d.Engine = append(d.Engine, r)
+				printRow(r)
+			}
 		}
 		for _, mode := range []string{"compact", "nocompact"} {
 			r := benchChurn(n, mode)
@@ -153,10 +145,7 @@ func fatal(err error) {
 // configuration — the exact timed loop of the root package's benchmarks.
 func benchEngine(bench string, n int, mode string) engineRow {
 	var opts []engine.Option
-	switch mode {
-	case "stringkeys":
-		opts = append(opts, engine.WithStringKeys())
-	case "fullscan":
+	if mode == "fullscan" {
 		opts = append(opts, engine.WithFullScan())
 	}
 	res := testing.Benchmark(func(b *testing.B) {

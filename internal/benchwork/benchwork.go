@@ -6,9 +6,10 @@
 // Three engine workloads reproduce the paper's example-rule shapes:
 //
 //   - RoomTempDB — Example Rule 1: rule 0 reads the unqualified
-//     "temperature" (the string-keyed path resolves it with a suffix scan
-//     over every populated key), every other rule its own room's qualified
-//     temperature; a single-key sensor event touches exactly one rule.
+//     "temperature" (the full-scan oracle's map-backed context resolves it
+//     with a suffix scan over every populated key), every other rule its
+//     own room's qualified temperature; a single-key sensor event touches
+//     exactly one rule.
 //   - PresenceDB — Example Rules 2/3: quantified presence conditions
 //     (nobody / everyone / someone-at / per-person presence / arrival) over
 //     a populated home; presence churn re-evaluates the quantified rules
@@ -217,7 +218,7 @@ func FiringTempEvents() []map[string]string {
 // ---- Example Rules 2/3: quantified presence workload ----
 
 // PresenceUserCount is how many users PresenceDB registers: large enough
-// that the string-keyed path's per-eval map iteration over every location is
+// that the full-scan oracle's per-eval map iteration over every location is
 // visible next to the interned counters.
 const PresenceUserCount = 32
 

@@ -34,8 +34,8 @@ type resCache struct {
 // Numeric and boolean variables — and, since the presence/event interning,
 // user locations and arrival events — have two representations. The
 // string-keyed maps (Numbers, Bools, Locations, Events) are always truthful
-// and serve observability, cloning and the retained string-keyed oracle
-// path. A context built with NewInternedContext additionally keeps dense,
+// and serve observability, cloning and the full-scan oracle (which runs on a
+// plain NewContext). A context built with NewInternedContext additionally keeps dense,
 // symbol-id-indexed stores: value slices with presence tracking for
 // numbers/booleans (NumberID/BoolID), location slots with reverse-index
 // counters for presence quantifiers (AtID/AnyoneAtID/EveryoneAtID and

@@ -9,13 +9,14 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/ingest"
 	"repro/internal/registry"
 	"repro/internal/simplex"
 )
 
 // The churn-compaction equivalence suite: an interned engine with an
 // aggressive compaction watermark (plus occasional forced epochs) paired
-// against the string-keyed oracle over one shared rule database. The oracle
+// against the full-scan oracle over one shared rule database. The oracle
 // never touches symbol ids, so it is oblivious to the renumbering; any
 // id-holding state the remap misses — a bound condition, a readiness bit, a
 // device owner, a dirty id, a priority-rank vector — diverges the fired
@@ -50,7 +51,7 @@ func churnEvent(seq int, value string) (deviceType, name, location string, vars 
 // (sensor values, presence, arrivals, clock advances, priority edits) on the
 // pair, checking logs and owners after every step.
 func TestCompactionEquivalenceScripted(t *testing.T) {
-	p := newEnginePairOpts(t, []Option{WithCompactFloor(16)}, []Option{WithStringKeys()})
+	p := newEnginePairOpts(t, []Option{WithCompactFloor(16)}, []Option{WithFullScan()})
 	p.tbl.Set(conflict.Order{Device: core.DeviceRef{Name: "stereo"}, Users: []string{"emily", "alan", "tom"}})
 	p.each(func(e *Engine) { e.SetUsers([]string{"tom", "alan", "emily"}) })
 
@@ -137,7 +138,7 @@ func TestCompactionEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			runCompactionChurnScenario(t,
-				newEnginePairOpts(t, []Option{WithCompactFloor(16)}, []Option{WithStringKeys()}), seed)
+				newEnginePairOpts(t, []Option{WithCompactFloor(16)}, []Option{WithFullScan()}), seed)
 		})
 	}
 }
@@ -239,21 +240,57 @@ func TestAutoCompactionWatermark(t *testing.T) {
 	}
 }
 
-// TestCompactSymbolsOracleModes: oracle engines refuse compaction (they hold
-// no compactible state or no synced rule state).
+// TestCompactSymbolsOracleModes: the full-scan oracle refuses compaction (it
+// holds no ids).
 func TestCompactSymbolsOracleModes(t *testing.T) {
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"stringkeys", []Option{WithStringKeys()}},
-		{"fullscan", []Option{WithFullScan()}},
-	} {
-		e := New(registry.New(), conflict.NewTable(), func() time.Time { return now }, nil, tc.opts...)
-		if _, ok := e.CompactSymbols(); ok {
-			t.Fatalf("%s: CompactSymbols succeeded on an oracle engine", tc.name)
-		}
+	e := New(registry.New(), conflict.NewTable(), func() time.Time { return now }, nil, WithFullScan())
+	if _, ok := e.CompactSymbols(); ok {
+		t.Fatal("CompactSymbols succeeded on a full-scan engine")
+	}
+}
+
+// TestFullScanHoldsNoIDs: the full-scan oracle never interns. Sharing a rule
+// database with an interned engine, it ingests never-seen variables,
+// arrivals, places and EPG feeds through both entry points without growing
+// the shared symbol table, and reports no symbol footprint.
+func TestFullScanHoldsNoIDs(t *testing.T) {
+	p := newEnginePair(t)
+	if err := p.db.Add(&core.Rule{
+		ID: "hot", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
+		Action: core.Action{Verb: "turn-on"},
+		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 25},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.each(func(e *Engine) { e.Tick() })
+	before := p.db.Symtab().Len()
+
+	o := p.full
+	o.HandleDeviceEvent(device.TypeThermometer, "thermometer", "attic", map[string]string{"temperature": "30"})
+	o.HandleDeviceEvent(device.TypeTV, "tv", "den", map[string]string{"power": "1"})
+	o.HandleDeviceEvent(device.TypePresenceSensor, "presence sensor", "home",
+		map[string]string{"presence-zoe": "cellar", "event": "zoe|home-from-school|1"})
+	o.HandleDeviceEvent(device.TypeTV, "tv", "den", map[string]string{"programs": device.EncodePrograms([]core.Program{
+		{Title: "evening news", Category: "news"},
+	})})
+	ev := ingest.AcquireEvent()
+	defer ev.Release()
+	o.IngestEvent(decodeWire(t, ev, device.TypeThermometer, "thermometer", "loft",
+		map[string]string{"temperature": "12", "presence-max": "loft", "event": "max|left-for-work|2"}))
+	o.Tick()
+
+	if got := p.db.Symtab().Len(); got != before {
+		t.Fatalf("shared symtab grew from %d to %d symbols on full-scan ingest", before, got)
+	}
+	if st := o.SymbolStats(); st != (SymbolStats{}) {
+		t.Fatalf("full-scan SymbolStats = %+v, want zero", st)
+	}
+	if owners := o.Owners(); owners["fan"] != "hot" {
+		t.Fatalf("owners = %v, want the oracle to evaluate over its own map context", owners)
+	}
+	if _, ok := o.CompactSymbols(); ok {
+		t.Fatal("CompactSymbols succeeded on a full-scan engine")
 	}
 }
 

@@ -7,23 +7,26 @@
 // Evaluation is incremental. Every context write marks the dependency keys
 // it invalidates (core.NumberDirtyKeys and friends) in a dirty set, and an
 // evaluation pass only re-evaluates the rules whose dependency set
-// (core.CondDeps, inverted-indexed by registry.DB.ByDep) intersects it —
+// (core.CondDeps, inverted-indexed by registry.DB.ByDepID) intersects it —
 // plus the time-dependent rules whenever the clock has advanced, and rules
 // added since the last pass. Per-rule readiness is cached between passes, so
 // arbitration reconciles only the devices whose ready-set actually changed,
 // or whose contextual priority order was touched by the dirty keys.
 //
-// The hot path is symbol-interned. By default the engine shares the rule
-// database's symbol table (core.Symtab): device events resolve to interned
-// context-key and dirty-key ids through a per-signature cache, the context
-// stores values in id-indexed slices, conditions evaluate in their pre-bound
-// form (core.Bind — no map lookup, no string compare per leaf), the dirty
-// set is an id bitset, and per-pass scratch is reused — so a steady-state
-// single-key event evaluates with zero heap allocations. The previous
-// string-keyed path (map-backed context, string dirty keys, unbound
-// conditions) is retained behind WithStringKeys as the oracle the interned
-// path must agree with, exactly as WithFullScan retains the naive evaluator
-// as the oracle for incrementality.
+// The hot path is symbol-interned. The engine shares the rule database's
+// symbol table (core.Symtab): device events resolve to interned context-key
+// and dirty-key ids through a per-signature cache, the context stores values
+// in id-indexed slices, conditions evaluate in their pre-bound form
+// (core.Bind — no map lookup, no string compare per leaf), the dirty set is
+// an id bitset, and per-pass scratch is reused — so a steady-state
+// single-key event evaluates with zero heap allocations.
+//
+// WithFullScan keeps the paper's naive evaluator as the one oracle the
+// interned incremental path must agree with. It is naive in every respect:
+// a map-backed context, unbound conditions (per-leaf name resolution), plain
+// string ingest with no dirty marking, no dependency index, and no symbol
+// ids held — every pass re-evaluates every rule and re-arbitrates every
+// device.
 //
 // Arbitration is reconciliation-style: for every device the engine tracks
 // which rule currently "owns" it (the highest-priority rule whose condition
@@ -112,30 +115,16 @@ func (f Fired) String() string {
 type orderDep struct {
 	device core.DeviceRef
 	deps   core.DepSet
-	ids    []uint32 // interned form of deps.Keys (interned mode only)
-}
-
-// varSig identifies one device variable as it arrives in events; the ingest
-// cache is keyed by it, so mapping a variable onto interned context keys and
-// dirty ids costs one comparable-struct map lookup after first sight.
-type varSig struct {
-	deviceType, friendlyName, location, name string
+	ids    []uint32 // interned form of deps.Keys
 }
 
 // cachedVar is the resolved ingest plan for one device-variable signature.
 type cachedVar struct {
 	kind     device.VarKind
 	user     string   // presence-* specials: the user moving
-	userID   uint32   // interned user (presence-* specials, interned mode)
+	userID   uint32   // interned user (presence-* specials)
 	keyIDs   []uint32 // interned context keys the value writes
 	dirtyIDs []uint32 // interned dependency ids the write invalidates
-}
-
-// arrSig identifies one arrival event's person and event name as cut out of
-// the raw "person|event|seq" value; the ingest cache keyed by it maps a
-// repeated arrival onto interned ids without building a string.
-type arrSig struct {
-	person, event string
 }
 
 // arrIDs is the resolved ingest plan for one arrival signature: the interned
@@ -150,15 +139,14 @@ type Engine struct {
 	mu            sync.Mutex
 	ctx           *core.Context
 	db            *registry.DB
-	tab           *core.Symtab // shared with db; nil in string-keyed mode
+	tab           *core.Symtab // shared with db; nil in full-scan mode
 	priorities    *conflict.Table
 	dispatch      Dispatcher
 	batchDispatch BatchDispatcher // when set, replaces the per-action dispatcher
 	now           func() time.Time
 
-	fullScan   bool // evaluate every rule on every pass (oracle mode)
-	stringKeys bool // string-keyed context + unbound conditions (oracle mode)
-	quiet      bool // migration import: reconcile ownership, observe nothing (see SetQuiet)
+	fullScan bool // naive oracle: map-backed context, every rule every pass
+	quiet    bool // migration import: reconcile ownership, observe nothing (see SetQuiet)
 
 	passes  uint64 // evaluation passes run
 	batches uint64 // dispatch batches handed out (≤ one per pass)
@@ -168,8 +156,7 @@ type Engine struct {
 	compactFloor int
 
 	// Incremental-evaluation state (unused in full-scan mode).
-	dirty      map[string]struct{}   // dirty dependency keys (string-keyed mode)
-	dirtyIDs   core.IDSet            // dirty dependency ids (interned mode)
+	dirtyIDs   core.IDSet            // dirty dependency ids
 	allDirty   bool                  // re-evaluate everything on the next pass
 	dbGen      uint64                // registry generation at the last pass
 	tblGen     uint64                // priority-table generation at the last pass
@@ -177,14 +164,11 @@ type Engine struct {
 	lastEvalAt time.Time             // clock reading of the last pass
 	timeRules  []*core.Rule          // cached db.TimeDependent() for dbGen
 	known      map[string]*core.Rule // rules the engine has synced from the db
-	ready      map[string]bool       // rule ID → readiness at the last pass (string-keyed mode)
-	readyByDev map[string]map[string]*core.Rule
-	refs       map[string]core.DeviceRef // device key → reference (string-keyed mode)
 
-	// Id-indexed reconciliation state (interned mode): rules and devices are
-	// addressed by their interned identity (core.Rule.IDSym / DeviceSym), so
-	// the per-pass bookkeeping is slice indexing and bitsets instead of
-	// string-keyed map-of-map juggling.
+	// Id-indexed reconciliation state: rules and devices are addressed by
+	// their interned identity (core.Rule.IDSym / DeviceSym), so the per-pass
+	// bookkeeping is slice indexing and bitsets instead of string-keyed
+	// map-of-map juggling.
 	readyBits  []bool           // rule IDSym → readiness at the last pass
 	readyRules [][]*core.Rule   // device DeviceSym → ready rules
 	devRefs    []core.DeviceRef // device DeviceSym → reference
@@ -193,37 +177,24 @@ type Engine struct {
 	devRank    []uint32         // DeviceSym → lexicographic rank among seen devices
 	rankStale  bool             // devSeen grew; devRank must be rebuilt
 
-	// Ingest caches (interned mode): first sight of a device variable, an
-	// arrival signature, a place name or the EPG feed interns its keys; every
-	// later event with the same signature reuses the ids without building a
-	// string.
-	varCache    map[varSig]*cachedVar
-	arrCache    map[arrSig]arrIDs // arrival person+event → interned ids
+	// Ingest caches: first sight of a device variable, an arrival signature,
+	// a place name or the EPG feed interns its keys; every later event with
+	// the same signature reuses the ids without building a string. Both
+	// entry points hand the ingest path byte slices, so the caches are keyed
+	// by signature byte strings (see appendSig) and consulted with the
+	// allocation-free m[string(b)] lookup form. Dropped on symbol compaction.
+	varCacheB   map[string]*cachedVar
+	arrCacheB   map[string]arrIDs // "person|event" → interned ids
 	placeSlot   map[string]uint32 // place name → interned place id + 1
 	programsDep uint32            // interned core.ProgramsDepKey
-
-	// Byte-path ingest caches (interned mode): the wire decoder hands
-	// IngestEvent byte slices, so these mirror varCache/arrCache under
-	// combined byte-string keys (0xff-separated — decoded fields are valid
-	// UTF-8, so the separator cannot occur in them) and are consulted with
-	// the allocation-free m[string(b)] lookup form. Invalidated together
-	// with the string caches on symbol compaction.
-	varCacheB  map[string]*cachedVar
-	arrCacheB  map[string]arrIDs
-	sigScratch []byte
+	sigScratch  []byte            // the signature (and value) being ingested
 
 	// Per-pass scratch, reused across passes and cleared on exit so a
 	// steady-state pass allocates nothing.
-	scCand    map[string]*core.Rule   // candidate rules to re-evaluate (string-keyed mode)
-	scChanged map[string]struct{}     // device keys whose ready-set changed (string-keyed mode)
-	scKeys    []string                // sorted device keys to reconcile
-	scList    []*core.Rule            // ready-rule list handed to arbitration
-	scReady   map[string][]*core.Rule // full-scan mode: ready rules by device
-	scRefs    map[string]core.DeviceRef
-	scCandSet core.IDSet   // candidate rule IDSyms (interned mode dedup)
-	scCands   []*core.Rule // candidate rules (interned mode)
-	scDevs    core.IDSet   // DeviceSyms whose ready-set changed (interned mode)
-	scDevIDs  []uint32     // reconciliation-order scratch (interned mode)
+	scCandSet core.IDSet   // candidate rule IDSyms (dedup)
+	scCands   []*core.Rule // candidate rules
+	scDevs    core.IDSet   // DeviceSyms whose ready-set changed
+	scDevIDs  []uint32     // reconciliation-order scratch
 
 	// Cached observability snapshot: rebuilt only when the context data (or
 	// its clock) actually changed since the last Snapshot call.
@@ -245,7 +216,7 @@ type Engine struct {
 	traceCap int
 	tr       *traceRing
 
-	owners map[string]string // device key → owning rule ID
+	owners map[string]string // full-scan mode: device key → owning rule ID
 	log    []Fired
 	onFire func(Fired)
 }
@@ -309,10 +280,7 @@ func WithTrace(n int) Option {
 }
 
 // DefaultCompactFloor is the symbol count below which automatic symbol
-// compaction never triggers: small homes never pay a compaction pause, and
-// oracle pairings that share one rule database between two interned engines
-// (which compaction does not support — see WithCompactFloor) stay safe as
-// long as they stay under it.
+// compaction never triggers, so small homes never pay a compaction pause.
 const DefaultCompactFloor = 4096
 
 // WithCompactFloor tunes the automatic symbol-compaction watermark: at the
@@ -322,35 +290,26 @@ const DefaultCompactFloor = 4096
 // may be dead. n <= 0 disables automatic compaction entirely.
 //
 // Compaction rewrites the rule database's symbol ids in place, so it assumes
-// this engine is the database's only interned evaluator; a second interned
-// engine over the same database (e.g. a full-scan oracle pairing) must
-// disable it. String-keyed engines never hold ids and are unaffected.
+// no other interned engine holds ids of the same database. A full-scan
+// engine holds none, so an oracle sharing the database is unaffected.
 func WithCompactFloor(n int) Option {
 	return optionFunc(func(e *Engine) { e.compactFloor = n })
 }
 
-// WithFullScan disables incremental evaluation: every pass re-evaluates
-// every registered rule and re-arbitrates every device, exactly as the
-// paper's prototype does. Tests use a full-scan engine as the oracle the
-// incremental evaluator must agree with; benchmarks use it as the baseline.
+// WithFullScan selects the naive evaluator of the paper's prototype: every
+// pass re-evaluates every registered rule and re-arbitrates every device,
+// over a map-backed context with unbound conditions, and the engine holds
+// no symbol ids (it neither interns nor compacts). Tests use a full-scan
+// engine as the one oracle the interned incremental evaluator must agree
+// with; benchmarks use it as the baseline.
 func WithFullScan() Option {
 	return optionFunc(func(e *Engine) { e.fullScan = true })
 }
 
-// WithStringKeys disables the symbol-interned hot path: the context stays
-// purely map-backed, conditions evaluate unbound (per-leaf name resolution
-// with the suffix scan of Context.Number), and the dirty set holds string
-// keys. Tests use a string-keyed engine as the oracle the interned path must
-// agree with; benchmarks use it as the baseline the interned path is
-// measured against.
-func WithStringKeys() Option {
-	return optionFunc(func(e *Engine) { e.stringKeys = true })
-}
-
 // New builds an engine over a rule database and priority table. now supplies
 // the (simulated or wall) clock; dispatch applies actions. Unless
-// WithStringKeys is given, the engine adopts the database's symbol table and
-// evaluates on the interned hot path.
+// WithFullScan is given, the engine adopts the database's symbol table and
+// evaluates on the interned incremental hot path.
 func New(db *registry.DB, priorities *conflict.Table, now func() time.Time, dispatch Dispatcher, opts ...Option) *Engine {
 	e := &Engine{
 		ctx:          core.NewContext(now()),
@@ -359,37 +318,26 @@ func New(db *registry.DB, priorities *conflict.Table, now func() time.Time, disp
 		dispatch:     dispatch,
 		now:          now,
 		compactFloor: DefaultCompactFloor,
-		dirty:        make(map[string]struct{}),
 		allDirty:     true,
-		known:        make(map[string]*core.Rule),
-		ready:        make(map[string]bool),
-		readyByDev:   make(map[string]map[string]*core.Rule),
-		refs:         make(map[string]core.DeviceRef),
-		owners:       make(map[string]string),
-		scCand:       make(map[string]*core.Rule),
-		scChanged:    make(map[string]struct{}),
-		scReady:      make(map[string][]*core.Rule),
-		scRefs:       make(map[string]core.DeviceRef),
 	}
 	for _, o := range opts {
 		o.apply(e)
 	}
-	if !e.stringKeys && db != nil {
-		e.tab = db.Symtab()
-		ictx := core.NewInternedContext(e.ctx.Now, e.tab)
-		ictx.EventTTL = e.ctx.EventTTL
-		e.ctx = ictx
-		e.varCache = make(map[varSig]*cachedVar)
-		e.arrCache = make(map[arrSig]arrIDs)
-		e.placeSlot = make(map[string]uint32)
-		e.varCacheB = make(map[string]*cachedVar)
-		e.arrCacheB = make(map[string]arrIDs)
-		e.programsDep = e.tab.Intern(core.ProgramsDepKey)
-		if e.traceCap > 0 {
-			e.tr = newTraceRing(e.traceCap)
-		}
-	} else {
-		e.stringKeys = true
+	if e.fullScan {
+		e.owners = make(map[string]string)
+		return e
+	}
+	e.tab = db.Symtab()
+	ictx := core.NewInternedContext(e.ctx.Now, e.tab)
+	ictx.EventTTL = e.ctx.EventTTL
+	e.ctx = ictx
+	e.known = make(map[string]*core.Rule)
+	e.varCacheB = make(map[string]*cachedVar)
+	e.arrCacheB = make(map[string]arrIDs)
+	e.placeSlot = make(map[string]uint32)
+	e.programsDep = e.tab.Intern(core.ProgramsDepKey)
+	if e.traceCap > 0 {
+		e.tr = newTraceRing(e.traceCap)
 	}
 	return e
 }
@@ -480,7 +428,7 @@ func (e *Engine) FlushMetrics() {
 func (e *Engine) Owners() map[string]string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.stringKeys && !e.fullScan {
+	if !e.fullScan {
 		out := make(map[string]string, e.devSeen.Len())
 		for _, dev := range e.devSeen.IDs() {
 			if o := e.devOwner[dev]; o != 0 {
@@ -538,129 +486,27 @@ func (e *Engine) Ingest(deviceType, friendlyName, location string, vars map[stri
 	e.ingestLocked(deviceType, friendlyName, location, vars)
 }
 
+// ingestLocked copies each variable's signature and value into the reused
+// scratch buffer and runs the byte path IngestEvent runs, so both entry
+// points share one set of ingest caches and a steady-state event allocates
+// nothing.
 func (e *Engine) ingestLocked(deviceType, friendlyName, location string, vars map[string]string) {
-	if e.stringKeys {
+	if e.fullScan {
 		e.ingestStringLocked(deviceType, friendlyName, location, vars)
 		return
 	}
 	for name, value := range vars {
-		sig := varSig{deviceType, friendlyName, location, name}
-		cv, ok := e.varCache[sig]
-		if !ok {
-			cv = e.buildVarCacheLocked(sig)
-		}
-		switch cv.kind {
-		case device.VarKindSpecial:
-			e.applySpecialInternedLocked(cv, name, value)
-		case device.VarKindNumber:
-			if f, err := strconv.ParseFloat(value, 64); err == nil {
-				for _, id := range cv.keyIDs {
-					e.ctx.SetNumberID(id, f)
-				}
-				e.dirtyIDs.AddAll(cv.dirtyIDs)
-			}
-		case device.VarKindBool:
-			b := value == "1" || value == "true"
-			for _, id := range cv.keyIDs {
-				e.ctx.SetBoolID(id, b)
-			}
-			e.dirtyIDs.AddAll(cv.dirtyIDs)
-		default:
-			// String vars (mode) are not observable by CADEL conditions in
-			// this version; ignored.
-		}
+		b := appendSig(e.sigScratch[:0], deviceType, friendlyName, location, name)
+		n := len(b)
+		b = append(b, value...)
+		e.sigScratch = b
+		e.ingestVarLocked(b[:n], b[n-len(name):n], b[n:])
 	}
 }
 
-// buildVarCacheLocked interns the context keys and dirty ids for one device
-// variable and memoizes them; it runs once per distinct event signature.
-func (e *Engine) buildVarCacheLocked(sig varSig) *cachedVar {
-	cv := &cachedVar{kind: device.KindOfVar(sig.name)}
-	switch cv.kind {
-	case device.VarKindSpecial:
-		// A bare "presence-" (empty user) stays out of the cache plan: the
-		// empty cv.user makes the apply step a no-op, matching the string
-		// path's rejection of the malformed variable.
-		if user, ok := strings.CutPrefix(sig.name, "presence-"); ok && user != "" {
-			cv.user = user
-			cv.userID = e.tab.Intern(user)
-			for _, k := range core.LocationDirtyKeys(user) {
-				cv.dirtyIDs = append(cv.dirtyIDs, e.tab.Intern(k))
-			}
-		}
-	case device.VarKindNumber:
-		for _, key := range device.ContextKeys(sig.deviceType, sig.friendlyName, sig.location, sig.name) {
-			cv.keyIDs = append(cv.keyIDs, e.tab.Intern(key))
-			for _, dk := range core.NumberDirtyKeys(key) {
-				cv.dirtyIDs = append(cv.dirtyIDs, e.tab.Intern(dk))
-			}
-		}
-	case device.VarKindBool:
-		for _, key := range device.ContextKeys(sig.deviceType, sig.friendlyName, sig.location, sig.name) {
-			cv.keyIDs = append(cv.keyIDs, e.tab.Intern(key))
-			for _, dk := range core.BoolDirtyKeys(key) {
-				cv.dirtyIDs = append(cv.dirtyIDs, e.tab.Intern(dk))
-			}
-		}
-	}
-	e.varCache[sig] = cv
-	return cv
-}
-
-func (e *Engine) applySpecialInternedLocked(cv *cachedVar, name, value string) {
-	switch {
-	case cv.user != "":
-		e.ctx.SetLocationID(cv.userID, e.placeSlotLocked(value))
-		e.dirtyIDs.AddAll(cv.dirtyIDs)
-	case name == "event":
-		// "person|event|seq" — Cut instead of Split so the steady state
-		// slices the value without allocating.
-		person, rest, ok := strings.Cut(value, "|")
-		if !ok || person == "" {
-			return
-		}
-		event, _, _ := strings.Cut(rest, "|")
-		ids, ok := e.arrCache[arrSig{person, event}]
-		if !ok {
-			ids = e.buildArrCacheLocked(person, event)
-		}
-		e.ctx.Now = e.now()
-		e.ctx.RecordEventID(ids.key, ids.name)
-		e.dirtyIDs.Add(ids.name)
-	case name == "programs":
-		e.ctx.SetPrograms(device.DecodePrograms(value))
-		e.dirtyIDs.Add(e.programsDep)
-	}
-}
-
-// placeSlotLocked resolves a place name to its interned slot (place id plus
-// one; "" = 0), memoized so the steady-state presence churn between known
-// places costs one map lookup and no interning lock.
-func (e *Engine) placeSlotLocked(place string) uint32 {
-	if place == "" {
-		return 0
-	}
-	if slot, ok := e.placeSlot[place]; ok {
-		return slot
-	}
-	slot := e.tab.Intern(place) + 1
-	e.placeSlot[strings.Clone(place)] = slot
-	return slot
-}
-
-// buildArrCacheLocked interns one arrival signature's ids and memoizes them
-// under cloned keys (the signature's strings alias the raw event value).
-func (e *Engine) buildArrCacheLocked(person, event string) arrIDs {
-	person, event = strings.Clone(person), strings.Clone(event)
-	ids := arrIDs{
-		key:  e.tab.Intern(person + "|" + event),
-		name: e.tab.Intern(core.EventDepKey(event)),
-	}
-	e.arrCache[arrSig{person, event}] = ids
-	return ids
-}
-
-// ingestStringLocked is the retained string-keyed ingest path (oracle mode).
+// ingestStringLocked is the full-scan oracle's ingest: plain string writes
+// into the map-backed context, with no caches and no dirty marking (the
+// oracle re-evaluates every rule on every pass).
 func (e *Engine) ingestStringLocked(deviceType, friendlyName, location string, vars map[string]string) {
 	for name, value := range vars {
 		switch device.KindOfVar(name) {
@@ -670,25 +516,17 @@ func (e *Engine) ingestStringLocked(deviceType, friendlyName, location string, v
 			if f, err := strconv.ParseFloat(value, 64); err == nil {
 				for _, key := range device.ContextKeys(deviceType, friendlyName, location, name) {
 					e.ctx.SetNumber(key, f)
-					e.markDirtyLocked(core.NumberDirtyKeys(key))
 				}
 			}
 		case device.VarKindBool:
 			b := value == "1" || value == "true"
 			for _, key := range device.ContextKeys(deviceType, friendlyName, location, name) {
 				e.ctx.SetBool(key, b)
-				e.markDirtyLocked(core.BoolDirtyKeys(key))
 			}
 		default:
 			// String vars (mode) are not observable by CADEL conditions in
 			// this version; ignored.
 		}
-	}
-}
-
-func (e *Engine) markDirtyLocked(keys []string) {
-	for _, k := range keys {
-		e.dirty[k] = struct{}{}
 	}
 }
 
@@ -703,18 +541,15 @@ func (e *Engine) applySpecialLocked(name, value string) {
 			return
 		}
 		e.ctx.SetLocation(user, value)
-		e.markDirtyLocked(core.LocationDirtyKeys(user))
 	case name == "event":
 		// "person|event|seq"
 		parts := strings.SplitN(value, "|", 3)
 		if len(parts) >= 2 && parts[0] != "" {
 			e.ctx.Now = e.now()
 			e.ctx.RecordEvent(parts[0], parts[1])
-			e.markDirtyLocked([]string{core.EventDepKey(parts[1])})
 		}
 	case name == "programs":
 		e.ctx.SetPrograms(device.DecodePrograms(value))
-		e.markDirtyLocked([]string{core.ProgramsDepKey})
 	}
 }
 
@@ -741,14 +576,7 @@ func (e *Engine) evaluateLocked() {
 		e.ctx.Now = e.now()
 		em, tr := e.em, e.tr
 		e.em, e.tr = nil, nil
-		switch {
-		case e.fullScan:
-			e.fullScanPassLocked()
-		case e.stringKeys:
-			e.incrementalPassLocked()
-		default:
-			e.internedPassLocked()
-		}
+		e.passLocked()
 		e.em, e.tr = em, tr
 		e.mu.Unlock()
 		return
@@ -761,18 +589,10 @@ func (e *Engine) evaluateLocked() {
 	var t0 time.Time
 	sampled := e.em != nil && e.passes&31 == 0
 	if sampled {
-		e.em.DirtyKeys.Observe(uint64(e.dirtyIDs.Len() + len(e.dirty)))
+		e.em.DirtyKeys.Observe(uint64(e.dirtyIDs.Len()))
 		t0 = time.Now()
 	}
-	var fired []Fired
-	switch {
-	case e.fullScan:
-		fired = e.fullScanPassLocked()
-	case e.stringKeys:
-		fired = e.incrementalPassLocked()
-	default:
-		fired = e.internedPassLocked()
-	}
+	fired := e.passLocked()
 	if len(fired) > 0 {
 		e.batches++
 	}
@@ -825,21 +645,19 @@ func (e *Engine) evaluateLocked() {
 	}
 }
 
-// ruleReady evaluates one rule's condition on the mode's evaluation path:
-// pre-bound (symbol slots) by default, unbound name resolution in
-// string-keyed oracle mode.
-func (e *Engine) ruleReady(r *core.Rule) bool {
-	if e.stringKeys {
-		return r.Ready(e.ctx)
+// passLocked runs one evaluation pass of the engine's mode.
+func (e *Engine) passLocked() []Fired {
+	if e.fullScan {
+		return e.fullScanPassLocked()
 	}
-	return r.ReadyBound(e.ctx)
+	return e.internedPassLocked()
 }
 
 // maintainHoldsLocked updates the context's duration-hold marks for one
 // rule's condition tree. The interned path iterates the rule's pre-collected
 // Duration nodes (usually none) instead of walking the tree.
 func (e *Engine) maintainHoldsLocked(r *core.Rule) {
-	if !e.stringKeys && r.Bound != nil {
+	if !e.fullScan && r.Bound != nil {
 		for _, d := range r.Holds {
 			if d.Inner.Eval(e.ctx) {
 				e.ctx.MarkHeld(d.Key)
@@ -863,11 +681,8 @@ func (e *Engine) maintainHoldsLocked(r *core.Rule) {
 }
 
 // fullScanPassLocked is the naive evaluator: walk every rule, rebuild every
-// device's ready-set, re-arbitrate every device. Its per-pass maps are
-// reused across passes and cleared on exit.
+// device's ready-set, re-arbitrate every device.
 func (e *Engine) fullScanPassLocked() []Fired {
-	clear(e.dirty) // tracked but unused in oracle mode
-	e.dirtyIDs.Reset()
 	rules := e.db.All()
 	if e.em != nil {
 		e.mAcc.checked += uint64(len(rules))
@@ -879,10 +694,10 @@ func (e *Engine) fullScanPassLocked() []Fired {
 	}
 
 	// Group ready rules by device.
-	ready := e.scReady
-	refs := e.scRefs
+	ready := make(map[string][]*core.Rule)
+	refs := make(map[string]core.DeviceRef)
 	for _, r := range rules {
-		if e.ruleReady(r) {
+		if r.Ready(e.ctx) {
 			key := r.Device.Key()
 			ready[key] = append(ready[key], r)
 			refs[key] = r.Device
@@ -891,12 +706,11 @@ func (e *Engine) fullScanPassLocked() []Fired {
 
 	// Reconcile ownership per device.
 	var fired []Fired
-	keys := e.scKeys[:0]
+	keys := make([]string, 0, len(ready))
 	for key := range ready {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	e.scKeys = keys
 	for _, key := range keys {
 		ranked := e.priorities.Arbitrate(refs[key], e.ctx, ready[key])
 		winner := ranked[0]
@@ -917,209 +731,28 @@ func (e *Engine) fullScanPassLocked() []Fired {
 			delete(e.owners, key)
 		}
 	}
-	e.scReady = resetScratchMap(ready)
-	e.scRefs = resetScratchMap(refs)
 	return fired
 }
 
-// incrementalPassLocked is the string-keyed incremental evaluator (oracle
-// mode): dirty keys are strings, readiness is cached in string-keyed maps,
-// and arbitration rebuilds owner-position maps. The interned pass
-// (internedPassLocked) must agree with it exactly.
-func (e *Engine) incrementalPassLocked() []Fired {
-	nowChanged := !e.ctx.Now.Equal(e.lastEvalAt)
-	e.lastEvalAt = e.ctx.Now
-
-	// Device keys whose ready-set changed this pass.
-	changed := e.scChanged
-
-	// Sync rule additions and removals with the database.
-	var added []*core.Rule
-	if g := e.db.Generation(); g != e.dbGen {
-		e.dbGen = g
-		e.timeRules = e.db.TimeDependent()
-		all := e.db.All()
-		current := make(map[string]*core.Rule, len(all))
-		for _, r := range all {
-			current[r.ID] = r
-			// A pointer mismatch means the ID was removed and re-registered
-			// with a different rule between passes: evict the stale cached
-			// state below, then treat the replacement as newly added.
-			if known, ok := e.known[r.ID]; !ok || known != r {
-				added = append(added, r)
-			}
-		}
-		for id, r := range e.known {
-			if current[id] == r {
-				continue
-			}
-			delete(e.known, id)
-			delete(e.ready, id)
-			key := r.Device.Key()
-			if m := e.readyByDev[key]; m != nil {
-				if _, was := m[id]; was {
-					delete(m, id)
-					changed[key] = struct{}{}
-				}
-			}
-		}
-		for _, r := range added {
-			e.known[r.ID] = r
-		}
-	}
-
-	// Collect the candidate rules to re-evaluate.
-	candidates := e.scCand
-	if e.allDirty {
-		for id, r := range e.known {
-			candidates[id] = r
-		}
-	} else {
-		// The index can return rules added to the db after this pass's
-		// generation sync; only evaluate rules the sync has seen (the rest
-		// are picked up as added on the next pass), or cached state could
-		// outlive a rule the eviction loop never knew about.
-		for key := range e.dirty {
-			for _, r := range e.db.ByDep(key) {
-				if e.known[r.ID] == r {
-					candidates[r.ID] = r
-				}
-			}
-		}
-		if nowChanged {
-			for _, r := range e.timeRules {
-				if e.known[r.ID] == r {
-					candidates[r.ID] = r
-				}
-			}
-		}
-		for _, r := range added {
-			candidates[r.ID] = r
-		}
-	}
-
-	// Maintain duration holds before readiness: all duration rules are
-	// time-dependent, so whenever time advanced they are all candidates and
-	// the hold marks stay exactly as the full scan would leave them.
-	if e.em != nil {
-		e.mAcc.checked += uint64(len(candidates))
-	}
-	for _, r := range candidates {
-		e.maintainHoldsLocked(r)
-	}
-
-	// Re-evaluate candidates and diff cached readiness.
-	for id, r := range candidates {
-		rdy := e.ruleReady(r)
-		if rdy == e.ready[id] {
-			continue
-		}
-		e.ready[id] = rdy
-		key := r.Device.Key()
-		if rdy {
-			m := e.readyByDev[key]
-			if m == nil {
-				m = make(map[string]*core.Rule)
-				e.readyByDev[key] = m
-				e.refs[key] = r.Device
-			}
-			m[id] = r
-		} else if m := e.readyByDev[key]; m != nil {
-			delete(m, id)
-		}
-		changed[key] = struct{}{}
-	}
-
-	// Decide which devices to re-arbitrate: those whose ready-set changed,
-	// plus those whose contextual priority order may have flipped.
-	arbitrate := changed
-	if g := e.priorities.Generation(); g != e.tblGen {
-		e.syncTableDepsLocked(g)
-		// The table itself changed: every owned or ready device may rank
-		// differently now.
-		for key, m := range e.readyByDev {
-			if len(m) > 0 {
-				arbitrate[key] = struct{}{}
-			}
-		}
-	} else {
-		for _, od := range e.tblDeps {
-			touched := e.allDirty || (od.deps.Time && nowChanged) || od.deps.Intersects(e.dirty)
-			if !touched {
-				continue
-			}
-			for key, m := range e.readyByDev {
-				if len(m) > 0 && od.device.Matches(e.refs[key]) {
-					arbitrate[key] = struct{}{}
-				}
-			}
-		}
-	}
-
-	// Reconcile ownership for the affected devices, in sorted key order so
-	// the fired log is deterministic (and identical to the full scan's).
-	var fired []Fired
-	if len(arbitrate) > 0 {
-		keys := e.scKeys[:0]
-		for key := range arbitrate {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		e.scKeys = keys
-		for _, key := range keys {
-			m := e.readyByDev[key]
-			if len(m) == 0 {
-				delete(e.owners, key)
-				delete(e.readyByDev, key)
-				delete(e.refs, key)
-				continue
-			}
-			list := e.scList[:0]
-			for _, r := range m {
-				list = append(list, r)
-			}
-			sort.Slice(list, func(i, j int) bool { return list[i].Seq < list[j].Seq })
-			ranked := e.priorities.Arbitrate(e.refs[key], e.ctx, list)
-			e.scList = list
-			winner := ranked[0]
-			if e.owners[key] == winner.ID {
-				continue
-			}
-			e.owners[key] = winner.ID
-			fired = append(fired, Fired{
-				Time:       e.ctx.Now,
-				Rule:       winner,
-				Suppressed: ranked[1:],
-			})
-		}
-	}
-
-	clear(e.dirty)
-	e.allDirty = false
-	e.scCand = resetScratchMap(candidates)
-	e.scChanged = resetScratchMap(changed)
-	return fired
-}
-
-// syncTableDepsLocked recomputes the cached contextual-order dependency sets
-// for a new priority-table generation (interning them when in interned mode).
+// syncTableDepsLocked recomputes (and interns) the cached contextual-order
+// dependency sets for a new priority-table generation.
 func (e *Engine) syncTableDepsLocked(gen uint64) {
 	e.tblGen = gen
 	e.tblDeps = e.tblDeps[:0]
 	for _, o := range e.priorities.Orders() {
 		if o.Context != nil {
-			od := orderDep{device: o.Device, deps: core.CondDeps(o.Context)}
-			if !e.stringKeys {
-				od.ids = od.deps.IDsIn(e.tab)
-			}
-			e.tblDeps = append(e.tblDeps, od)
+			deps := core.CondDeps(o.Context)
+			e.tblDeps = append(e.tblDeps, orderDep{device: o.Device, deps: deps, ids: deps.IDsIn(e.tab)})
 		}
 	}
 }
 
 // internedPassLocked is the id-indexed incremental evaluator — the default
-// firing path. It mirrors incrementalPassLocked step for step, but every
-// piece of per-pass bookkeeping is addressed by interned ids: candidates are
+// firing path. Every context write marks the dependency ids it invalidates,
+// and the pass re-evaluates only the rules indexed under them (plus the
+// time-dependent rules when the clock advanced, and rules added since the
+// last pass). Every piece of per-pass bookkeeping is addressed by interned
+// ids: candidates are
 // deduplicated through a rule-id bitset, readiness lives in an IDSym-indexed
 // bit slice, ready rules are grouped in DeviceSym-indexed slices, ownership
 // is a DeviceSym-indexed id vector, and reconciliation order comes from a
@@ -1174,9 +807,10 @@ func (e *Engine) internedPassLocked() []Fired {
 			}
 		}
 	} else {
-		// As in the string pass: only evaluate rules the generation sync has
-		// seen, or cached state could outlive a rule the eviction loop never
-		// knew about.
+		// The index can return rules added to the db after this pass's
+		// generation sync; only evaluate rules the sync has seen (the rest
+		// are picked up as added on the next pass), or cached state could
+		// outlive a rule the eviction loop never knew about.
 		for _, depID := range e.dirtyIDs.IDs() {
 			for _, r := range e.db.ByDepID(depID) {
 				if e.known[r.ID] == r && e.scCandSet.Add(r.IDSym) {
@@ -1202,7 +836,9 @@ func (e *Engine) internedPassLocked() []Fired {
 		e.mAcc.checked += uint64(len(cands))
 	}
 
-	// Maintain duration holds before readiness (see incrementalPassLocked).
+	// Maintain duration holds before readiness: all duration rules are
+	// time-dependent, so whenever time advanced they are all candidates and
+	// the hold marks stay exactly as the full scan would leave them.
 	for _, r := range cands {
 		e.maintainHoldsLocked(r)
 	}
@@ -1276,7 +912,7 @@ func (e *Engine) internedPassLocked() []Fired {
 
 	// Reconcile ownership for the affected devices, ordered by the devices'
 	// lexicographic rank so the fired log is deterministic and identical to
-	// the string-keyed passes' sorted-key order.
+	// the full scan's sorted-key order.
 	var fired []Fired
 	if e.scDevs.Len() > 0 {
 		if e.rankStale {
@@ -1374,7 +1010,7 @@ type CompactStats struct {
 // idle-memory observability: how many symbols are interned, an upper-bound
 // estimate of how many are dead (retired by rule removals since the last
 // epoch), the compaction epoch, and the lengths of the id-indexed stores
-// that grow with the id space. All zero for string-keyed engines.
+// that grow with the id space. All zero for full-scan engines.
 type SymbolStats struct {
 	Symbols      int    `json:"symbols"`
 	DeadEstimate uint64 `json:"dead_estimate"`
@@ -1406,15 +1042,14 @@ func (e *Engine) SymbolStats() SymbolStats {
 // CompactSymbols forces a symbol-compaction epoch: run an evaluation pass to
 // sync with the rule database, then renumber the live symbols densely and
 // rewrite every id holder (database rules and indexes, context slices,
-// reconciliation state, priority-table caches). ok is false when the engine
-// runs an oracle mode (string-keyed engines hold no ids; full-scan engines
-// keep no synced rule state) or when concurrent rule churn kept outrunning
+// reconciliation state, priority-table caches). ok is false for full-scan
+// engines (they hold no ids) or when concurrent rule churn kept outrunning
 // the sync. Automatic compaction calls the same machinery from the
 // watermark check at churn-pass boundaries.
 func (e *Engine) CompactSymbols() (CompactStats, bool) {
 	for attempt := 0; attempt < 3; attempt++ {
 		e.mu.Lock()
-		if e.stringKeys || e.fullScan {
+		if e.fullScan {
 			e.mu.Unlock()
 			return CompactStats{}, false
 		}
@@ -1435,7 +1070,7 @@ func (e *Engine) CompactSymbols() (CompactStats, bool) {
 // guard refuses the epoch if the database moved past the engine's last sync,
 // in which case the caller retries at the next sync point.
 func (e *Engine) compactLocked() (CompactStats, bool) {
-	if e.stringKeys || e.fullScan || e.tab == nil {
+	if e.fullScan {
 		return CompactStats{}, false
 	}
 	res, ok := e.db.CompactSymtab(e.dbGen, func(live *core.IDSet) {
@@ -1513,11 +1148,9 @@ func (e *Engine) remapStateLocked(remap []uint32) {
 	e.scCandSet, e.scDevs = core.IDSet{}, core.IDSet{}
 	e.scDevIDs = nil
 
-	clear(e.varCache)
-	clear(e.arrCache)
-	clear(e.placeSlot)
 	clear(e.varCacheB)
 	clear(e.arrCacheB)
+	clear(e.placeSlot)
 	e.programsDep = e.tab.Intern(core.ProgramsDepKey)
 }
 
@@ -1557,21 +1190,4 @@ func (e *Engine) rebuildDevRankLocked() {
 		e.devRank[id] = uint32(rank)
 	}
 	e.rankStale = false
-}
-
-// scratchShrink bounds how large a reused per-pass scratch map may stay.
-// clear() costs O(bucket count) no matter how few entries are left, so after
-// a rare huge pass (allDirty re-evaluating every rule) holding on to the
-// grown map would tax every steady-state pass; dropping it restores O(1)
-// amortized clearing at the cost of one allocation on the next big pass.
-const scratchShrink = 512
-
-// resetScratchMap empties a per-pass scratch map for reuse, replacing it
-// when it grew past scratchShrink.
-func resetScratchMap[V any](m map[string]V) map[string]V {
-	if len(m) > scratchShrink {
-		return make(map[string]V)
-	}
-	clear(m)
-	return m
 }

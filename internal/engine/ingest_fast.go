@@ -2,7 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/ingest"
 )
@@ -10,19 +13,18 @@ import (
 // IngestEvent applies a wire-decoded event without materializing Go strings
 // on the steady-state path. It is the byte-slice twin of Ingest: the decoded
 // fields alias the request body, so interning happens here — on the shard
-// goroutine that owns this engine's symbol table — through byte-keyed twins
-// of the ingest caches. A cache hit costs one map lookup per variable (the
-// allocation-free m[string(b)] form); a miss materializes the strings once
-// and reuses the existing string-keyed cache builders.
+// goroutine that owns this engine's symbol table — through the byte-keyed
+// ingest caches. A cache hit costs one map lookup per variable (the
+// allocation-free m[string(b)] form); a miss materializes the strings once.
 //
 // The caller keeps ownership of ev and its slices; the engine retains
 // nothing that aliases them.
 func (e *Engine) IngestEvent(ev *ingest.Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stringKeys {
-		// Oracle mode has no id caches to hit; materialize the map shape the
-		// string path expects.
+	if e.fullScan {
+		// The oracle has no id caches to hit; materialize the map shape its
+		// string ingest expects.
 		vars := make(map[string]string, len(ev.Vars))
 		for _, v := range ev.Vars {
 			vars[string(v.Key)] = string(v.Value)
@@ -31,22 +33,24 @@ func (e *Engine) IngestEvent(ev *ingest.Event) {
 		return
 	}
 	for _, v := range ev.Vars {
-		e.ingestVarBytesLocked(ev.DeviceType, ev.Name, ev.Location, v.Key, v.Value)
+		e.sigScratch = appendSig(e.sigScratch[:0], ev.DeviceType, ev.Name, ev.Location, v.Key)
+		e.ingestVarLocked(e.sigScratch, v.Key, v.Value)
 	}
 }
 
-func (e *Engine) ingestVarBytesLocked(deviceType, friendlyName, location, name, value []byte) {
-	sig := e.sigBytesLocked(deviceType, friendlyName, location, name)
+// ingestVarLocked applies one variable of an event; sig is the variable's
+// signature (appendSig) and name its last field.
+func (e *Engine) ingestVarLocked(sig, name, value []byte) {
 	cv, ok := e.varCacheB[string(sig)]
 	if !ok {
-		cv = e.varCacheMissLocked(sig, deviceType, friendlyName, location, name)
+		cv = e.buildVarCacheLocked(sig)
 	}
 	switch cv.kind {
 	case device.VarKindSpecial:
 		e.applySpecialBytesLocked(cv, name, value)
 	case device.VarKindNumber:
 		// A null value decodes to empty bytes, which ParseFloat rejects —
-		// the same silent skip the string path applies.
+		// the same silent skip the oracle's string ingest applies.
 		if f, ok := ingest.ParseFloat(value); ok {
 			for _, id := range cv.keyIDs {
 				e.ctx.SetNumberID(id, f)
@@ -65,47 +69,69 @@ func (e *Engine) ingestVarBytesLocked(deviceType, friendlyName, location, name, 
 	}
 }
 
-// sigBytesLocked assembles the combined variable signature in the reusable
-// scratch buffer. 0xff separates the fields: decoded event fields are valid
-// UTF-8 (the wire decoder coerces invalid sequences to U+FFFD), so the
-// separator byte cannot occur inside any of them and the encoding is
-// unambiguous.
-func (e *Engine) sigBytesLocked(deviceType, friendlyName, location, name []byte) []byte {
-	s := e.sigScratch[:0]
+// appendSig appends a device variable's signature — device type, friendly
+// name, location and variable name — the key of the ingest cache. Every
+// field but the last is length-prefixed, so the encoding is unambiguous
+// whatever bytes the fields hold (map-path strings need not be valid UTF-8).
+func appendSig[S ~string | ~[]byte](s []byte, deviceType, friendlyName, location, name S) []byte {
+	s = binary.AppendUvarint(s, uint64(len(deviceType)))
 	s = append(s, deviceType...)
-	s = append(s, 0xff)
+	s = binary.AppendUvarint(s, uint64(len(friendlyName)))
 	s = append(s, friendlyName...)
-	s = append(s, 0xff)
+	s = binary.AppendUvarint(s, uint64(len(location)))
 	s = append(s, location...)
-	s = append(s, 0xff)
-	s = append(s, name...)
-	e.sigScratch = s
-	return s
+	return append(s, name...)
 }
 
-// varCacheMissLocked materializes a first-sight signature's strings, builds
-// (or reuses) the string-keyed cache entry, and memoizes it under the
-// combined byte key. Runs once per distinct event signature.
-func (e *Engine) varCacheMissLocked(sig, deviceType, friendlyName, location, name []byte) *cachedVar {
-	ssig := varSig{
-		deviceType:   string(deviceType),
-		friendlyName: string(friendlyName),
-		location:     string(location),
-		name:         string(name),
+// sigFields splits a signature built by appendSig back into its fields.
+func sigFields(sig []byte) (deviceType, friendlyName, location, name string) {
+	var f [3]string
+	for i := range f {
+		n, k := binary.Uvarint(sig)
+		f[i], sig = string(sig[k:k+int(n)]), sig[k+int(n):]
 	}
-	cv, ok := e.varCache[ssig]
-	if !ok {
-		cv = e.buildVarCacheLocked(ssig)
+	return f[0], f[1], f[2], string(sig)
+}
+
+// buildVarCacheLocked interns the context keys and dirty ids for one device
+// variable and memoizes them under its signature; it runs once per distinct
+// event signature.
+func (e *Engine) buildVarCacheLocked(sig []byte) *cachedVar {
+	deviceType, friendlyName, location, varName := sigFields(sig)
+	cv := &cachedVar{kind: device.KindOfVar(varName)}
+	switch cv.kind {
+	case device.VarKindSpecial:
+		// A bare "presence-" (empty user) stays out of the cache plan: the
+		// empty cv.user makes the apply step a no-op, matching the oracle's
+		// rejection of the malformed variable.
+		if user, ok := strings.CutPrefix(varName, "presence-"); ok && user != "" {
+			cv.user = user
+			cv.userID = e.tab.Intern(user)
+			for _, k := range core.LocationDirtyKeys(user) {
+				cv.dirtyIDs = append(cv.dirtyIDs, e.tab.Intern(k))
+			}
+		}
+	case device.VarKindNumber, device.VarKindBool:
+		dirtyKeys := core.NumberDirtyKeys
+		if cv.kind == device.VarKindBool {
+			dirtyKeys = core.BoolDirtyKeys
+		}
+		for _, key := range device.ContextKeys(deviceType, friendlyName, location, varName) {
+			cv.keyIDs = append(cv.keyIDs, e.tab.Intern(key))
+			for _, dk := range dirtyKeys(key) {
+				cv.dirtyIDs = append(cv.dirtyIDs, e.tab.Intern(dk))
+			}
+		}
 	}
 	e.varCacheB[string(sig)] = cv
 	return cv
 }
 
-// applySpecialBytesLocked is the byte twin of applySpecialInternedLocked.
+// applySpecialBytesLocked applies a presence, arrival or EPG variable.
 func (e *Engine) applySpecialBytesLocked(cv *cachedVar, name, value []byte) {
 	switch {
 	case cv.user != "":
-		e.ctx.SetLocationID(cv.userID, e.placeSlotBytesLocked(value))
+		e.ctx.SetLocationID(cv.userID, e.placeSlotLocked(value))
 		e.dirtyIDs.AddAll(cv.dirtyIDs)
 	case string(name) == "event":
 		// "person|event|seq", person must be non-empty.
@@ -121,7 +147,10 @@ func (e *Engine) applySpecialBytesLocked(cv *cachedVar, name, value []byte) {
 		arrKey := value[:i+1+len(event)] // the "person|event" prefix
 		ids, ok := e.arrCacheB[string(arrKey)]
 		if !ok {
-			ids = e.buildArrCacheLocked(string(value[:i]), string(event))
+			ids = arrIDs{
+				key:  e.tab.Intern(string(arrKey)),
+				name: e.tab.Intern(core.EventDepKey(string(event))),
+			}
 			e.arrCacheB[string(arrKey)] = ids
 		}
 		e.ctx.Now = e.now()
@@ -133,14 +162,18 @@ func (e *Engine) applySpecialBytesLocked(cv *cachedVar, name, value []byte) {
 	}
 }
 
-// placeSlotBytesLocked resolves a place name from its wire bytes; the
-// memoized hit is one allocation-free map lookup.
-func (e *Engine) placeSlotBytesLocked(place []byte) uint32 {
+// placeSlotLocked resolves a place name to its interned slot (place id plus
+// one; "" = 0), memoized so the steady-state presence churn between known
+// places costs one allocation-free map lookup and no interning lock.
+func (e *Engine) placeSlotLocked(place []byte) uint32 {
 	if len(place) == 0 {
 		return 0
 	}
 	if slot, ok := e.placeSlot[string(place)]; ok {
 		return slot
 	}
-	return e.placeSlotLocked(string(place))
+	name := string(place)
+	slot := e.tab.Intern(name) + 1
+	e.placeSlot[name] = slot
+	return slot
 }

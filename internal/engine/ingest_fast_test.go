@@ -17,26 +17,33 @@ import (
 // The wire-ingest equivalence suite replays the oracle scenarios with the
 // interned engine fed through the byte path — each stimulus is marshalled to
 // the HTTP event-body shape, run through the wire decoder, and applied with
-// IngestEvent — while the oracle engine takes the same stimulus as a plain
-// map through HandleDeviceEvent. Fired logs and owner maps must stay
+// IngestEvent — while the full-scan oracle takes the same stimulus as a
+// plain map through HandleDeviceEvent. Fired logs and owner maps must stay
 // byte-identical: decoding plus the byte-keyed ingest caches must be
-// invisible next to the string path.
+// invisible next to the oracle's string ingest.
 
 // newWirePair pairs an interned engine fed via the wire decoder against the
-// string-keyed map-path oracle.
+// full-scan oracle fed plain maps.
 func newWirePair(t *testing.T) *enginePair {
-	p := newEnginePairOpts(t, nil, []Option{WithStringKeys()})
+	p := newEnginePair(t)
+	p.apply = wireApply(t, p.inc)
+	return p
+}
+
+// wireApply routes event stimuli for engine w through the wire decoder and
+// IngestEvent (then a Tick); every other engine takes them as a plain map
+// through HandleDeviceEvent.
+func wireApply(t *testing.T, w *Engine) func(e *Engine, deviceType, name, location string, vars map[string]string) {
 	ev := ingest.AcquireEvent()
 	t.Cleanup(ev.Release)
-	p.apply = func(e *Engine, deviceType, name, location string, vars map[string]string) {
-		if e != p.inc {
+	return func(e *Engine, deviceType, name, location string, vars map[string]string) {
+		if e != w {
 			e.HandleDeviceEvent(deviceType, name, location, vars)
 			return
 		}
 		e.IngestEvent(decodeWire(t, ev, deviceType, name, location, vars))
 		e.Tick()
 	}
-	return p
 }
 
 func decodeWire(t *testing.T, ev *ingest.Event, deviceType, name, location string, vars map[string]string) *ingest.Event {
@@ -72,21 +79,12 @@ func TestWireIngestEquivalenceRuleChurn(t *testing.T) {
 	runChurnScenario(t, newWirePair(t))
 }
 
-// TestWireIngestStringKeysFallback pins the oracle-mode fallback: a
-// string-keyed engine fed through IngestEvent materializes the map shape and
-// must agree with one fed the map directly.
-func TestWireIngestStringKeysFallback(t *testing.T) {
-	p := newEnginePairOpts(t, []Option{WithStringKeys()}, []Option{WithStringKeys()})
-	ev := ingest.AcquireEvent()
-	t.Cleanup(ev.Release)
-	p.apply = func(e *Engine, deviceType, name, location string, vars map[string]string) {
-		if e != p.inc {
-			e.HandleDeviceEvent(deviceType, name, location, vars)
-			return
-		}
-		e.IngestEvent(decodeWire(t, ev, deviceType, name, location, vars))
-		e.Tick()
-	}
+// TestWireIngestFullScanFallback pins the oracle's fallback: a full-scan
+// engine fed through IngestEvent materializes the map shape and must agree
+// with one fed the map directly.
+func TestWireIngestFullScanFallback(t *testing.T) {
+	p := newEnginePairOpts(t, []Option{WithFullScan()}, []Option{WithFullScan()})
+	p.apply = wireApply(t, p.inc)
 	runScriptedScenario(t, p)
 }
 

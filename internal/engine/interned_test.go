@@ -13,25 +13,26 @@ import (
 )
 
 // The interned equivalence suite replays the oracle scenarios with the
-// symbol-interned hot path (the default) paired against the retained
-// string-keyed path (WithStringKeys): pre-bound condition trees, the
-// id-indexed context store and the bitset dirty plumbing must produce
-// byte-identical fired logs and owner maps. A second pairing against the
-// string-keyed full scan closes the matrix: every evaluator configuration
-// agrees with every other.
+// symbol-interned hot path (the default) paired against the string-keyed
+// full-scan oracle: pre-bound condition trees, the id-indexed context store
+// and the bitset dirty plumbing must produce byte-identical fired logs and
+// owner maps. The VsStringFullScan variants feed the oracle through
+// IngestEvent instead of the map path, so its map-materializing wire
+// fallback is checked under the same workloads (the wire-ingest suite covers
+// the opposite split).
 
 func TestInternedEquivalenceScripted(t *testing.T) {
-	runScriptedScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys()}))
+	runScriptedScenario(t, newEnginePair(t))
 }
 
 func TestInternedEquivalenceScriptedVsStringFullScan(t *testing.T) {
-	runScriptedScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys(), WithFullScan()}))
+	runScriptedScenario(t, newOracleWirePair(t))
 }
 
 func TestInternedEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			runRandomScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys()}), seed)
+			runRandomScenario(t, newEnginePair(t), seed)
 		})
 	}
 }
@@ -39,24 +40,32 @@ func TestInternedEquivalenceRandom(t *testing.T) {
 func TestInternedEquivalenceRandomVsStringFullScan(t *testing.T) {
 	for seed := int64(5); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			runRandomScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys(), WithFullScan()}), seed)
+			runRandomScenario(t, newOracleWirePair(t), seed)
 		})
 	}
 }
 
 func TestInternedEquivalenceRuleChurn(t *testing.T) {
-	runChurnScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys()}))
+	runChurnScenario(t, newEnginePair(t))
+}
+
+// newOracleWirePair pairs the interned engine, fed plain maps, against the
+// full-scan oracle fed through the wire decoder and IngestEvent.
+func newOracleWirePair(t *testing.T) *enginePair {
+	p := newEnginePair(t)
+	p.apply = wireApply(t, p.full)
+	return p
 }
 
 // TestInternedSuffixInvalidationMidStream pins the resolution-generation
 // semantics end to end: a rule reading the unqualified "temperature" must
 // re-resolve when a qualified key the engine has never seen is interned
 // mid-stream — including one that sorts before the current winner and an
-// exact unqualified key that overrides every suffix match. The string-keyed
+// exact unqualified key that overrides every suffix match. The full-scan
 // oracle recomputes the suffix scan on every evaluation, so any stale cache
 // on the interned side diverges the fired logs.
 func TestInternedSuffixInvalidationMidStream(t *testing.T) {
-	p := newEnginePairOpts(t, nil, []Option{WithStringKeys()})
+	p := newEnginePair(t)
 	if err := p.db.Add(&core.Rule{
 		ID: "hot", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
 		Action: core.Action{Verb: "turn-on"},
@@ -145,33 +154,28 @@ func TestInternedSteadyStateZeroAlloc(t *testing.T) {
 // name) is rejected identically on every path — recording it would count a
 // phantom "" user in the presence quantifiers and diverge the fired logs.
 func TestMalformedPresenceVarIgnored(t *testing.T) {
-	for name, oracleOpts := range map[string][]Option{
-		"vs-stringkeys": {WithStringKeys()},
-		"vs-fullscan":   {WithFullScan()},
-	} {
-		t.Run(name, func(t *testing.T) {
-			p := newEnginePairOpts(t, nil, oracleOpts)
-			if err := p.db.Add(&core.Rule{
-				ID: "off", Owner: "tom", Device: core.DeviceRef{Name: "fluorescent light"},
-				Action: core.Action{Verb: "turn-off"},
-				Cond:   &core.Nobody{Place: "home"},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			p.each(func(e *Engine) { e.SetUsers([]string{"tom"}) })
-			// The malformed variable must not register a phantom presence:
-			// nobody-at-home still holds and both logs stay identical (the
-			// pair's check asserts that after every stimulus).
-			p.event(device.TypePresenceSensor, "presence sensor", "home",
-				map[string]string{"presence-": "living room"})
-			if owners := p.inc.Owners(); owners["fluorescent light"] != "off" {
-				t.Fatalf("owners = %v, want nobody-at-home rule in effect", owners)
-			}
-			if locs := p.inc.Snapshot().Locations; len(locs) != 0 {
-				t.Fatalf("Locations = %v, want no phantom user recorded", locs)
-			}
-		})
-	}
+	t.Run("vs-fullscan", func(t *testing.T) {
+		p := newEnginePair(t)
+		if err := p.db.Add(&core.Rule{
+			ID: "off", Owner: "tom", Device: core.DeviceRef{Name: "fluorescent light"},
+			Action: core.Action{Verb: "turn-off"},
+			Cond:   &core.Nobody{Place: "home"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		p.each(func(e *Engine) { e.SetUsers([]string{"tom"}) })
+		// The malformed variable must not register a phantom presence:
+		// nobody-at-home still holds and both logs stay identical (the
+		// pair's check asserts that after every stimulus).
+		p.event(device.TypePresenceSensor, "presence sensor", "home",
+			map[string]string{"presence-": "living room"})
+		if owners := p.inc.Owners(); owners["fluorescent light"] != "off" {
+			t.Fatalf("owners = %v, want nobody-at-home rule in effect", owners)
+		}
+		if locs := p.inc.Snapshot().Locations; len(locs) != 0 {
+			t.Fatalf("Locations = %v, want no phantom user recorded", locs)
+		}
+	})
 }
 
 // TestSnapshotCaching pins the observability path: repeated Snapshot calls
@@ -244,6 +248,18 @@ func TestInternedIngestCacheAcrossSignatures(t *testing.T) {
 	}
 	if v, _ := ctx.Number("hall/temperature"); v != 25 {
 		t.Fatalf("hall = %v, want 25", v)
+	}
+	// Field boundaries are part of the signature whatever bytes the fields
+	// hold: these two events differ only in where name ends and location
+	// begins.
+	e.HandleDeviceEvent(device.TypeThermometer, "x\xffy", "z", map[string]string{"temperature": "20"})
+	e.HandleDeviceEvent(device.TypeThermometer, "x", "y\xffz", map[string]string{"temperature": "25"})
+	ctx = e.Snapshot()
+	if v, _ := ctx.Number("z/temperature"); v != 20 {
+		t.Fatalf("z = %v, want 20", v)
+	}
+	if v, _ := ctx.Number("y\xffz/temperature"); v != 25 {
+		t.Fatalf("y\\xffz = %v, want 25", v)
 	}
 	// Appliance states keep their name-qualified and room-qualified aliases.
 	e.HandleDeviceEvent(device.TypeTV, "tv", "living room", map[string]string{"power": "1"})

@@ -17,9 +17,8 @@ import (
 
 // enginePair runs two engine configurations over one shared rule database
 // and priority table; every stimulus is applied to both so their fired logs
-// and owner maps must stay identical. The default pairing is the interned
-// incremental evaluator against the full-scan oracle; the interned
-// equivalence suite pairs it against the string-keyed oracle instead.
+// and owner maps must stay identical. The suites pair the interned
+// incremental evaluator against the full-scan oracle.
 type enginePair struct {
 	t     *testing.T
 	db    *registry.DB
@@ -30,8 +29,8 @@ type enginePair struct {
 	step  int
 
 	// apply overrides how an event stimulus reaches an engine (nil =
-	// HandleDeviceEvent); the wire-ingest suite routes p.inc through the
-	// byte-path decoder while the oracle keeps the map path.
+	// HandleDeviceEvent); wireApply routes one engine of the pair through
+	// the wire decoder while the other keeps the map path.
 	apply func(e *Engine, deviceType, name, location string, vars map[string]string)
 }
 

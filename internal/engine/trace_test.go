@@ -241,16 +241,16 @@ func TestTraceDirtyAndCandidates(t *testing.T) {
 
 // TestTraceEquivalenceVsOracle: full instrumentation (metrics + tracing) on
 // the interned path must not perturb evaluation — fired logs and owner maps
-// stay byte-identical to the string-keyed oracle.
+// stay byte-identical to the full-scan oracle.
 func TestTraceEquivalenceVsOracle(t *testing.T) {
 	m := obs.New(1)
 	runScriptedScenario(t, newEnginePairOpts(t,
 		[]Option{WithMetrics(&m.Shard(0).Engine), WithTrace(8)},
-		[]Option{WithStringKeys()}))
+		[]Option{WithFullScan()}))
 	m2 := obs.New(1)
 	runRandomScenario(t, newEnginePairOpts(t,
 		[]Option{WithMetrics(&m2.Shard(0).Engine), WithTrace(8)},
-		[]Option{WithStringKeys()}), 42)
+		[]Option{WithFullScan()}), 42)
 }
 
 // TestTraceSteadyStateZeroAlloc: after the ring has cycled, a steady-state

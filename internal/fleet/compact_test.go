@@ -74,13 +74,13 @@ func TestHubHomeStatsAndCompact(t *testing.T) {
 	}
 }
 
-// TestHubCompactOracleModes: a string-keyed hub reports compacted=false (no
+// TestHubCompactOracleModes: a full-scan hub reports compacted=false (no
 // ids to compact) rather than an error.
 func TestHubCompactOracleModes(t *testing.T) {
-	h := newTestHub(t, WithShards(1), WithStringKeys())
+	h := newTestHub(t, WithShards(1), WithFullScan())
 	seedHome(t, h, "casa")
 	if _, compacted, err := h.CompactHome("casa"); err != nil || compacted {
-		t.Fatalf("CompactHome on string-keyed hub = %v, %v, want false, nil", compacted, err)
+		t.Fatalf("CompactHome on full-scan hub = %v, %v, want false, nil", compacted, err)
 	}
 }
 

@@ -143,7 +143,6 @@ type config struct {
 	logLimit        int
 	traceCap        int
 	fullScan        bool
-	stringKeys      bool
 	intervalFeas    bool
 	dispatch        Dispatcher
 	onFire          OnFire
@@ -197,16 +196,12 @@ func WithTraceLimit(n int) HubOption {
 	return optionFunc(func(c *config) { c.traceCap = n })
 }
 
-// WithFullScan puts every home's engine in full-scan (oracle) mode.
+// WithFullScan puts every home's engine in full-scan (oracle) mode
+// (engine.WithFullScan): the naive evaluator over a map-backed context,
+// holding no symbol ids. Equivalence checks and benchmarks use it as the
+// oracle/baseline.
 func WithFullScan() HubOption {
 	return optionFunc(func(c *config) { c.fullScan = true })
-}
-
-// WithStringKeys puts every home's engine on the retained string-keyed
-// evaluation path (engine.WithStringKeys) instead of the symbol-interned hot
-// path. Equivalence tests and benchmarks use it as the oracle/baseline.
-func WithStringKeys() HubOption {
-	return optionFunc(func(c *config) { c.stringKeys = true })
 }
 
 // WithIntervalFeasibility switches the consistency/conflict checker to

@@ -91,9 +91,6 @@ func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMe
 	if c.fullScan {
 		engineOpts = append(engineOpts, engine.WithFullScan())
 	}
-	if c.stringKeys {
-		engineOpts = append(engineOpts, engine.WithStringKeys())
-	}
 	if c.onFire != nil {
 		fn := c.onFire
 		engineOpts = append(engineOpts, engine.WithOnFire(func(f engine.Fired) { fn(id, f) }))

@@ -160,16 +160,20 @@ func TestHubCoalescesBurst(t *testing.T) {
 			values[k-1] = tc.last
 
 			// Gate the burst hub's shard so the whole burst lands in one
-			// mailbox drain, then count the passes the flood costs.
+			// mailbox drain, then count the passes the flood costs. The burst
+			// starts only once the shard is blocked inside the gate: posted
+			// earlier, its first events could share the gate's drain and
+			// cost a pass of their own.
 			before, err := burstHub.Passes(home)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gate := make(chan struct{})
+			gate, entered := make(chan struct{}), make(chan struct{})
 			s := burstHub.shardFor(home)
-			if !s.mb.put(task{shardFn: func(*shard) { <-gate }}) {
+			if !s.mb.put(task{shardFn: func(*shard) { close(entered); <-gate }}) {
 				t.Fatal("mailbox closed")
 			}
+			<-entered
 			for _, v := range values {
 				postTemp(t, burstHub, home, v)
 			}

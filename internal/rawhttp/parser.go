@@ -98,10 +98,10 @@ func ParseRequest(buf []byte, req *Request) (int, error) {
 	}
 
 	var (
-		keepAlive bool   // explicit Connection: keep-alive (HTTP/1.0)
-		hasHost   bool   // at least one Host header seen
-		sawCL     bool   // a Content-Length header already parsed
-		lastFramy bool   // previous header line was framing-sensitive
+		keepAlive bool // explicit Connection: keep-alive (HTTP/1.0)
+		hasHost   bool // at least one Host header seen
+		sawCL     bool // a Content-Length header already parsed
+		lastFramy bool // previous header line was framing-sensitive
 	)
 	for {
 		lineStart := p

@@ -204,12 +204,12 @@ func TestMatchEventRoute(t *testing.T) {
 		{"/fleet/homes/h1/events", "h1", true},
 		{"/fleet/homes/h1/events?sync=1", "h1", true},
 		{"/fleet/homes/kitchen-2/events", "kitchen-2", true},
-		{"/fleet/homes//events", "", false},       // empty home
-		{"/fleet/homes/a/b/events", "", false},    // slash in home
-		{"/fleet/homes/h%31/events", "", false},   // percent-escapes refused
-		{"/fleet/homes/h1/event", "", false},      // wrong suffix
-		{"/fleet/homes/h1/events/", "", false},    // trailing slash
-		{"/fleet/home/h1/events", "", false},      // wrong prefix
+		{"/fleet/homes//events", "", false},     // empty home
+		{"/fleet/homes/a/b/events", "", false},  // slash in home
+		{"/fleet/homes/h%31/events", "", false}, // percent-escapes refused
+		{"/fleet/homes/h1/event", "", false},    // wrong suffix
+		{"/fleet/homes/h1/events/", "", false},  // trailing slash
+		{"/fleet/home/h1/events", "", false},    // wrong prefix
 		{"/metrics", "", false},
 		{"/", "", false},
 		{"", "", false},

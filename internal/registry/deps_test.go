@@ -15,6 +15,15 @@ func ruleIDs(rules []*core.Rule) []string {
 	return out
 }
 
+// byDep reads the dependency index by the key's string form.
+func byDep(db *DB, key string) []*core.Rule {
+	id, ok := db.Symtab().Lookup(key)
+	if !ok {
+		return nil
+	}
+	return db.ByDepID(id)
+}
+
 func TestByDepIndexMaintenance(t *testing.T) {
 	db := New()
 	temp := &core.Rule{
@@ -36,13 +45,13 @@ func TestByDepIndexMaintenance(t *testing.T) {
 		}
 	}
 
-	if got := ruleIDs(db.ByDep(core.NumberDepKey("temperature"))); len(got) != 1 || got[0] != "temp" {
+	if got := ruleIDs(byDep(db, core.NumberDepKey("temperature"))); len(got) != 1 || got[0] != "temp" {
 		t.Errorf("ByDep(num/temperature) = %v", got)
 	}
-	if got := ruleIDs(db.ByDep(core.LocationDepKey("tom"))); len(got) != 1 || got[0] != "pres" {
+	if got := ruleIDs(byDep(db, core.LocationDepKey("tom"))); len(got) != 1 || got[0] != "pres" {
 		t.Errorf("ByDep(loc/tom) = %v", got)
 	}
-	if got := db.ByDep("num/nothing-reads-this"); len(got) != 0 {
+	if got := byDep(db, "num/nothing-reads-this"); len(got) != 0 {
 		t.Errorf("ByDep(unused key) = %v", ruleIDs(got))
 	}
 	if got := ruleIDs(db.TimeDependent()); len(got) != 1 || got[0] != "pres" {
@@ -52,13 +61,13 @@ func TestByDepIndexMaintenance(t *testing.T) {
 	if err := db.Remove("pres"); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.ByDep(core.LocationDepKey("tom")); len(got) != 0 {
+	if got := byDep(db, core.LocationDepKey("tom")); len(got) != 0 {
 		t.Errorf("ByDep(loc/tom) after remove = %v", ruleIDs(got))
 	}
 	if got := db.TimeDependent(); len(got) != 0 {
 		t.Errorf("TimeDependent() after remove = %v", ruleIDs(got))
 	}
-	if got := ruleIDs(db.ByDep(core.NumberDepKey("temperature"))); len(got) != 1 || got[0] != "temp" {
+	if got := ruleIDs(byDep(db, core.NumberDepKey("temperature"))); len(got) != 1 || got[0] != "temp" {
 		t.Errorf("ByDep(num/temperature) after unrelated remove = %v", got)
 	}
 }

@@ -27,17 +27,15 @@ var (
 
 // DB is a concurrency-safe, indexed rule database. Every DB owns a symbol
 // table: Add interns the rule's dependency keys, binds the condition tree
-// (core.Bind) and maintains an id-keyed dependency index alongside the
-// string-keyed one, so the engine's interned hot path and the retained
-// string-keyed oracle path index the same rules. A rule object therefore
-// belongs to at most one DB at a time.
+// (core.Bind) and maintains the id-keyed dependency index the engine's
+// interned hot path reads. A rule object therefore belongs to at most one DB
+// at a time.
 type DB struct {
 	mu       sync.RWMutex
 	tab      *core.Symtab
 	rules    map[string]*core.Rule
 	byName   map[string][]*core.Rule // device name → rules
 	byOwner  map[string][]*core.Rule
-	byDep    map[string][]*core.Rule // context dependency key → rules
 	byDepID  map[uint32][]*core.Rule // interned dependency key → rules
 	timeDep  []*core.Rule            // rules whose readiness can change with time alone
 	gen      uint64                  // bumped on every Add/Remove
@@ -58,7 +56,6 @@ func New() *DB {
 		rules:   make(map[string]*core.Rule),
 		byName:  make(map[string][]*core.Rule),
 		byOwner: make(map[string][]*core.Rule),
-		byDep:   make(map[string][]*core.Rule),
 		byDepID: make(map[uint32][]*core.Rule),
 	}
 }
@@ -91,9 +88,6 @@ func (db *DB) Add(r *core.Rule) error {
 	db.byOwner[r.Owner] = append(db.byOwner[r.Owner], r)
 	deps := core.CondDeps(r.Cond)
 	r.DepIDs = deps.IDsIn(db.tab)
-	for key := range deps.Keys {
-		db.byDep[key] = append(db.byDep[key], r)
-	}
 	for _, id := range r.DepIDs {
 		db.byDepID[id] = append(db.byDepID[id], r)
 	}
@@ -120,9 +114,6 @@ func (db *DB) Remove(id string) error {
 	setOrDelete(db.byName, r.Device.Name, removeRule(db.byName[r.Device.Name], id))
 	setOrDelete(db.byOwner, r.Owner, removeRule(db.byOwner[r.Owner], id))
 	deps := core.CondDeps(r.Cond)
-	for key := range deps.Keys {
-		setOrDelete(db.byDep, key, removeRule(db.byDep[key], id))
-	}
 	for _, depID := range r.DepIDs {
 		setOrDelete(db.byDepID, depID, removeRule(db.byDepID[depID], id))
 	}
@@ -231,20 +222,10 @@ func (db *DB) ByOwner(owner string) []*core.Rule {
 	return out
 }
 
-// ByDep returns the rules whose dependency set (core.CondDeps) contains the
-// given context key. This is the inverted index behind the engine's
-// incremental evaluation: a dirtied key maps straight to the rules it can
-// affect.
-func (db *DB) ByDep(key string) []*core.Rule {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]*core.Rule, len(db.byDep[key]))
-	copy(out, db.byDep[key])
-	return out
-}
-
-// ByDepID is ByDep keyed by interned dependency id — the zero-copy access
-// path of the engine's interned evaluation. The returned slice is the
+// ByDepID returns the rules whose dependency set (core.CondDeps) contains the
+// given interned dependency key. This is the inverted index behind the
+// engine's incremental evaluation: a dirtied key maps straight to the rules
+// it can affect. The returned slice is the
 // index's own backing array: callers must not modify it and should treat it
 // as a point-in-time snapshot (a concurrent Add or Remove replaces the
 // index entry rather than mutating the returned elements in place).
