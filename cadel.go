@@ -90,7 +90,6 @@ type options struct {
 	now      func() time.Time
 	eventTTL time.Duration
 	onFire   func(Fired)
-	interval bool
 	fullScan bool
 	perms    *auth.Store
 }
@@ -114,13 +113,6 @@ func WithEventTTL(ttl time.Duration) Option {
 // runs on the hub's shard goroutine; it must not call back into the Server.
 func WithOnFire(fn func(Fired)) Option {
 	return optionFunc(func(o *options) { o.onFire = fn })
-}
-
-// WithIntervalFastPath enables interval propagation instead of the simplex
-// method for single-variable feasibility checks (an ablation of the paper's
-// design; results are identical, see the benchmarks).
-func WithIntervalFastPath() Option {
-	return optionFunc(func(o *options) { o.interval = true })
 }
 
 // WithFullScanEngine makes the rule execution module re-evaluate every
@@ -186,9 +178,6 @@ func NewServer(network *Network, opts ...Option) (*Server, error) {
 	}
 	if o.fullScan {
 		hubOpts = append(hubOpts, fleet.WithFullScan())
-	}
-	if o.interval {
-		hubOpts = append(hubOpts, fleet.WithIntervalFeasibility())
 	}
 	if o.perms != nil {
 		perms := o.perms

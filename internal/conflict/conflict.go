@@ -2,26 +2,33 @@
 // (Sect. 4.4): deciding whether a new rule's condition can hold at all, and
 // whether it can conflict with already-registered rules — i.e. whether two
 // rules that demand different actions on the same device have conditions
-// that can hold simultaneously. Numeric satisfiability is decided with the
-// simplex method, exactly as the paper's prototype did with its C library.
+// that can hold simultaneously.
+//
+// The paper's prototype decided numeric satisfiability with the simplex
+// method. Every CADEL comparison is a single-variable bound with
+// coefficient 1, so a conjunction of them is satisfiable exactly when each
+// variable's bounds intersect. The production checker (Checker) decides
+// that, and every other kind of contradiction, by scanning the DNF terms in
+// place, with no allocation. The paper's method — build the linear system,
+// ask the simplex solver — is kept as the oracle (SimplexTermFeasible,
+// SimplexFindConflicts) that the tests and cmd/benchtab compare against.
 package conflict
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/simplex"
 )
 
+// homePlace is the place that contains every in-home place: "tom is at
+// home" holds when tom is in any room.
+const homePlace = "home"
+
 // Checker decides rule consistency and pairwise conflicts.
-type Checker struct {
-	// UseIntervalFastPath enables the interval-propagation solver for terms
-	// whose numeric atoms are all single-variable bounds (the common case for
-	// household rules). The simplex solver remains the general fallback.
-	// Disabled by default so the default path matches the paper's method.
-	UseIntervalFastPath bool
-}
+type Checker struct{}
 
 // Consistent reports whether the rule's condition is satisfiable: at least
 // one DNF term must be feasible. Registration warns the user otherwise.
@@ -58,6 +65,22 @@ func (c Conflict) String() string {
 // FindConflicts checks the new rule against each candidate (typically the
 // same-device extraction from the rule database) and returns every conflict.
 func (c *Checker) FindConflicts(newRule *core.Rule, candidates []*core.Rule) ([]Conflict, error) {
+	return findConflicts(newRule, candidates, jointFeasible)
+}
+
+// Conflicts reports whether two rules conflict (symmetric).
+func (c *Checker) Conflicts(a, b *core.Rule) (bool, error) {
+	found, err := c.FindConflicts(a, []*core.Rule{b})
+	if err != nil {
+		return false, err
+	}
+	return len(found) > 0, nil
+}
+
+// findConflicts is the candidate loop shared by the production checker and
+// the oracle; feasible decides whether the conjunction of two DNF terms can
+// hold.
+func findConflicts(newRule *core.Rule, candidates []*core.Rule, feasible func(a, b core.Term) (bool, error)) ([]Conflict, error) {
 	newTerms, err := core.ToDNF(newRule.Cond)
 	if err != nil {
 		return nil, err
@@ -73,7 +96,11 @@ func (c *Checker) FindConflicts(newRule *core.Rule, candidates []*core.Rule) ([]
 		if cand.Action.Equal(newRule.Action) {
 			continue // same action: no conflict even if both fire
 		}
-		overlap, err := c.termsOverlap(newTerms, cand)
+		candTerms, err := core.ToDNF(cand.Cond)
+		if err != nil {
+			return nil, err
+		}
+		overlap, err := termsOverlap(newTerms, candTerms, feasible)
 		if err != nil {
 			return nil, err
 		}
@@ -84,26 +111,10 @@ func (c *Checker) FindConflicts(newRule *core.Rule, candidates []*core.Rule) ([]
 	return out, nil
 }
 
-// Conflicts reports whether two rules conflict (symmetric).
-func (c *Checker) Conflicts(a, b *core.Rule) (bool, error) {
-	found, err := c.FindConflicts(a, []*core.Rule{b})
-	if err != nil {
-		return false, err
-	}
-	return len(found) > 0, nil
-}
-
-func (c *Checker) termsOverlap(newTerms []core.Term, cand *core.Rule) (bool, error) {
-	candTerms, err := core.ToDNF(cand.Cond)
-	if err != nil {
-		return false, err
-	}
+func termsOverlap(newTerms, candTerms []core.Term, feasible func(a, b core.Term) (bool, error)) (bool, error) {
 	for _, tn := range newTerms {
 		for _, tc := range candTerms {
-			joint := make(core.Term, 0, len(tn)+len(tc))
-			joint = append(joint, tn...)
-			joint = append(joint, tc...)
-			ok, err := c.TermFeasible(joint)
+			ok, err := feasible(tn, tc)
 			if err != nil {
 				return false, err
 			}
@@ -116,215 +127,252 @@ func (c *Checker) termsOverlap(newTerms []core.Term, cand *core.Rule) (bool, err
 }
 
 // TermFeasible decides whether a conjunction of atomic conditions can hold
-// simultaneously. Numeric comparisons go to the simplex solver (or the
-// interval fast path); boolean, presence and time-window atoms are decided
-// by direct contradiction analysis; arrival and on-air atoms never
-// contradict each other.
+// simultaneously. Numeric comparisons are feasible when each variable's
+// bounds intersect; boolean, presence, nobody/everyone and time-window atoms
+// are checked for direct contradictions; arrival and on-air atoms never
+// contradict each other. It allocates nothing.
 func (c *Checker) TermFeasible(term core.Term) (bool, error) {
-	var (
-		constraints []simplex.Constraint
-		bools       = make(map[string]bool)
-		presences   = make(map[string]string) // person → concrete place
-		nobody      = make(map[string]bool)   // place → true
-		everyone    = make(map[string]bool)
-		someoneAt   = make(map[string]bool)
-		windows     []*core.TimeWindow
-	)
+	return jointFeasible(term, nil)
+}
 
-	for _, atom := range term {
-		switch a := atom.(type) {
+// jointFeasible decides the conjunction of two terms without joining them.
+func jointFeasible(a, b core.Term) (bool, error) {
+	return joint{a, b}.feasible()
+}
+
+// joint is the conjunction of two DNF terms, read in place: atom i is a[i]
+// for i < len(a) and b[i-len(a)] after that.
+type joint struct{ a, b core.Term }
+
+func (j joint) len() int { return len(j.a) + len(j.b) }
+
+func (j joint) at(i int) core.Condition {
+	if i < len(j.a) {
+		return j.a[i]
+	}
+	return j.b[i-len(j.a)]
+}
+
+// feasible scans the atoms pairwise. Terms hold a handful of atoms, so the
+// quadratic scan is cheaper than building any index. Non-numeric
+// contradictions are decided first; only then are comparisons validated
+// and their per-variable bounds intersected, the order in which the oracle
+// decides.
+func (j joint) feasible() (bool, error) {
+	n := j.len()
+	windows, compares := 0, 0
+	for i := 0; i < n; i++ {
+		switch a := j.at(i).(type) {
 		case *core.Compare:
-			constraints = append(constraints, simplex.Constraint{
-				Coeffs: map[string]float64{a.Var: 1},
-				Rel:    a.Op,
-				RHS:    a.Value,
-			})
+			compares++
 		case *core.BoolIs:
-			if want, seen := bools[a.Var]; seen && want != a.Want {
-				return false, nil
+			for k := i + 1; k < n; k++ {
+				if b, ok := j.at(k).(*core.BoolIs); ok && b.Var == a.Var && b.Want != a.Want {
+					return false, nil
+				}
 			}
-			bools[a.Var] = a.Want
 		case *core.Presence:
-			if a.Person == core.Someone {
-				someoneAt[a.Place] = true
+			// One person cannot be in two different rooms; "home" is
+			// compatible with every room.
+			if a.Person == core.Someone || a.Place == homePlace {
 				continue
 			}
-			if prev, seen := presences[a.Person]; seen && !placesCompatible(prev, a.Place) {
-				return false, nil // one person cannot be in two places
-			}
-			if prev, seen := presences[a.Person]; !seen || prev == "home" {
-				presences[a.Person] = a.Place
+			for k := i + 1; k < n; k++ {
+				if b, ok := j.at(k).(*core.Presence); ok && b.Person == a.Person && b.Place != homePlace && b.Place != a.Place {
+					return false, nil
+				}
 			}
 		case *core.Nobody:
-			nobody[a.Place] = true
+			if !j.nobodyFeasible(a.Place) {
+				return false, nil
+			}
 		case *core.Everyone:
-			everyone[a.Place] = true
+			if a.Place != homePlace && !j.everyoneFeasible(i, a.Place) {
+				return false, nil
+			}
 		case *core.TimeWindow:
-			windows = append(windows, a)
-		case *core.Arrival, *core.OnAir:
-			// Events and broadcasts can always co-occur.
-		case core.Always, *core.Always:
-			// Trivially true.
-		default:
-			// Unknown atoms are treated as independently satisfiable.
-		}
-	}
-
-	// Presence vs nobody/everyone contradictions.
-	for place := range nobody {
-		if someoneAt[place] || everyone[place] {
-			return false, nil
-		}
-		for _, p := range presences {
-			if placesCompatible(p, place) && (p == place || place == "home") {
-				return false, nil
-			}
-		}
-	}
-	// Everyone at two different concrete places is impossible (with >= 1
-	// user assumed).
-	var everyonePlace string
-	for place := range everyone {
-		if everyonePlace != "" && place != everyonePlace && place != "home" && everyonePlace != "home" {
-			return false, nil
-		}
-		if everyonePlace == "" || everyonePlace == "home" {
-			everyonePlace = place
-		}
-	}
-	// Everyone at X contradicts a named person at Y != X.
-	if everyonePlace != "" && everyonePlace != "home" {
-		for _, p := range presences {
-			if p != "home" && p != everyonePlace {
-				return false, nil
-			}
-		}
-	}
-
-	if !windowsOverlap(windows) {
-		return false, nil
-	}
-
-	if len(constraints) == 0 {
-		return true, nil
-	}
-	if c.UseIntervalFastPath {
-		if box, ok := asBox(constraints); ok {
-			return box.Feasible(), nil
-		}
-	}
-	res, err := simplex.Feasible(constraints)
-	if err != nil {
-		return false, err
-	}
-	return res.Feasible, nil
-}
-
-// placesCompatible reports whether one person being at both places is
-// possible ("home" is a wildcard for any in-home place).
-func placesCompatible(a, b string) bool {
-	return a == b || a == "home" || b == "home"
-}
-
-// windowsOverlap intersects daily time windows (with midnight wrap) and
-// weekday restrictions.
-func windowsOverlap(windows []*core.TimeWindow) bool {
-	if len(windows) == 0 {
-		return true
-	}
-	day := -1
-	for _, w := range windows {
-		if w.Weekday < 0 {
-			continue
-		}
-		if day >= 0 && day != w.Weekday {
-			return false
-		}
-		day = w.Weekday
-	}
-	// Represent each window as minute intervals over [0, 1440).
-	intervalsOf := func(w *core.TimeWindow) []interval.Interval {
-		from, to := w.FromMin, w.ToMin%(24*60)
-		if w.FromMin == w.ToMin {
-			return []interval.Interval{{Lo: 0, Hi: 1440, HiOpen: true}}
-		}
-		if w.FromMin < w.ToMin && w.ToMin <= 24*60 {
-			return []interval.Interval{{Lo: float64(from), Hi: float64(w.ToMin), HiOpen: true}}
-		}
-		return []interval.Interval{
-			{Lo: float64(from), Hi: 1440, HiOpen: true},
-			{Lo: 0, Hi: float64(to), HiOpen: true},
-		}
-	}
-	current := intervalsOf(windows[0])
-	for _, w := range windows[1:] {
-		next := intervalsOf(w)
-		var merged []interval.Interval
-		for _, a := range current {
-			for _, b := range next {
-				got := a.Intersect(b)
-				if !got.Empty() {
-					merged = append(merged, got)
+			windows++
+			for k := i + 1; k < n; k++ {
+				if b, ok := j.at(k).(*core.TimeWindow); ok && a.Weekday >= 0 && b.Weekday >= 0 && a.Weekday != b.Weekday {
+					return false, nil
 				}
 			}
 		}
-		if len(merged) == 0 {
-			return false
+		// Arrival and OnAir atoms (events and broadcasts can always
+		// co-occur), Always, and unknown atoms are independently
+		// satisfiable.
+	}
+	if windows > 1 && !j.windowsOverlap() {
+		return false, nil
+	}
+	if compares == 0 {
+		return true, nil
+	}
+	return j.boundsFeasible()
+}
+
+// nobodyFeasible reports whether "nobody at place" is compatible with the
+// term's presence and everyone atoms: nobody (or everyone) can be at the
+// same place, and no named person can be at home at all when nobody is.
+func (j joint) nobodyFeasible(place string) bool {
+	for k, n := 0, j.len(); k < n; k++ {
+		switch b := j.at(k).(type) {
+		case *core.Presence:
+			if b.Place == place || (place == homePlace && b.Person != core.Someone) {
+				return false
+			}
+		case *core.Everyone:
+			if b.Place == place {
+				return false
+			}
 		}
-		current = merged
 	}
 	return true
 }
 
-// asBox converts single-variable constraints to an interval box; ok is false
-// when any constraint couples multiple variables.
-func asBox(cs []simplex.Constraint) (interval.Box, bool) {
-	box := interval.NewBox()
-	for _, c := range cs {
-		if len(c.Coeffs) != 1 {
-			return nil, false
-		}
-		var name string
-		var coef float64
-		for n, v := range c.Coeffs {
-			name, coef = n, v
-		}
-		if coef == 0 {
-			return nil, false
-		}
-		rel, rhs := c.Rel, c.RHS/coef
-		if coef < 0 {
-			rel = flipRel(rel)
-		}
-		switch rel {
-		case simplex.LE:
-			box.Constrain(name, interval.AtMost(rhs))
-		case simplex.LT:
-			box.Constrain(name, interval.LessThan(rhs))
-		case simplex.GE:
-			box.Constrain(name, interval.AtLeast(rhs))
-		case simplex.GT:
-			box.Constrain(name, interval.GreaterThan(rhs))
-		case simplex.EQ:
-			box.Constrain(name, interval.Point(rhs))
-		default:
-			return nil, false
+// everyoneFeasible reports whether "everyone at place" (a concrete room,
+// atom i) is compatible with the rest of the term: everyone cannot also be
+// in a different room, and no named person can be in one (at least one user
+// is assumed).
+func (j joint) everyoneFeasible(i int, place string) bool {
+	for k, n := 0, j.len(); k < n; k++ {
+		switch b := j.at(k).(type) {
+		case *core.Everyone:
+			if k > i && b.Place != homePlace && b.Place != place {
+				return false
+			}
+		case *core.Presence:
+			if b.Person != core.Someone && b.Place != homePlace && b.Place != place {
+				return false
+			}
 		}
 	}
-	return box, true
+	return true
 }
 
-func flipRel(r simplex.Relation) simplex.Relation {
-	switch r {
-	case simplex.LE:
-		return simplex.GE
-	case simplex.GE:
-		return simplex.LE
-	case simplex.LT:
-		return simplex.GT
-	case simplex.GT:
-		return simplex.LT
+// windowsOverlap reports whether some minute of the day lies in every time
+// window of the term. Each window is a union of left-closed minute ranges,
+// so their intersection, when not empty, contains the left end of one of
+// the ranges: it is enough to test those.
+func (j joint) windowsOverlap() bool {
+	n := j.len()
+	for i := 0; i < n; i++ {
+		w, ok := j.at(i).(*core.TimeWindow)
+		if !ok {
+			continue
+		}
+		pieces, np := windowPieces(w)
+		for _, p := range pieces[:np] {
+			if p.Empty() {
+				continue
+			}
+			inAll := true
+			for k := 0; k < n && inAll; k++ {
+				if v, ok := j.at(k).(*core.TimeWindow); ok {
+					inAll = windowContains(v, p.Lo)
+				}
+			}
+			if inAll {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// windowPieces returns a daily window as one or two half-open minute ranges
+// over [0, 1440): a window whose end is not after its start wraps midnight,
+// and a window from a minute to the same minute covers the whole day.
+func windowPieces(w *core.TimeWindow) ([2]interval.Interval, int) {
+	const day = 24 * 60
+	if w.FromMin == w.ToMin {
+		return [2]interval.Interval{{Lo: 0, Hi: day, HiOpen: true}}, 1
+	}
+	if w.FromMin < w.ToMin && w.ToMin <= day {
+		return [2]interval.Interval{{Lo: float64(w.FromMin), Hi: float64(w.ToMin), HiOpen: true}}, 1
+	}
+	return [2]interval.Interval{
+		{Lo: float64(w.FromMin), Hi: day, HiOpen: true},
+		{Lo: 0, Hi: float64(w.ToMin % day), HiOpen: true},
+	}, 2
+}
+
+func windowContains(w *core.TimeWindow, minute float64) bool {
+	pieces, np := windowPieces(w)
+	for _, p := range pieces[:np] {
+		if p.Contains(minute) {
+			return true
+		}
+	}
+	return false
+}
+
+// boundsFeasible validates the term's comparisons and reports whether each
+// variable's bounds intersect. Every variable is decided once, at its first
+// comparison.
+func (j joint) boundsFeasible() (bool, error) {
+	n := j.len()
+	for i := 0; i < n; i++ {
+		if a, ok := j.at(i).(*core.Compare); ok {
+			if err := validate(a); err != nil {
+				return false, err
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		a, ok := j.at(i).(*core.Compare)
+		if !ok || j.seenBefore(i, a.Var) {
+			continue
+		}
+		iv := bound(a)
+		for k := i + 1; k < n && !iv.Empty(); k++ {
+			if b, ok := j.at(k).(*core.Compare); ok && b.Var == a.Var {
+				iv = iv.Intersect(bound(b))
+			}
+		}
+		if iv.Empty() {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// seenBefore reports whether a comparison before atom i reads name.
+func (j joint) seenBefore(i int, name string) bool {
+	for k := 0; k < i; k++ {
+		if b, ok := j.at(k).(*core.Compare); ok && b.Var == name {
+			return true
+		}
+	}
+	return false
+}
+
+// validate rejects the comparisons the simplex oracle rejects: an unknown
+// relation or a non-finite constant.
+func validate(c *core.Compare) error {
+	switch c.Op {
+	case simplex.LE, simplex.GE, simplex.LT, simplex.GT, simplex.EQ:
 	default:
-		return r
+		return fmt.Errorf("%w: relation %v", simplex.ErrBadConstraint, c.Op)
+	}
+	if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+		return fmt.Errorf("%w: right-hand side %v", simplex.ErrBadConstraint, c.Value)
+	}
+	return nil
+}
+
+// bound returns the values of c.Var that satisfy the comparison.
+func bound(c *core.Compare) interval.Interval {
+	switch c.Op {
+	case simplex.LE:
+		return interval.AtMost(c.Value)
+	case simplex.LT:
+		return interval.LessThan(c.Value)
+	case simplex.GE:
+		return interval.AtLeast(c.Value)
+	case simplex.GT:
+		return interval.GreaterThan(c.Value)
+	default: // simplex.EQ; validate rejected every other relation
+		return interval.Point(c.Value)
 	}
 }

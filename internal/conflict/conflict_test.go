@@ -276,22 +276,22 @@ func TestConflictsSymmetric(t *testing.T) {
 	}
 }
 
-// TestIntervalFastPathAgrees cross-checks the two feasibility engines on
-// random single-variable terms.
+// TestIntervalFastPathAgrees cross-checks the production checker's
+// per-variable interval decision against the simplex oracle on random
+// single-variable terms.
 func TestIntervalFastPathAgrees(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	ops := []simplex.Relation{simplex.GT, simplex.GE, simplex.LT, simplex.LE, simplex.EQ}
 	vars := []string{"a", "b"}
-	simplexChecker := Checker{}
-	intervalChecker := Checker{UseIntervalFastPath: true}
+	var c Checker
 	f := func() bool {
 		n := 1 + r.Intn(5)
 		term := make(core.Term, 0, n)
 		for i := 0; i < n; i++ {
 			term = append(term, cmp(vars[r.Intn(2)], ops[r.Intn(5)], float64(r.Intn(11)-5)))
 		}
-		s, err1 := simplexChecker.TermFeasible(term)
-		iv, err2 := intervalChecker.TermFeasible(term)
+		s, err1 := SimplexTermFeasible(term)
+		iv, err2 := c.TermFeasible(term)
 		return err1 == nil && err2 == nil && s == iv
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -299,17 +299,29 @@ func TestIntervalFastPathAgrees(t *testing.T) {
 	}
 }
 
+// TestTermFeasibleCoupledConstraints: comparisons over several variables
+// are decided per variable — one variable's empty range makes the term
+// infeasible however the others are bounded — and agree with the simplex
+// oracle, which solves them as one linear system.
 func TestTermFeasibleCoupledConstraints(t *testing.T) {
-	// Multi-variable constraint falls back to simplex even with the fast
-	// path enabled.
-	c := Checker{UseIntervalFastPath: true}
-	term := core.Term{
-		&core.Compare{Var: "x", Op: simplex.GE, Value: 6},
-		&core.Compare{Var: "y", Op: simplex.GE, Value: 6},
-	}
-	ok, err := c.TermFeasible(term)
-	if err != nil || !ok {
-		t.Fatalf("simple bounds: ok=%v err=%v", ok, err)
+	var c Checker
+	for _, tt := range []struct {
+		term core.Term
+		want bool
+	}{
+		{core.Term{cmp("x", simplex.GE, 6), cmp("y", simplex.GE, 6)}, true},
+		{core.Term{cmp("x", simplex.GE, 6), cmp("y", simplex.LE, 5), cmp("x", simplex.LE, 7), cmp("y", simplex.GT, 4)}, true},
+		{core.Term{cmp("x", simplex.GE, 6), cmp("y", simplex.GE, 0), cmp("x", simplex.LE, 5)}, false},
+		{core.Term{cmp("x", simplex.EQ, 6), cmp("y", simplex.EQ, 6), cmp("y", simplex.GT, 6)}, false},
+	} {
+		ok, err := c.TermFeasible(tt.term)
+		if err != nil || ok != tt.want {
+			t.Errorf("TermFeasible(%v) = %v, %v; want %v", tt.term, ok, err, tt.want)
+		}
+		oracle, err := SimplexTermFeasible(tt.term)
+		if err != nil || oracle != tt.want {
+			t.Errorf("SimplexTermFeasible(%v) = %v, %v; want %v", tt.term, oracle, err, tt.want)
+		}
 	}
 }
 

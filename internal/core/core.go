@@ -5,7 +5,7 @@
 // are evaluated against a Context — an instantaneous snapshot of every sensor
 // reading, device state, user location, arrival event and broadcast programme
 // the home server knows about. For conflict analysis the same trees are
-// normalised to disjunctive normal form (ToDNF) whose numeric atoms become
-// linear inequalities for the simplex feasibility check, exactly as in
-// Sect. 4.4 of the paper.
+// normalised to disjunctive normal form (ToDNF), whose terms the
+// consistency check of Sect. 4.4 of the paper decides atom by atom
+// (package conflict).
 package core

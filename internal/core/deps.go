@@ -99,24 +99,6 @@ func (d DepSet) Has(key string) bool {
 	return ok
 }
 
-// Intersects reports whether any of the set's keys appears in dirty.
-func (d DepSet) Intersects(dirty map[string]struct{}) bool {
-	if len(d.Keys) <= len(dirty) {
-		for k := range d.Keys {
-			if _, ok := dirty[k]; ok {
-				return true
-			}
-		}
-		return false
-	}
-	for k := range dirty {
-		if _, ok := d.Keys[k]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // IDsIn interns every dependency key into tab and returns the ids sorted
 // ascending — the compiled form the engine and registry index by. The
 // namespacing of the string keys carries over: "num/temperature" and

@@ -165,19 +165,3 @@ func TestDirtyKeyHelpers(t *testing.T) {
 		t.Errorf("LocationDirtyKeys = %v", got)
 	}
 }
-
-func TestDepSetIntersects(t *testing.T) {
-	d := CondDeps(&Compare{Var: "temperature", Op: simplex.GT, Value: 1})
-	if !d.Intersects(map[string]struct{}{"num/temperature": {}, "x": {}}) {
-		t.Error("want intersection on num/temperature")
-	}
-	if d.Intersects(map[string]struct{}{"num/humidity": {}}) {
-		t.Error("unexpected intersection")
-	}
-	if d.Intersects(nil) {
-		t.Error("empty dirty set must not intersect")
-	}
-	if !d.Has("num/temperature") || d.Has("num/humidity") {
-		t.Error("Has misreports membership")
-	}
-}

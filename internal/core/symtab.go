@@ -183,9 +183,8 @@ func (s *IDSet) Has(id uint32) bool {
 	return w < len(s.words) && s.words[w]&(uint64(1)<<(id&63)) != 0
 }
 
-// IntersectsAny reports whether any of ids is in the set. With ids being a
-// rule's (small, sorted) dependency list this is the branch-cheap
-// replacement for the string-keyed DepSet.Intersects.
+// IntersectsAny reports whether any of ids is in the set; ids is typically
+// a rule's (small, sorted) dependency list.
 func (s *IDSet) IntersectsAny(ids []uint32) bool {
 	for _, id := range ids {
 		if s.Has(id) {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -180,5 +182,68 @@ func TestEngineConcurrentStimuli(t *testing.T) {
 		map[string]string{"presence-tom": "living room"})
 	if owners := e.Owners(); len(owners) == 0 {
 		t.Error("no owners after tom present; engine wedged")
+	}
+}
+
+// TestConcurrentRuleChurnConverges races rule registration, removal and
+// re-registration under a small set of reused ids against event passes,
+// then checks the interned engine's settled ownership against a full scan
+// of the same database. The final sync pass dirties nothing, so a removed
+// rule left in a ready list, or a re-registered rule whose readiness was
+// never recorded, shows up as an owner the full scan does not have.
+func TestConcurrentRuleChurnConverges(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			db := registry.New()
+			clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
+			e := New(db, conflict.NewTable(), clock.Now, nil)
+			const finalTemp = 25
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < 400; i++ {
+					id := fmt.Sprintf("x%d", rng.Intn(6))
+					if _, ok := db.Get(id); ok {
+						if err := db.Remove(id); err != nil {
+							t.Error(err)
+							return
+						}
+						if rng.Intn(2) == 0 {
+							continue
+						}
+					}
+					if err := db.Add(&core.Rule{
+						ID: id, Owner: "tom", Device: core.DeviceRef{Name: fmt.Sprintf("lamp%d", rng.Intn(3))},
+						Action: core.Action{Verb: []string{"turn-on", "turn-off"}[rng.Intn(2)]},
+						Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: float64(rng.Intn(40))},
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 400; i++ {
+					temp := 10 + i%30
+					if i == 399 {
+						temp = finalTemp
+					}
+					e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "living room",
+						map[string]string{"temperature": fmt.Sprint(temp)})
+				}
+			}()
+			wg.Wait()
+			e.Tick()
+
+			oracle := New(db, conflict.NewTable(), clock.Now, nil, WithFullScan())
+			oracle.HandleDeviceEvent(device.TypeThermometer, "thermometer", "living room",
+				map[string]string{"temperature": fmt.Sprint(finalTemp)})
+			if got, want := e.Owners(), oracle.Owners(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("owners after churn = %v, full scan %v", got, want)
+			}
+		})
 	}
 }

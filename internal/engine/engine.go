@@ -156,14 +156,15 @@ type Engine struct {
 	compactFloor int
 
 	// Incremental-evaluation state (unused in full-scan mode).
-	dirtyIDs   core.IDSet            // dirty dependency ids
-	allDirty   bool                  // re-evaluate everything on the next pass
-	dbGen      uint64                // registry generation at the last pass
-	tblGen     uint64                // priority-table generation at the last pass
-	tblDeps    []orderDep            // cached contextual-order dependencies for tblGen
-	lastEvalAt time.Time             // clock reading of the last pass
-	timeRules  []*core.Rule          // cached db.TimeDependent() for dbGen
-	known      map[string]*core.Rule // rules the engine has synced from the db
+	dirtyIDs   core.IDSet   // dirty dependency ids
+	allDirty   bool         // re-evaluate everything on the next pass
+	dbGen      uint64       // registry generation at the last pass
+	tblGen     uint64       // priority-table generation at the last pass
+	tblDeps    []orderDep   // cached contextual-order dependencies for tblGen
+	lastEvalAt time.Time    // clock reading of the last pass
+	timeRules  []*core.Rule // cached db.TimeDependent() for dbGen
+	syncedSeq  uint64       // rules with Seq <= syncedSeq are synced from the db
+	removals   uint64       // db removal counter at the last sync
 
 	// Id-indexed reconciliation state: rules and devices are addressed by
 	// their interned identity (core.Rule.IDSym / DeviceSym), so the per-pass
@@ -331,7 +332,6 @@ func New(db *registry.DB, priorities *conflict.Table, now func() time.Time, disp
 	ictx := core.NewInternedContext(e.ctx.Now, e.tab)
 	ictx.EventTTL = e.ctx.EventTTL
 	e.ctx = ictx
-	e.known = make(map[string]*core.Rule)
 	e.varCacheB = make(map[string]*cachedVar)
 	e.arrCacheB = make(map[string]arrIDs)
 	e.placeSlot = make(map[string]uint32)
@@ -763,70 +763,58 @@ func (e *Engine) internedPassLocked() []Fired {
 	nowChanged := !e.ctx.Now.Equal(e.lastEvalAt)
 	e.lastEvalAt = e.ctx.Now
 
-	// Sync rule additions and removals with the database.
+	// Sync rule additions and removals with the database. One consistent
+	// reading yields the rules added since the last synced Seq and the
+	// removal counter; only a moved counter can have left removed rules in
+	// the ready lists. Every rule read after the reading (time-dependent
+	// list, dependency index) was live at some point after it, so a later
+	// removal moves the counter again and is evicted at the next sync.
 	var added []*core.Rule
 	churned := false
-	if g := e.db.Generation(); g != e.dbGen {
+	if e.db.Generation() != e.dbGen {
 		churned = true
-		e.dbGen = g
+		var removals uint64
+		added, e.dbGen, removals = e.db.Changes(e.syncedSeq)
+		if removals != e.removals {
+			e.removals = removals
+			e.evictRemovedLocked()
+		}
+		if len(added) > 0 {
+			e.syncedSeq = added[len(added)-1].Seq
+		}
 		e.timeRules = e.db.TimeDependent()
-		all := e.db.All()
-		current := make(map[string]*core.Rule, len(all))
-		for _, r := range all {
-			current[r.ID] = r
-			// A pointer mismatch means the ID was removed and re-registered
-			// with a different rule between passes: evict the stale cached
-			// state below, then treat the replacement as newly added.
-			if known, ok := e.known[r.ID]; !ok || known != r {
-				added = append(added, r)
-			}
-		}
-		for id, r := range e.known {
-			if current[id] == r {
-				continue
-			}
-			delete(e.known, id)
-			if int(r.IDSym) < len(e.readyBits) && e.readyBits[r.IDSym] {
-				e.readyBits[r.IDSym] = false
-				e.dropReadyLocked(r)
-				e.scDevs.Add(r.DeviceSym)
-			}
-		}
-		for _, r := range added {
-			e.known[r.ID] = r
-		}
 	}
 
 	// Collect the candidate rules to re-evaluate, deduplicated through the
-	// rule-id bitset.
+	// rule-id bitset. The index and the time-dependent list can return
+	// rules added to the db after this pass's sync; only rules the sync has
+	// seen are evaluated (the rest are picked up as added on the next
+	// pass).
 	cands := e.scCands[:0]
 	if e.allDirty {
-		for _, r := range e.known {
-			if e.scCandSet.Add(r.IDSym) {
+		all, _, _ := e.db.Changes(0)
+		for _, r := range all {
+			if r.Seq <= e.syncedSeq && e.scCandSet.Add(r.IDSym) {
 				cands = append(cands, r)
 			}
 		}
 	} else {
-		// The index can return rules added to the db after this pass's
-		// generation sync; only evaluate rules the sync has seen (the rest
-		// are picked up as added on the next pass), or cached state could
-		// outlive a rule the eviction loop never knew about.
 		for _, depID := range e.dirtyIDs.IDs() {
 			for _, r := range e.db.ByDepID(depID) {
-				if e.known[r.ID] == r && e.scCandSet.Add(r.IDSym) {
+				if r.Seq <= e.syncedSeq && e.scCandSet.Add(r.IDSym) {
 					cands = append(cands, r)
 				}
 			}
 		}
 		if nowChanged {
 			for _, r := range e.timeRules {
-				if e.known[r.ID] == r && e.scCandSet.Add(r.IDSym) {
+				if r.Seq <= e.syncedSeq && e.scCandSet.Add(r.IDSym) {
 					cands = append(cands, r)
 				}
 			}
 		}
 		for _, r := range added {
-			if e.known[r.ID] == r && e.scCandSet.Add(r.IDSym) {
+			if e.scCandSet.Add(r.IDSym) {
 				cands = append(cands, r)
 			}
 		}
@@ -1152,6 +1140,27 @@ func (e *Engine) remapStateLocked(remap []uint32) {
 	clear(e.arrCacheB)
 	clear(e.placeSlot)
 	e.programsDep = e.tab.Intern(core.ProgramsDepKey)
+}
+
+// evictRemovedLocked drops the rules that left the database from the ready
+// lists. A removed rule that was not ready left no state behind, so this
+// walks the ready rules only. A rule whose id was re-registered is
+// evicted too: the database now holds a different rule under its id.
+func (e *Engine) evictRemovedLocked() {
+	for _, dev := range e.devSeen.IDs() {
+		list := e.readyRules[dev]
+		kept := list[:0]
+		for _, r := range list {
+			if cur, ok := e.db.Get(r.ID); ok && cur == r {
+				kept = append(kept, r)
+				continue
+			}
+			e.readyBits[r.IDSym] = false
+			e.scDevs.Add(dev)
+		}
+		clear(list[len(kept):])
+		e.readyRules[dev] = kept
+	}
 }
 
 // dropReadyLocked removes a rule from its device's ready list by identity

@@ -143,7 +143,6 @@ type config struct {
 	logLimit        int
 	traceCap        int
 	fullScan        bool
-	intervalFeas    bool
 	dispatch        Dispatcher
 	onFire          OnFire
 	authorize       Authorizer
@@ -202,12 +201,6 @@ func WithTraceLimit(n int) HubOption {
 // oracle/baseline.
 func WithFullScan() HubOption {
 	return optionFunc(func(c *config) { c.fullScan = true })
-}
-
-// WithIntervalFeasibility switches the consistency/conflict checker to
-// interval propagation instead of the simplex method.
-func WithIntervalFeasibility() HubOption {
-	return optionFunc(func(c *config) { c.intervalFeas = true })
 }
 
 // WithDispatcher installs the action dispatcher.

@@ -71,7 +71,6 @@ func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMe
 		compiler:   core.NewCompiler(lex),
 		db:         registry.New(),
 		priorities: conflict.NewTable(),
-		checker:    conflict.Checker{UseIntervalFastPath: c.intervalFeas},
 		favorites:  make(map[string][]string),
 		authorize:  c.authorize,
 	}

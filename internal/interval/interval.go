@@ -1,8 +1,10 @@
 // Package interval implements interval arithmetic over named numeric
-// variables. The conflict checker uses it as a fast feasibility path for the
-// common case where rule conditions are conjunctions of per-variable bounds
-// (e.g. "temperature is higher than 28 degrees and humidity is over 60 %"),
-// and as an independent oracle to cross-check the simplex solver.
+// variables. Interval is the production conflict checker's numeric domain:
+// every CADEL comparison bounds one variable, so a conjunction of them
+// (e.g. "temperature is higher than 28 degrees and humidity is over 60 %")
+// is satisfiable exactly when each variable's intervals intersect. The
+// simplex solver, the paper's method, is the checker's oracle; Box, the
+// map form of a set of bounds, cross-checks that solver in its tests.
 package interval
 
 import (

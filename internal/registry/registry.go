@@ -10,9 +10,11 @@
 package registry
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,7 +42,11 @@ type DB struct {
 	timeDep  []*core.Rule            // rules whose readiness can change with time alone
 	gen      uint64                  // bumped on every Add/Remove
 	seq      uint64
-	inserted []string // insertion order of rule IDs
+	removals uint64 // bumped on every Remove
+	// inserted holds the live rules in Seq order. It is copy-on-remove: Add
+	// only appends past the end and Remove builds a new backing array, so a
+	// slice handed out by Changes is never written to afterwards.
+	inserted []*core.Rule
 	// retired is an upper-bound estimate of symbol ids orphaned by Remove
 	// since the last compaction epoch (a removed rule's dependency ids,
 	// identity symbols and condition variables may still be shared by live
@@ -94,7 +100,7 @@ func (db *DB) Add(r *core.Rule) error {
 	if deps.Time {
 		db.timeDep = append(db.timeDep, r)
 	}
-	db.inserted = append(db.inserted, r.ID)
+	db.inserted = append(db.inserted, r)
 	db.gen++
 	return nil
 }
@@ -120,19 +126,25 @@ func (db *DB) Remove(id string) error {
 	if deps.Time {
 		db.timeDep = removeRule(db.timeDep, id)
 	}
-	for i, insertedID := range db.inserted {
-		if insertedID == id {
-			db.inserted = append(db.inserted[:i:i], db.inserted[i+1:]...)
-			break
-		}
+	if i, found := db.seqIndex(r.Seq); found {
+		db.inserted = append(db.inserted[:i:i], db.inserted[i+1:]...)
 	}
 	// Rough id-orphan estimate: the dependency ids, the three identity
 	// symbols, and one condition-variable id per dependency (variable names
 	// and dependency keys intern separately: "temperature" vs
 	// "num/temperature").
 	db.retired += uint64(2*len(r.DepIDs) + 3)
+	db.removals++
 	db.gen++
 	return nil
+}
+
+// seqIndex binary-searches inserted for the first rule with Seq >= seq;
+// found reports an exact match.
+func (db *DB) seqIndex(seq uint64) (int, bool) {
+	return slices.BinarySearchFunc(db.inserted, seq, func(r *core.Rule, seq uint64) int {
+		return cmp.Compare(r.Seq, seq)
+	})
 }
 
 // setOrDelete stores a (possibly shrunk) index list back, dropping the map
@@ -173,13 +185,24 @@ func (db *DB) Len() int {
 func (db *DB) All() []*core.Rule {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]*core.Rule, 0, len(db.inserted))
-	for _, id := range db.inserted {
-		if r, ok := db.rules[id]; ok {
-			out = append(out, r)
-		}
+	return append(make([]*core.Rule, 0, len(db.inserted)), db.inserted...)
+}
+
+// Changes is one consistent reading of the database for a caller that
+// keeps state about the rules it has synced: the live rules whose Seq is
+// greater than seq, in Seq order (the rules added since the caller last
+// synced at seq; Changes(0) is every live rule), plus the generation and
+// the removal counter (bumped on every Remove) at the same instant. The
+// added slice is shared with the database and must not be modified; later
+// Adds and Removes never write to it.
+func (db *DB) Changes(seq uint64) (added []*core.Rule, gen, removals uint64) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	i, found := db.seqIndex(seq)
+	if found {
+		i++
 	}
-	return out
+	return db.inserted[i:len(db.inserted):len(db.inserted)], db.gen, db.removals
 }
 
 // SameDevice returns all rules whose target matches the reference — the
@@ -203,9 +226,8 @@ func (db *DB) SameDeviceScan(ref core.DeviceRef) []*core.Rule {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []*core.Rule
-	for _, id := range db.inserted {
-		r := db.rules[id]
-		if r != nil && r.Device.Matches(ref) {
+	for _, r := range db.inserted {
+		if r.Device.Matches(ref) {
 			out = append(out, r)
 		}
 	}
@@ -299,7 +321,7 @@ func (db *DB) CompactSymtab(ifGen uint64, mark func(live *core.IDSet), remapped 
 		return CompactResult{}, false
 	}
 	live := &core.IDSet{}
-	for _, r := range db.rules {
+	for _, r := range db.inserted {
 		r.MarkLiveIDs(live)
 	}
 	if mark != nil {
@@ -309,8 +331,7 @@ func (db *DB) CompactSymtab(ifGen uint64, mark func(live *core.IDSet), remapped 
 	remap, epoch := db.tab.Compact(live)
 	res.After, res.Epoch = db.tab.Len(), epoch
 	byDepID := make(map[uint32][]*core.Rule, len(db.byDepID))
-	for _, id := range db.inserted {
-		r := db.rules[id]
+	for _, r := range db.inserted {
 		r.RemapIDs(remap)
 		for _, dep := range r.DepIDs {
 			byDepID[dep] = append(byDepID[dep], r)
@@ -340,9 +361,10 @@ type exportDoc struct {
 // Records returns every rule's serialized form in insertion order. The fleet
 // store snapshots a home's rule database through this.
 func (db *DB) Records() []Record {
-	rules := db.All()
-	out := make([]Record, 0, len(rules))
-	for _, r := range rules {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make([]Record, 0, len(db.inserted))
+	for _, r := range db.inserted {
 		out = append(out, Record{ID: r.ID, Owner: r.Owner, Source: r.Source})
 	}
 	return out

@@ -172,6 +172,59 @@ func TestAllInsertionOrder(t *testing.T) {
 	}
 }
 
+// TestChangesSinceSeq pins the sync reading: the live rules added after a
+// Seq in Seq order, removals counted, and a returned slice left untouched
+// by later Adds and Removes.
+func TestChangesSinceSeq(t *testing.T) {
+	db := New()
+	for i := 0; i < 6; i++ {
+		if err := db.Add(simpleRule(fmt.Sprintf("r%d", i), "tom", "tv")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := func(rules []*core.Rule) string {
+		out := ""
+		for _, r := range rules {
+			out += r.ID + " "
+		}
+		return out
+	}
+	all, gen, removals := db.Changes(0)
+	if ids(all) != "r0 r1 r2 r3 r4 r5 " || gen != 6 || removals != 0 {
+		t.Fatalf("Changes(0) = %q, gen %d, removals %d", ids(all), gen, removals)
+	}
+	if err := db.Remove("r3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Remove("r5"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Add(simpleRule("r3", "tom", "tv")); err != nil { // re-registered: Seq 7
+		t.Fatal(err)
+	}
+	if ids(all) != "r0 r1 r2 r3 r4 r5 " {
+		t.Fatalf("earlier reading changed under Add/Remove: %q", ids(all))
+	}
+	for _, tt := range []struct {
+		seq  uint64
+		want string
+	}{
+		{0, "r0 r1 r2 r4 r3 "},
+		{2, "r2 r4 r3 "},
+		{3, "r4 r3 "},
+		{4, "r4 r3 "}, // Seq 4 (the first r3) was removed: the suffix starts after it
+		{5, "r3 "},
+		{6, "r3 "},
+		{7, ""},
+		{100, ""},
+	} {
+		got, gen, removals := db.Changes(tt.seq)
+		if ids(got) != tt.want || gen != 9 || removals != 2 {
+			t.Errorf("Changes(%d) = %q, gen %d, removals %d; want %q, 9, 2", tt.seq, ids(got), gen, removals, tt.want)
+		}
+	}
+}
+
 func TestExportImport(t *testing.T) {
 	lex := vocab.Default()
 	compiler := core.NewCompiler(lex)

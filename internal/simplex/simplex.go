@@ -3,9 +3,12 @@
 //
 // The paper's prototype detects rule conflicts by "solving the satisfiability
 // of given linear expressions using the Simplex Method" (a C library in the
-// original). This package is that substrate: the conflict checker conjoins
-// the linear inequalities extracted from two rule conditions and asks whether
-// the system has a feasible point.
+// original). This package is that substrate, and the conflict checker's
+// oracle (conflict.SimplexTermFeasible) still works that way: it conjoins
+// the linear inequalities extracted from two rule conditions and asks
+// whether the system has a feasible point. The production checker does not
+// call the solver: CADEL comparisons bound one variable each, so it
+// intersects per-variable intervals instead (package interval).
 //
 // Strict inequalities (e.g. "temperature > 28") are handled exactly: the
 // solver maximizes a shared slack t added to every strict constraint and the
