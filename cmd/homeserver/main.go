@@ -198,9 +198,9 @@ func run() error {
 // API; fired actions are logged per home (no real appliances are attached in
 // this mode).
 //
-// The hot POST-events route is served by the ingest fast path (zero-alloc
+// The hot POST-events route is served by the ingest sink (zero-alloc
 // decoder plus token-bucket/backlog admission control); every other route
-// goes through the stock encoding/json handlers. On shutdown the HTTP
+// goes through the fleet API's encoding/json handlers. On shutdown the HTTP
 // listener drains in-flight requests first, then the hub quiesces its shards
 // and flushes the store, so an orderly stop never loses accepted events or
 // journal appends.

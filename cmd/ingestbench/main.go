@@ -1,8 +1,8 @@
 // Command ingestbench measures wire-level event ingestion throughput over a
-// real TCP socket — the stock encoding/json handler, the ingest fast path
-// behind net/http, and the raw-socket front end — and exercises admission
-// control under deliberate overload, writing the result as JSON so CI can
-// track the perf trajectory (BENCH_ingest.json).
+// real TCP socket — a reference encoding/json handler posting maps, the
+// ingest sink behind net/http, and the raw-socket front end — and exercises
+// admission control under deliberate overload, writing the result as JSON so
+// CI can track the perf trajectory (BENCH_ingest.json).
 //
 //	$ ingestbench -homes 256 -events 100000 -shards 4 -out BENCH_ingest.json
 //
@@ -152,7 +152,7 @@ func startServer(mode string, hub *fleet.Hub) (string, func(), error) {
 	}
 	switch mode {
 	case "baseline":
-		srv := &http.Server{Handler: fleet.NewHTTPHandler(hub), ReadHeaderTimeout: 5 * time.Second}
+		srv := &http.Server{Handler: baselineHandler(hub), ReadHeaderTimeout: 5 * time.Second}
 		go func() { _ = srv.Serve(ln) }()
 		return ln.Addr().String(), func() { _ = srv.Close() }, nil
 	case "fast":
@@ -166,6 +166,31 @@ func startServer(mode string, hub *fleet.Hub) (string, func(), error) {
 		return ln.Addr().String(), func() { _ = raw.Close() }, nil
 	}
 	return "", nil, fmt.Errorf("unknown mode %q", mode)
+}
+
+// baselineHandler is the reference the other modes are measured against:
+// the event route decoded by encoding/json into a map-shaped request and
+// posted through Hub.PostEvent. The measured bodies are all async.
+func baselineHandler(hub *fleet.Hub) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /fleet/homes/{home}/events", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			DeviceType string            `json:"deviceType"`
+			Name       string            `json:"name"`
+			Location   string            `json:"location"`
+			Vars       map[string]string `json:"vars"`
+		}
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, ingest.DefaultMaxBody)).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if err := hub.PostEvent(r.PathValue("home"), req.DeviceType, req.Name, req.Location, req.Vars); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+	})
+	return mux
 }
 
 // eventBody builds the thermometer JSON body posted for the given value —

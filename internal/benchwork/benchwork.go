@@ -33,6 +33,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/simplex"
@@ -186,8 +187,10 @@ func SeedRoomTemp(e *engine.Engine, n int, events []map[string]string) {
 	e.HandleDeviceEvent(device.TypePresenceSensor, "presence sensor", "home",
 		map[string]string{"presence-tom": "living room"})
 	low := map[string]string{"temperature": "10"}
+	var ev ingest.Event
 	for i := 1; i < n; i++ {
-		e.Ingest(device.TypeThermometer, "thermometer", fmt.Sprintf("room%d", i), low)
+		ev.Fill(device.TypeThermometer, "thermometer", fmt.Sprintf("room%d", i), low)
+		e.IngestEvent(&ev)
 	}
 	e.Tick()
 	for _, ev := range events {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/ingest"
 	"repro/internal/registry"
 	"repro/internal/simplex"
 )
@@ -50,9 +51,11 @@ func TestDispatchOneBatchPerPass(t *testing.T) {
 		}))
 
 	// One ingested event burst making all K rules ready, evaluated in one pass.
+	var ev ingest.Event
 	for i := 0; i < k; i++ {
-		e.Ingest(device.TypeThermometer, "t", fmt.Sprintf("room%d", i),
+		ev.Fill(device.TypeThermometer, "t", fmt.Sprintf("room%d", i),
 			map[string]string{"temperature": "30"})
+		e.IngestEvent(&ev)
 	}
 	e.Tick()
 
@@ -114,8 +117,10 @@ func TestIngestThenTickMatchesHandleDeviceEvent(t *testing.T) {
 		return fmt.Sprintf("room%d", i)
 	}
 	base := burst.Passes()
+	var ev ingest.Event
 	for i, vars := range events {
-		burst.Ingest(device.TypeThermometer, "t", room(i), vars)
+		ev.Fill(device.TypeThermometer, "t", room(i), vars)
+		burst.IngestEvent(&ev)
 	}
 	burst.Tick()
 	if got := burst.Passes() - base; got != 1 {

@@ -69,6 +69,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/registry"
 )
@@ -180,15 +181,16 @@ type Engine struct {
 
 	// Ingest caches: first sight of a device variable, an arrival signature,
 	// a place name or the EPG feed interns its keys; every later event with
-	// the same signature reuses the ids without building a string. Both
-	// entry points hand the ingest path byte slices, so the caches are keyed
-	// by signature byte strings (see appendSig) and consulted with the
-	// allocation-free m[string(b)] lookup form. Dropped on symbol compaction.
+	// the same signature reuses the ids without building a string. Every
+	// event reaches the ingest path as an ingest.Event of byte slices, so the
+	// caches are keyed by signature byte strings (see appendSig) and
+	// consulted with the allocation-free m[string(b)] lookup form. Dropped on
+	// symbol compaction.
 	varCacheB   map[string]*cachedVar
 	arrCacheB   map[string]arrIDs // "person|event" → interned ids
 	placeSlot   map[string]uint32 // place name → interned place id + 1
 	programsDep uint32            // interned core.ProgramsDepKey
-	sigScratch  []byte            // the signature (and value) being ingested
+	sigScratch  []byte            // the signature being ingested
 
 	// Per-pass scratch, reused across passes and cleared on exit so a
 	// steady-state pass allocates nothing.
@@ -468,40 +470,18 @@ func (e *Engine) SetUsers(users []string) {
 
 // HandleDeviceEvent ingests a UPnP property-change event from a device: the
 // server passes the device's identity and the changed variables; the engine
-// maps them onto context keys, marks the matching dependency keys dirty, and
-// re-evaluates.
+// copies them into a pooled ingest.Event, maps them onto context keys
+// through the same ingest as IngestEvent, marks the matching dependency keys
+// dirty, and re-evaluates. The engine keeps nothing that aliases vars. The
+// event is pooled rather than an Engine field because hub homes never call
+// this, and one more field moves every Engine up a heap size class.
 func (e *Engine) HandleDeviceEvent(deviceType, friendlyName, location string, vars map[string]string) {
+	ev := ingest.AcquireEvent()
+	ev.Fill(deviceType, friendlyName, location, vars)
 	e.mu.Lock()
-	e.ingestLocked(deviceType, friendlyName, location, vars)
+	e.ingestEventLocked(ev)
+	ev.Release()
 	e.evaluateLocked()
-}
-
-// Ingest applies a device event's context writes and dirty-key marks without
-// running an evaluation pass. The fleet hub uses it to coalesce an event
-// burst: ingest every event of the burst, then run a single Tick, which
-// evaluates all the accumulated dirty keys in one pass.
-func (e *Engine) Ingest(deviceType, friendlyName, location string, vars map[string]string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ingestLocked(deviceType, friendlyName, location, vars)
-}
-
-// ingestLocked copies each variable's signature and value into the reused
-// scratch buffer and runs the byte path IngestEvent runs, so both entry
-// points share one set of ingest caches and a steady-state event allocates
-// nothing.
-func (e *Engine) ingestLocked(deviceType, friendlyName, location string, vars map[string]string) {
-	if e.fullScan {
-		e.ingestStringLocked(deviceType, friendlyName, location, vars)
-		return
-	}
-	for name, value := range vars {
-		b := appendSig(e.sigScratch[:0], deviceType, friendlyName, location, name)
-		n := len(b)
-		b = append(b, value...)
-		e.sigScratch = b
-		e.ingestVarLocked(b[:n], b[n-len(name):n], b[n:])
-	}
 }
 
 // ingestStringLocked is the full-scan oracle's ingest: plain string writes

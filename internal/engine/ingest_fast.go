@@ -10,18 +10,26 @@ import (
 	"repro/internal/ingest"
 )
 
-// IngestEvent applies a wire-decoded event without materializing Go strings
-// on the steady-state path. It is the byte-slice twin of Ingest: the decoded
-// fields alias the request body, so interning happens here — on the shard
-// goroutine that owns this engine's symbol table — through the byte-keyed
-// ingest caches. A cache hit costs one map lookup per variable (the
-// allocation-free m[string(b)] form); a miss materializes the strings once.
+// IngestEvent applies a device event's context writes and dirty-key marks
+// without running an evaluation pass. It is the engine's one ingest path:
+// HandleDeviceEvent fills a pooled event and runs it too, and the fleet hub
+// coalesces a burst by ingesting every event, then running a single Tick
+// that evaluates all the accumulated dirty keys in one pass. No Go strings
+// are materialized on the steady-state path: the fields alias the event's
+// bytes, so interning happens here — on the goroutine that owns this
+// engine's symbol table — through the byte-keyed ingest caches. A cache hit
+// costs one map lookup per variable (the allocation-free m[string(b)] form);
+// a miss materializes the strings once.
 //
 // The caller keeps ownership of ev and its slices; the engine retains
 // nothing that aliases them.
 func (e *Engine) IngestEvent(ev *ingest.Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.ingestEventLocked(ev)
+}
+
+func (e *Engine) ingestEventLocked(ev *ingest.Event) {
 	if e.fullScan {
 		// The oracle has no id caches to hit; materialize the map shape its
 		// string ingest expects.
@@ -72,8 +80,8 @@ func (e *Engine) ingestVarLocked(sig, name, value []byte) {
 // appendSig appends a device variable's signature — device type, friendly
 // name, location and variable name — the key of the ingest cache. Every
 // field but the last is length-prefixed, so the encoding is unambiguous
-// whatever bytes the fields hold (map-path strings need not be valid UTF-8).
-func appendSig[S ~string | ~[]byte](s []byte, deviceType, friendlyName, location, name S) []byte {
+// whatever bytes the fields hold (a filled event's need not be valid UTF-8).
+func appendSig(s, deviceType, friendlyName, location, name []byte) []byte {
 	s = binary.AppendUvarint(s, uint64(len(deviceType)))
 	s = append(s, deviceType...)
 	s = binary.AppendUvarint(s, uint64(len(friendlyName)))

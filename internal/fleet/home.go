@@ -52,17 +52,6 @@ type wordDef struct {
 	owner  string
 }
 
-// eventMsg is one ingested device event in the string/map shape used by the
-// stock handler and API surface. Wire-decoded events skip this struct
-// entirely: they ride the task's inline fast field (a pooled *ingest.Event)
-// so the hot post path performs no per-event allocation.
-type eventMsg struct {
-	deviceType   string
-	friendlyName string
-	location     string
-	vars         map[string]string
-}
-
 func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMetrics) *Home {
 	lex := c.lexicon(id)
 	h := &Home{
@@ -328,15 +317,11 @@ func (h *Home) PriorityOrders(ref core.DeviceRef) []conflict.Order {
 	return h.priorities.OrdersFor(ref)
 }
 
-// ApplyEvent ingests one device event's context writes without evaluating;
-// the shard flushes the accumulated dirty set in one pass afterwards.
-func (h *Home) ApplyEvent(ev *eventMsg) {
-	h.engine.Ingest(ev.deviceType, ev.friendlyName, ev.location, ev.vars)
-}
-
-// ApplyFast ingests a wire-decoded event and releases it back to its pool —
-// application is the end of its ownership chain.
-func (h *Home) ApplyFast(ev *ingest.Event) {
+// Apply ingests one device event's context writes without evaluating and
+// releases the event back to its pool — application is the end of its
+// ownership chain. The shard flushes the accumulated dirty set in one pass
+// afterwards.
+func (h *Home) Apply(ev *ingest.Event) {
 	h.engine.IngestEvent(ev)
 	ev.Release()
 }

@@ -28,7 +28,8 @@ import (
 //	GET    /fleet/homes/{home}/rules                              list rules
 //	DELETE /fleet/homes/{home}/rules/{id}                         remove a rule
 //	POST   /fleet/homes/{home}/events    {"deviceType","name",    ingest a device event
-//	                                      "location","vars"}      (async 202, sync 200)
+//	                                      "location","vars",      (async 202, sync 200;
+//	                                      "sync"}                 served by an ingest.Sink)
 //	POST   /fleet/homes/{home}/priority  {"device","users",       set a priority order
 //	                                      "context"}
 //	GET    /fleet/homes/{home}/log                                fired actions of the home
@@ -43,7 +44,7 @@ import (
 type HTTPHandler struct {
 	hub       *Hub
 	mux       *http.ServeMux
-	eventSink http.Handler // non-nil replaces postEvents on the hot route
+	eventSink http.Handler // serves POST /fleet/homes/{home}/events
 }
 
 // HandlerOption configures NewHTTPHandler.
@@ -53,19 +54,19 @@ type handlerOptionFunc func(*HTTPHandler)
 
 func (f handlerOptionFunc) applyHandler(h *HTTPHandler) { f(h) }
 
-// WithEventSink routes POST /fleet/homes/{home}/events through sink — the
-// wire-speed ingest path (see NewEventSink) — instead of the stock
-// encoding/json handler. Every other route keeps the stock implementation.
+// WithEventSink serves POST /fleet/homes/{home}/events with sink instead of
+// the default NewEventSink(hub, ingest.Limits{}) — how a server installs a
+// sink with admission limits or shares one with the raw-socket front end.
 func WithEventSink(sink http.Handler) HandlerOption {
 	return handlerOptionFunc(func(h *HTTPHandler) { h.eventSink = sink })
 }
 
-// NewEventSink builds the fast event handler for a hub: the streaming
-// decoder and pooled buffers of internal/ingest in front of PostEventFast,
-// with admission control wired to the hub's shard-backlog signal and the
-// hub's sentinel-error → status table, so the sink and the stock handler
-// answer identically. Pass extra sink options (ingest.WithMaxBody, a test
-// admission) after the limits.
+// NewEventSink builds the event handler for a hub: the streaming decoder
+// and pooled buffers of internal/ingest in front of PostEventFast, with
+// admission control wired to the hub's shard-backlog signal and the hub's
+// sentinel-error → status table, so events answer with the same statuses
+// and Retry-After hints as every other route. Pass extra sink options
+// (ingest.WithMaxBody, a test admission) after the limits.
 func NewEventSink(hub *Hub, limits ingest.Limits, opts ...ingest.SinkOption) *ingest.Sink {
 	base := []ingest.SinkOption{
 		ingest.WithMaxBody(maxEventBody),
@@ -100,11 +101,10 @@ func NewHTTPHandler(hub *Hub, opts ...HandlerOption) *HTTPHandler {
 	h.mux.HandleFunc("POST /fleet/homes/{home}/rules", h.postRules)
 	h.mux.HandleFunc("GET /fleet/homes/{home}/rules", h.getRules)
 	h.mux.HandleFunc("DELETE /fleet/homes/{home}/rules/{id}", h.deleteRule)
-	if h.eventSink != nil {
-		h.mux.Handle("POST /fleet/homes/{home}/events", h.eventSink)
-	} else {
-		h.mux.HandleFunc("POST /fleet/homes/{home}/events", h.postEvents)
+	if h.eventSink == nil {
+		h.eventSink = NewEventSink(hub, ingest.Limits{})
 	}
+	h.mux.Handle("POST /fleet/homes/{home}/events", h.eventSink)
 	h.mux.HandleFunc("POST /fleet/homes/{home}/priority", h.postPriority)
 	h.mux.HandleFunc("GET /fleet/homes/{home}/log", h.getLog)
 	h.mux.HandleFunc("GET /fleet/homes/{home}/stats", h.getHomeStats)
@@ -133,8 +133,8 @@ type errorBody struct {
 }
 
 // errorStatus maps the hub's sentinel errors to HTTP statuses. It is the
-// single source of truth for both the stock handler (writeError) and the
-// fast event sink's status mapper, so the two paths answer identically.
+// single source of truth for both the JSON routes (writeError) and the
+// event sink's status mapper, so every route answers alike.
 func errorStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownUser):
@@ -165,8 +165,8 @@ func errorStatus(err error) int {
 }
 
 // errorRetrySeconds maps an error to the Retry-After hint in whole seconds
-// (0 = no hint). Shared by the stock handler and the fast event sink, so a
-// sealed or degraded home answers with the same cool-down on both paths.
+// (0 = no hint). Shared by the JSON routes and the event sink, so a sealed
+// or degraded home answers with the same cool-down on every route.
 func errorRetrySeconds(err error) int {
 	var retryAfter time.Duration
 	var de *DegradedError
@@ -328,45 +328,6 @@ func (h *HTTPHandler) deleteRule(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// ---- events ----
-
-type eventRequest struct {
-	DeviceType string            `json:"deviceType"`
-	Name       string            `json:"name"`
-	Location   string            `json:"location,omitempty"`
-	Vars       map[string]string `json:"vars"`
-	// Sync makes the call wait until the home has evaluated the event.
-	Sync bool `json:"sync,omitempty"`
-}
-
-// postEvents is the stock event route — and the correctness oracle the fast
-// sink is tested against. Status contract: an async post is acknowledged
-// with 202 Accepted (the event is queued, evaluation happens later on the
-// home's shard); a "sync":true post already waited for the home to evaluate
-// before answering, so it returns 200 OK — the work is done, not pending.
-func (h *HTTPHandler) postEvents(w http.ResponseWriter, r *http.Request) {
-	var req eventRequest
-	if !decodeBody(w, r, maxEventBody, &req) {
-		return
-	}
-	home := r.PathValue("home")
-	var err error
-	if req.Sync {
-		err = h.hub.PostEventSync(home, req.DeviceType, req.Name, req.Location, req.Vars)
-	} else {
-		err = h.hub.PostEvent(home, req.DeviceType, req.Name, req.Location, req.Vars)
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Sync {
-		w.WriteHeader(http.StatusOK)
-	} else {
-		w.WriteHeader(http.StatusAccepted)
-	}
-}
-
 // ---- priorities ----
 
 type priorityRequest struct {
@@ -494,7 +455,7 @@ func (h *HTTPHandler) getStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // admission digs the admission controller out of the configured event sink;
-// nil when the stock handler serves events or admission is disabled.
+// nil when the sink is not an *ingest.Sink or admission is disabled.
 func (h *HTTPHandler) admission() *ingest.Admission {
 	if s, ok := h.eventSink.(*ingest.Sink); ok {
 		return s.Admission()

@@ -22,13 +22,12 @@ import (
 // per-home operation, or a shard-level operation.
 type task struct {
 	home    string
-	event   *eventMsg       // coalescable ingestion (string/map shape)
-	fast    *ingest.Event   // wire-decoded ingestion; inline so PostEventFast allocates nothing
+	event   *ingest.Event   // coalescable device event; pooled, so a post allocates nothing
 	fn      func(*Home)     // per-home operation; receives nil if the home does not exist and create is unset
 	shardFn func(*shard)    // shard-level operation (stats, barriers)
 	create  bool            // materialize the home on first touch (mutations, ingestion)
 	done    chan struct{}   // close-once ack (API operations, barriers)
-	wg      *sync.WaitGroup // reusable ack for sync fast posts; pooled, so the hot sync path allocates nothing
+	wg      *sync.WaitGroup // reusable ack for sync event posts; pooled, so the sync path allocates nothing
 }
 
 // mailbox is an unbounded MPSC queue. Unboundedness is deliberate: a dispatch
@@ -131,22 +130,13 @@ func (s *shard) exec(t task) {
 	if hm == nil && t.create {
 		hm = s.home(t.home)
 	}
-	if t.event != nil || t.fast != nil {
-		if t.fast != nil {
-			hm.ApplyFast(t.fast)
-		} else {
-			hm.ApplyEvent(t.event)
-		}
+	if t.event != nil {
+		hm.Apply(t.event)
 		s.pending[t.home] = hm
 		s.events++
-		if t.done != nil || t.wg != nil { // synchronous event: evaluate before acking
+		if t.wg != nil { // synchronous event: evaluate before acking
 			s.flush()
-			if t.done != nil {
-				close(t.done)
-			}
-			if t.wg != nil {
-				t.wg.Done()
-			}
+			t.wg.Done()
 		}
 		return
 	}
@@ -695,7 +685,8 @@ func (h *Hub) PriorityOrders(home string, ref core.DeviceRef) ([]conflict.Order,
 
 // PostEvent asynchronously ingests a device event for a home. Events of one
 // home are applied in posting order; a backlog coalesces into a single
-// evaluation pass. The hub takes ownership of vars.
+// evaluation pass. The event is copied into a pooled ingest.Event before
+// PostEvent returns, so the caller keeps vars and may reuse it.
 func (h *Hub) PostEvent(home, deviceType, friendlyName, location string, vars map[string]string) error {
 	if err := h.sealedErr(home); err != nil {
 		return err
@@ -709,53 +700,39 @@ func (h *Hub) PostEvent(home, deviceType, friendlyName, location string, vars ma
 // in-flight chains keep draining through here — the coordinator's quiesce
 // loop waits for them — while new external posts bounce with 503.
 func (h *Hub) PostEventFeedback(home, deviceType, friendlyName, location string, vars map[string]string) error {
-	err := h.send(home, task{home: home, create: true, event: &eventMsg{
-		deviceType: deviceType, friendlyName: friendlyName, location: location, vars: vars,
-	}})
-	if err == nil {
-		h.events.Add(1)
-	}
-	return err
+	return h.postVars(home, deviceType, friendlyName, location, vars, false)
 }
 
 // PostEventSync ingests a device event and waits until the home has
-// evaluated it.
+// evaluated it. Like PostEvent, it copies vars and keeps no reference.
 func (h *Hub) PostEventSync(home, deviceType, friendlyName, location string, vars map[string]string) error {
 	if err := h.sealedErr(home); err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	err := h.send(home, task{home: home, create: true, event: &eventMsg{
-		deviceType: deviceType, friendlyName: friendlyName, location: location, vars: vars,
-	}, done: done})
+	return h.postVars(home, deviceType, friendlyName, location, vars, true)
+}
+
+// postVars fills a pooled event from a map-shaped event and posts it.
+func (h *Hub) postVars(home, deviceType, friendlyName, location string, vars map[string]string, wait bool) error {
+	ev := ingest.AcquireEvent()
+	ev.Fill(deviceType, friendlyName, location, vars)
+	err := h.post(home, ev, wait)
 	if err != nil {
-		return err
+		ev.Release()
 	}
-	h.events.Add(1)
-	<-done
-	return nil
+	return err
 }
 
 // PostEventFast asynchronously ingests a wire-decoded event. On success the
 // hub takes ownership of ev (including every slice decoded from it) and
 // releases it to the pool after the home applies it; on error the caller
-// still owns ev. This is the ingest.Poster surface the fast sink posts into.
+// still owns ev. This is the ingest.Poster surface the sink posts into.
 func (h *Hub) PostEventFast(home string, ev *ingest.Event) error {
 	if err := h.sealedErr(home); err != nil {
 		return err
 	}
-	err := h.send(home, task{home: home, create: true, fast: ev})
-	if err == nil {
-		h.events.Add(1)
-	}
-	return err
+	return h.post(home, ev, false)
 }
-
-// syncWaiters pools the WaitGroups that ack synchronous fast posts: a
-// one-shot channel per event would be the last allocation left on the sync
-// hot path. Reuse is safe because each waiter's Wait has returned before
-// the pool sees it again.
-var syncWaiters = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // PostEventFastSync is PostEventFast waiting until the home has evaluated
 // the event. Ownership transfers as in PostEventFast; ev is already released
@@ -764,18 +741,37 @@ func (h *Hub) PostEventFastSync(home string, ev *ingest.Event) error {
 	if err := h.sealedErr(home); err != nil {
 		return err
 	}
-	wg := syncWaiters.Get().(*sync.WaitGroup)
-	wg.Add(1)
-	err := h.send(home, task{home: home, create: true, fast: ev, wg: wg})
-	if err != nil {
-		wg.Done()
-		syncWaiters.Put(wg)
-		return err
+	return h.post(home, ev, true)
+}
+
+// syncWaiters pools the WaitGroups that ack synchronous posts: a one-shot
+// channel per event would be the last allocation left on the sync path.
+// Reuse is safe because each waiter's Wait has returned before the pool
+// sees it again.
+var syncWaiters = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
+// post enqueues ev for home — the one event path every post method takes —
+// and, when wait is set, blocks until the home has evaluated it. On success
+// the hub owns ev; on error the caller still does.
+func (h *Hub) post(home string, ev *ingest.Event, wait bool) error {
+	t := task{home: home, create: true, event: ev}
+	if wait {
+		t.wg = syncWaiters.Get().(*sync.WaitGroup)
+		t.wg.Add(1)
 	}
-	h.events.Add(1)
-	wg.Wait()
-	syncWaiters.Put(wg)
-	return nil
+	err := h.send(home, t)
+	if err == nil {
+		h.events.Add(1)
+	}
+	if t.wg != nil {
+		if err == nil {
+			t.wg.Wait()
+		} else {
+			t.wg.Done()
+		}
+		syncWaiters.Put(t.wg)
+	}
+	return err
 }
 
 // Backlog reports how many tasks are queued right now on the shard that owns

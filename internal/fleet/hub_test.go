@@ -344,3 +344,71 @@ func TestHubAuthorizer(t *testing.T) {
 		t.Fatalf("allowed rule = %v", err)
 	}
 }
+
+// TestPostEventSyncZeroAlloc pins the map-shaped post path at zero
+// allocations: PostEventSync fills a pooled ingest.Event from a reused vars
+// map and acks through a pooled waiter, and the shard ingests and evaluates
+// it on warm caches — nothing per event on either goroutine.
+func TestPostEventSyncZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	h := newTestHub(t, WithShards(1))
+	seedHome(t, h, "h")
+	vars := map[string]string{"temperature": "20", "humidity": "40"}
+	post := func(temp string) {
+		vars["temperature"] = temp
+		if err := h.PostEventSync("h", device.TypeThermometer, "thermometer", "living room", vars); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ { // warm the event pool and the ingest caches
+		post("20")
+		post("21")
+	}
+	temps := [2]string{"20", "21"}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		post(temps[i%2])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state PostEventSync allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestPostEventFeedbackBypassesSeal pins the migration contract: while a
+// home is sealed, external posts bounce with ErrHomeSealed but a
+// dispatch-feedback post is accepted, and its write reaches the state the
+// migration exports.
+func TestPostEventFeedbackBypassesSeal(t *testing.T) {
+	h := newTestHub(t, WithShards(1))
+	seedHome(t, h, "h")
+	postTemp(t, h, "h", "20")
+	if err := h.SealHome("h"); err != nil {
+		t.Fatal(err)
+	}
+	vars := func(temp string) map[string]string { return map[string]string{"temperature": temp} }
+	if err := h.PostEvent("h", device.TypeThermometer, "thermometer", "living room", vars("24")); !errors.Is(err, ErrHomeSealed) {
+		t.Fatalf("PostEvent on a sealed home: %v, want ErrHomeSealed", err)
+	}
+	if err := h.PostEventSync("h", device.TypeThermometer, "thermometer", "living room", vars("25")); !errors.Is(err, ErrHomeSealed) {
+		t.Fatalf("PostEventSync on a sealed home: %v, want ErrHomeSealed", err)
+	}
+	if err := h.PostEventFeedback("h", device.TypeThermometer, "thermometer", "living room", vars("26")); err != nil {
+		t.Fatalf("PostEventFeedback on a sealed home: %v, want accepted", err)
+	}
+	if err := h.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := h.ExportHome("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := exp.State.Numbers["living room/temperature"]; !ok || got != 26 {
+		t.Fatalf("exported temperature = %v, %v; want the feedback write 26", got, ok)
+	}
+	if got := h.EventsAccepted(); got != 2 {
+		t.Fatalf("events accepted = %d, want 2 (the seed post and the feedback)", got)
+	}
+}

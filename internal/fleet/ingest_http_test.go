@@ -21,7 +21,7 @@ import (
 )
 
 // TestErrorStatusTable pins the sentinel-error → HTTP status mapping shared
-// by the stock handler and the fast sink.
+// by the JSON routes and the event sink.
 func TestErrorStatusTable(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -47,7 +47,8 @@ func TestErrorStatusTable(t *testing.T) {
 }
 
 // TestHTTPBodyCaps pins the per-route request-body limits: oversized bodies
-// answer 413 on every decoding route, stock and fast alike.
+// answer 413 on every decoding route, the encoding/json routes and the
+// event sink alike.
 func TestHTTPBodyCaps(t *testing.T) {
 	hub := newTestHub(t, WithShards(1))
 	ts := httptest.NewServer(NewHTTPHandler(hub,
@@ -168,6 +169,38 @@ func TestEventSinkBackpressureForcedBacklog(t *testing.T) {
 	}
 }
 
+// jsonEventHandler is the reference event route the sink is held to: the
+// body decoded by encoding/json into a map-shaped request, then posted
+// through Hub.PostEvent or, for "sync":true, Hub.PostEventSync. It answers
+// with the sink's status contract: 202 for a queued async post, 200 once a
+// sync post has been evaluated, 400 malformed, 413 oversized, and the hub's
+// error statuses otherwise.
+func jsonEventHandler(hub *Hub) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /fleet/homes/{home}/events", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			DeviceType string            `json:"deviceType"`
+			Name       string            `json:"name"`
+			Location   string            `json:"location"`
+			Vars       map[string]string `json:"vars"`
+			Sync       bool              `json:"sync"`
+		}
+		if !decodeBody(w, r, maxEventBody, &req) {
+			return
+		}
+		post, status := hub.PostEvent, http.StatusAccepted
+		if req.Sync {
+			post, status = hub.PostEventSync, http.StatusOK
+		}
+		if err := post(r.PathValue("home"), req.DeviceType, req.Name, req.Location, req.Vars); err != nil {
+			writeError(w, err)
+			return
+		}
+		w.WriteHeader(status)
+	})
+	return mux
+}
+
 // postBody POSTs raw bytes to an event route and returns the status code.
 func postBody(t *testing.T, url string, body []byte) *http.Response {
 	t.Helper()
@@ -179,16 +212,16 @@ func postBody(t *testing.T, url string, body []byte) *http.Response {
 	return resp
 }
 
-// TestEventSinkOracleEquivalence feeds the same body bytes through the fast
-// sink and the stock handler (on twin hubs) and asserts the engine-observed
-// outcome — fired logs, owners, stats — is identical.
+// TestEventSinkOracleEquivalence feeds the same body bytes through the
+// sink and the encoding/json reference handler (on twin hubs) and asserts
+// the engine-observed outcome — fired logs, owners, stats — is identical.
 func TestEventSinkOracleEquivalence(t *testing.T) {
 	fast := newTestHub(t, WithShards(1))
 	oracle := newTestHub(t, WithShards(1))
 	fastTS := httptest.NewServer(NewHTTPHandler(fast,
 		WithEventSink(NewEventSink(fast, ingest.Limits{}))))
 	defer fastTS.Close()
-	oracleTS := httptest.NewServer(NewHTTPHandler(oracle))
+	oracleTS := httptest.NewServer(jsonEventHandler(oracle))
 	defer oracleTS.Close()
 	seedHome(t, fast, "h")
 	seedHome(t, oracle, "h")
@@ -257,9 +290,9 @@ func TestEventSinkOracleEquivalence(t *testing.T) {
 // over-rate flood home is shed with 429 + Retry-After while an in-budget
 // calm home on the same shard keeps evaluating — including the dispatch
 // feedback its firings generate (the actuated air conditioner reports the
-// cooled temperature back into the hub, past admission control). The stock
-// handler on a twin hub, fed exactly the admitted bodies, is the oracle the
-// surviving state must match.
+// cooled temperature back into the hub, past admission control). The
+// encoding/json reference handler on a twin hub, fed exactly the admitted
+// bodies, is the oracle the surviving state must match.
 func TestEventSinkSaturation(t *testing.T) {
 	feedback := func(hubp **Hub, count *int, mu *sync.Mutex) Dispatcher {
 		return func(home string, _ core.DeviceRef, _ core.Action) error {
@@ -286,7 +319,7 @@ func TestEventSinkSaturation(t *testing.T) {
 	fastTS := httptest.NewServer(NewHTTPHandler(fastHub,
 		WithEventSink(NewEventSink(fastHub, ingest.Limits{}, ingest.WithAdmission(adm)))))
 	defer fastTS.Close()
-	oracleTS := httptest.NewServer(NewHTTPHandler(oracleHub))
+	oracleTS := httptest.NewServer(jsonEventHandler(oracleHub))
 	defer oracleTS.Close()
 
 	for _, hub := range []*Hub{fastHub, oracleHub} {
@@ -296,6 +329,16 @@ func TestEventSinkSaturation(t *testing.T) {
 
 	// Each sync body waits for evaluation AND its dispatch feedback is
 	// enqueued before the ack, so the replay order below is deterministic.
+	// The feedback is only enqueued, though: a next post that reaches the
+	// shard before it drains would share its pass (20 then 31 in one pass
+	// leaves the rule ready and fires nothing). Quiescing after every post
+	// gives each feedback a pass of its own on both hubs.
+	settle := func(h *Hub) {
+		t.Helper()
+		if err := h.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	body := func(temp string) []byte {
 		return []byte(`{"deviceType":"` + device.TypeThermometer +
 			`","name":"thermometer","location":"living room","vars":{"temperature":"` +
@@ -309,6 +352,7 @@ func TestEventSinkSaturation(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		b := body("31")
 		resp := postBody(t, fastTS.URL+"/fleet/homes/flood/events", b)
+		settle(fastHub)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			admitted = append(admitted, [2]string{"flood", string(b)})
@@ -324,6 +368,7 @@ func TestEventSinkSaturation(t *testing.T) {
 		if i%4 == 3 {
 			b := body("31")
 			resp := postBody(t, fastTS.URL+"/fleet/homes/calm/events", b)
+			settle(fastHub)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("calm post at flood step %d: status %d — in-budget home was starved", i, resp.StatusCode)
 			}
@@ -334,9 +379,10 @@ func TestEventSinkSaturation(t *testing.T) {
 		t.Fatalf("shed %d flood posts, want 9 of 12", shed)
 	}
 
-	// Oracle replay: the same admitted bodies, same order, stock handler.
+	// Oracle replay: the same admitted bodies, same order, reference handler.
 	for _, ab := range admitted {
 		resp := postBody(t, oracleTS.URL+"/fleet/homes/"+ab[0]+"/events", []byte(ab[1]))
+		settle(oracleHub)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("oracle replay %s: status %d", ab[0], resp.StatusCode)
 		}

@@ -11,8 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
-// oracleEvent mirrors the stock fleet handler's request struct; the decoder
-// must observe exactly what encoding/json would decode into it.
+// oracleEvent mirrors the request struct of the encoding/json reference
+// event handler in the fleet tests; the decoder must observe exactly what
+// encoding/json would decode into it.
 type oracleEvent struct {
 	DeviceType string            `json:"deviceType"`
 	Name       string            `json:"name"`
@@ -21,7 +22,7 @@ type oracleEvent struct {
 	Sync       bool              `json:"sync"`
 }
 
-// decodeOracle runs the oracle path: json.Decoder.Decode, as the stock
+// decodeOracle runs the oracle path: json.Decoder.Decode, as the reference
 // handler does (NOT Unmarshal — the Decoder ignores trailing bytes after the
 // first value, and the fast decoder mirrors that).
 func decodeOracle(body []byte) (oracleEvent, error) {

@@ -1,17 +1,20 @@
-// Package ingest is the fleet hub's wire-speed event front end: a streaming
-// decoder for the /fleet/homes/{home}/events body that surfaces the event's
-// fields as byte slices over a reusable buffer (no intermediate Go strings,
-// no map[string]string), an admission-control layer (per-home token buckets
-// plus a backlog-aware load shedder) that turns overload into 429s with
-// Retry-After instead of unbounded queue growth, and the Sink HTTP handler
-// tying both in front of the hub's PostEvent path.
+// Package ingest is the fleet hub's event front end and its one event
+// representation. Event carries a device event's fields as byte slices over
+// a reusable buffer: the streaming decoder fills it from a
+// /fleet/homes/{home}/events body (no intermediate Go strings, no
+// map[string]string), and Fill copies a map-shaped event into it, so every
+// event reaches the engine in the same shape. Beside the decoder sit an
+// admission-control layer (per-home token buckets plus a backlog-aware load
+// shedder) that turns overload into 429s with Retry-After instead of
+// unbounded queue growth, and the Sink HTTP handler tying both in front of
+// the hub's post path.
 //
 // The division of labour with the engine: this package gets the bytes off
-// the wire and decides whether the fleet wants them; the engine's byte-path
-// ingest (engine.IngestEvent) interns those bytes straight into the home's
-// symbol ids. The generic net/http + encoding/json handler remains the
-// correctness oracle — same body bytes must produce the same engine-observed
-// event on either path.
+// the wire and decides whether the fleet wants them; the engine's ingest
+// (engine.IngestEvent) interns those bytes straight into the home's symbol
+// ids. Sink is the only event handler; encoding/json stays in the tests as
+// the reference decoder — the same body bytes must produce the same event,
+// and the same engine-observed state, on either.
 //
 // Admission control exists because the shard mailbox is deliberately
 // unbounded: a dispatch callback may feed events back into the hub (an
@@ -19,7 +22,7 @@
 // queue would deadlock a shard against its own downstream. Flow control
 // therefore lives here, at the transport, where shedding an external
 // client's event is safe — dispatch-feedback events enter through
-// Hub.PostEvent directly and are never shed.
+// Hub.PostEventFeedback directly and are never shed.
 package ingest
 
 import (
@@ -36,9 +39,10 @@ type Var struct {
 	Key, Value []byte
 }
 
-// Event is one decoded event-request body. All byte-slice fields alias the
-// event's Body (or its internal scratch); the event owns them as a unit, so
-// a consumer must finish with the slices before calling Release.
+// Event is one device event, decoded from a request body (Decode) or copied
+// from a map (Fill). All byte-slice fields alias the event's Body (or its
+// internal scratch); the event owns them as a unit, so a consumer must
+// finish with the slices before calling Release.
 type Event struct {
 	DeviceType []byte
 	Name       []byte
@@ -48,8 +52,9 @@ type Event struct {
 	// event before acknowledging (200 instead of 202).
 	Sync bool
 
-	// Body holds the raw request bytes. ReadBody fills it; Decode slices
-	// into it. Exposed so benchmarks and the sink can reuse the same arena.
+	// Body holds the raw request bytes (ReadBody fills it, Decode slices
+	// into it) or the strings Fill copied. Exposed so benchmarks and the
+	// sink can reuse the same arena.
 	Body []byte
 
 	scratch []byte // unescape / UTF-8-coercion arena, reused across decodes
@@ -75,6 +80,42 @@ func (e *Event) Release() {
 	e.Body = e.Body[:0]
 	e.scratch = e.scratch[:0]
 	eventPool.Put(e)
+}
+
+// Fill sets e to a map-shaped event: each string is copied into e's Body
+// arena and DeviceType, Name, Location and Vars point into it, so e owns
+// its bytes and the caller may reuse vars as soon as Fill returns. Sync is
+// cleared. Capacity is reused, so filling a warm event allocates nothing.
+func (e *Event) Fill(deviceType, name, location string, vars map[string]string) {
+	n := len(deviceType) + len(name) + len(location)
+	for k, v := range vars {
+		n += len(k) + len(v)
+	}
+	if cap(e.Body) < n {
+		e.Body = make([]byte, 0, n)
+	}
+	// The arena is sized up front, so no append below moves it.
+	b := e.Body[:0]
+	b, e.DeviceType = appendField(b, deviceType)
+	b, e.Name = appendField(b, name)
+	b, e.Location = appendField(b, location)
+	e.Vars = e.Vars[:0]
+	for k, v := range vars {
+		var key, value []byte
+		b, key = appendField(b, k)
+		b, value = appendField(b, v)
+		e.Vars = append(e.Vars, Var{Key: key, Value: value})
+	}
+	e.Body = b
+	e.Sync = false
+}
+
+// appendField appends s to b and returns the grown b and the appended
+// bytes, capped so an append to the field cannot overwrite its neighbour.
+func appendField(b []byte, s string) ([]byte, []byte) {
+	n := len(b)
+	b = append(b, s...)
+	return b, b[n:len(b):len(b)]
 }
 
 // ErrBodyTooLarge marks a request body over the sink's per-route cap; the

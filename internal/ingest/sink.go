@@ -25,11 +25,13 @@ type Poster interface {
 // leaves two orders of magnitude of headroom.
 const DefaultMaxBody = 64 << 10
 
-// Sink is the fast handler for POST /fleet/homes/{home}/events: pooled
+// Sink is the event handler for POST /fleet/homes/{home}/events: pooled
 // buffers, the streaming decoder, and admission control — no net/http
 // request-scoped allocations beyond what the server itself makes, and no
-// encoding/json. Register it on the hot route; keep the stock handler
-// elsewhere as the correctness oracle.
+// encoding/json. It is the only event handler: the fleet API serves the
+// route with one, and the raw-socket front end drives one through Admit
+// and Deliver. An encoding/json handler posting maps stays in the tests as
+// the correctness oracle.
 type Sink struct {
 	poster    Poster
 	admission *Admission   // nil = admit everything
@@ -64,8 +66,8 @@ func WithSinkMetrics(m *obs.Metrics) SinkOption {
 }
 
 // WithStatusMapper overrides how poster errors map to HTTP status codes
-// (fleet wires its sentinel-error table so the sink and the oracle handler
-// answer identically).
+// (fleet wires its sentinel-error table so events answer with the same
+// statuses as every other fleet route).
 func WithStatusMapper(f func(error) int) SinkOption {
 	return sinkOptionFunc(func(s *Sink) { s.status = f })
 }
@@ -173,10 +175,11 @@ func (s *Sink) Deliver(home string, ev *Event) Disposition {
 	return Disposition{Status: http.StatusAccepted}
 }
 
-// ServeHTTP handles one event post. Status contract (kept in lockstep with
-// the oracle handler): 200 for sync posts (evaluation completed before the
-// response), 202 for async (queued), 400 malformed body, 413 oversized,
-// 429 shed by admission control with Retry-After in whole seconds.
+// ServeHTTP handles one event post. Status contract (the reference
+// encoding/json handler in the fleet tests answers alike): 200 for sync
+// posts (evaluation completed before the response), 202 for async
+// (queued), 400 malformed body, 413 oversized, 429 shed by admission
+// control with Retry-After in whole seconds.
 func (s *Sink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	home := r.PathValue("home")
 	if home == "" {
@@ -216,8 +219,8 @@ func (s *Sink) respond(w http.ResponseWriter, d Disposition) {
 	w.WriteHeader(d.Status)
 }
 
-// writeJSONError emits the same {"error": "..."} shape as the stock fleet
-// handler, without encoding/json.
+// writeJSONError emits the same {"error": "..."} shape as the fleet API's
+// other routes, without encoding/json.
 func writeJSONError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -12,7 +12,7 @@
 // pooled ingest.Event, and responses are canned status lines. The
 // steady-state request path allocates nothing.
 //
-// The net/http transport stays registered on the stock API server as the
+// The net/http transport (the fleet API serving the same sink) stays the
 // behavioral oracle: the same bytes must produce the same statuses and the
 // same engine-observed state on either path (see the parity suites in
 // server_test.go and internal/rawhttp/README.md for what is deliberately
