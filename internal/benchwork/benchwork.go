@@ -82,15 +82,17 @@ func (w *EngineWorkload) Replay(i int) {
 	w.Engine.HandleDeviceEvent(w.DeviceType, w.DeviceName, w.DeviceLocation, w.Events[i%len(w.Events)])
 }
 
-// TraceCap is the firing-trace ring capacity benchmark engines run with.
+// TraceCap is the capacity of the firing-trace ring a benchmark engine
+// runs with. The engine is the ring's only user: the one-engine case of a
+// hub shard's shared ring.
 const TraceCap = 16
 
 // NewEngineWorkload builds the named workload at n rules, seeded to steady
 // state. Engines are fully instrumented by default — metrics into a private
-// obs registry plus a TraceCap-slot firing-trace ring — so every benchmark
-// measures the production configuration; pass engine.WithMetrics(nil) /
-// engine.WithTrace(0) to strip either back off (the overhead gate's
-// baseline). Names:
+// obs registry plus a private TraceCap-slot firing-trace ring — so every
+// benchmark measures the production configuration; pass
+// engine.WithMetrics(nil) / engine.WithTrace(nil) to strip either back off
+// (the overhead gate's baseline). Names:
 //
 //	engine_evaluate         single-key temperature event, no readiness flip
 //	engine_evaluate_firing  single-key event crossing rule 0's threshold
@@ -100,7 +102,7 @@ const TraceCap = 16
 func NewEngineWorkload(name string, n int, opts ...engine.Option) (*EngineWorkload, error) {
 	opts = append([]engine.Option{
 		engine.WithMetrics(&obs.New(1).Shard(0).Engine),
-		engine.WithTrace(TraceCap),
+		engine.WithTrace(engine.NewTraceRing(TraceCap)),
 	}, opts...)
 	w := &EngineWorkload{DeviceType: device.TypePresenceSensor, DeviceName: "presence sensor", DeviceLocation: "home"}
 	var (

@@ -212,12 +212,13 @@ type Engine struct {
 	mAcc metricsAcc
 
 	// Firing trace (WithTrace): a bounded ring of structured pass records,
-	// captured on the interned path with every slot's slices reused in
-	// place, so steady-state capture allocates nothing once the ring has
-	// cycled. traceCap is the requested capacity; the ring itself is built
-	// in New once the evaluation mode is known.
-	traceCap int
-	tr       *traceRing
+	// possibly shared with other engines, captured on the interned path with
+	// every slot's slices reused in place, so steady-state capture allocates
+	// nothing once the ring has cycled. traceID tags this engine's records;
+	// traceSeq numbers them.
+	tr       *TraceRing
+	traceID  uint64
+	traceSeq uint64
 
 	owners map[string]string // full-scan mode: device key → owning rule ID
 	log    []Fired
@@ -272,14 +273,15 @@ func WithMetrics(m *obs.EngineMetrics) Option {
 	return optionFunc(func(e *Engine) { e.em = m })
 }
 
-// WithTrace keeps a bounded ring of the last n structured pass records —
-// triggering dirty keys, candidate rules, per-device arbitration outcome
-// with winner, losers and rank reason — retrievable via TraceSnapshot.
-// Tracing runs only on the interned evaluation path and keeps it
-// allocation-free once the ring has cycled. n <= 0 disables tracing (the
-// default), overriding an earlier WithTrace.
-func WithTrace(n int) Option {
-	return optionFunc(func(e *Engine) { e.traceCap = n })
+// WithTrace records structured pass records — triggering dirty keys,
+// candidate rules, per-device arbitration outcome with winner, losers and
+// rank reason — into tr, retrievable via TraceSnapshot. Engines may share
+// one ring under its concurrency contract (see TraceRing); its capacity
+// then bounds their records together. Tracing runs only on the interned
+// evaluation path and keeps it allocation-free once the ring has cycled.
+// nil disables tracing (the default), overriding an earlier WithTrace.
+func WithTrace(tr *TraceRing) Option {
+	return optionFunc(func(e *Engine) { e.tr = tr })
 }
 
 // DefaultCompactFloor is the symbol count below which automatic symbol
@@ -328,6 +330,7 @@ func New(db *registry.DB, priorities *conflict.Table, now func() time.Time, disp
 	}
 	if e.fullScan {
 		e.owners = make(map[string]string)
+		e.tr = nil
 		return e
 	}
 	e.tab = db.Symtab()
@@ -338,8 +341,8 @@ func New(db *registry.DB, priorities *conflict.Table, now func() time.Time, disp
 	e.arrCacheB = make(map[string]arrIDs)
 	e.placeSlot = make(map[string]uint32)
 	e.programsDep = e.tab.Intern(core.ProgramsDepKey)
-	if e.traceCap > 0 {
-		e.tr = newTraceRing(e.traceCap)
+	if e.tr != nil {
+		e.traceID = e.tr.attach()
 	}
 	return e
 }
@@ -869,7 +872,8 @@ func (e *Engine) internedPassLocked() []Fired {
 	// compaction epochs.
 	var rec *passRec
 	if e.tr != nil && (len(cands) > 0 || churned || e.allDirty || e.dirtyIDs.Len() > 0 || e.scDevs.Len() > 0) {
-		rec = e.tr.start(e.ctx.Now, e.allDirty)
+		e.traceSeq++
+		rec = e.tr.start(e.traceID, e.traceSeq, e.ctx.Now, e.allDirty)
 		for _, id := range e.dirtyIDs.IDs() {
 			rec.addDirty(e.tab.Name(id))
 		}

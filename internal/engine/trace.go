@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/conflict"
@@ -9,13 +10,13 @@ import (
 )
 
 // Firing trace: a bounded ring of structured pass records answering "why did
-// this device switch to that rule". Capture runs on the interned pass under
-// the engine lock with every ring slot's slices reused in place (lengths
-// truncated, capacities retained), so once the ring has cycled a
-// steady-state pass records its trace without allocating. Recorded strings
-// are the symbol interner's (dirty keys) and the rules' own (ids, owners) —
-// string headers copy for free and stay valid across compaction epochs,
-// which renumber ids but never mutate interned strings.
+// this device switch to that rule", shared by the engines attached to it.
+// Capture runs on the interned pass with every ring slot's slices reused in
+// place (lengths truncated, capacities retained), so once the ring has
+// cycled a steady-state pass records its trace without allocating. Recorded
+// strings are the symbol interner's (dirty keys) and the rules' own (ids,
+// owners) — string headers copy for free and stay valid across compaction
+// epochs, which renumber ids but never mutate interned strings.
 //
 // Per-record caps bound a slot's footprint against pathological passes (an
 // allDirty pass over 10k rules); overflow sets the record's truncated flag
@@ -27,23 +28,62 @@ const (
 	traceMaxLosers = 16
 )
 
-// traceRing is the fixed-capacity record ring. Slots are preallocated so the
-// only steady-state growth is each slot's slice capacities during the first
-// cycle through the ring.
-type traceRing struct {
-	recs []passRec
-	next int    // slot the next record claims
-	n    int    // filled slots
-	seq  uint64 // records ever started (monotonic pass trace id)
+// TraceRing is a fixed-capacity ring of pass records that any number of
+// engines can share (WithTrace). A fleet hub builds one per shard and hands
+// it to every home on that shard, so trace memory grows with shards, not
+// homes. Each record is tagged with the integer id its engine took from the
+// ring at New (never a pointer, so a ring never pins a dropped engine) and
+// with that engine's own monotonic Seq; Engine.TraceSnapshot returns only
+// its engine's records. The capacity is shared: a busy engine evicts a
+// quiet neighbour's records.
+//
+// Slots are preallocated, so the only steady-state growth is each slot's
+// slice capacities during the first cycle through the ring. Each slot starts
+// with room for a few dirty names and candidates, so small passes do not
+// allocate even while a large shared ring is on its first cycle.
+//
+// Concurrency contract: a TraceRing has no lock of its own. Engines that
+// share a ring must not run passes or TraceSnapshot at the same time — the
+// ring is written under the passing engine's lock only. The fleet hub meets
+// this by running every pass, replay and trace read of a shard on the
+// shard's goroutine; a ring given to a single engine needs nothing more.
+type TraceRing struct {
+	recs    []passRec
+	next    int           // slot the next record claims
+	n       int           // filled slots
+	engines atomic.Uint64 // last engine id handed out; 0 marks no engine
 }
 
-func newTraceRing(n int) *traceRing {
-	return &traceRing{recs: make([]passRec, n)}
+// A new slot's room for dirty names and candidate ids; a larger pass grows
+// the slot's slices, which then keep the capacity.
+const (
+	traceSlotDirty = 4
+	traceSlotCands = 4
+)
+
+// NewTraceRing returns a ring keeping the last n pass records across every
+// engine attached to it, or nil (tracing disabled) when n <= 0.
+func NewTraceRing(n int) *TraceRing {
+	if n <= 0 {
+		return nil
+	}
+	tr := &TraceRing{recs: make([]passRec, n)}
+	dirty := make([]string, n*traceSlotDirty)
+	cands := make([]string, n*traceSlotCands)
+	for i := range tr.recs {
+		tr.recs[i].dirty = dirty[i*traceSlotDirty : i*traceSlotDirty : (i+1)*traceSlotDirty]
+		tr.recs[i].cands = cands[i*traceSlotCands : i*traceSlotCands : (i+1)*traceSlotCands]
+	}
+	return tr
 }
+
+// attach hands an engine its record tag.
+func (tr *TraceRing) attach() uint64 { return tr.engines.Add(1) }
 
 // passRec is one captured pass.
 type passRec struct {
-	seq       uint64
+	engine    uint64 // attach id of the engine that ran the pass
+	seq       uint64 // that engine's pass trace id
 	at        time.Time
 	allDirty  bool
 	truncated bool
@@ -66,9 +106,9 @@ type passDec struct {
 
 type passLoser struct{ id, owner string }
 
-// start claims the next slot, truncating its slices in place so their
-// capacity carries over to the new record.
-func (tr *traceRing) start(at time.Time, allDirty bool) *passRec {
+// start claims the next slot for engine's seq-th record, truncating the
+// slot's slices in place so their capacity carries over to the new record.
+func (tr *TraceRing) start(engine, seq uint64, at time.Time, allDirty bool) *passRec {
 	r := &tr.recs[tr.next]
 	tr.next++
 	if tr.next == len(tr.recs) {
@@ -77,8 +117,8 @@ func (tr *traceRing) start(at time.Time, allDirty bool) *passRec {
 	if tr.n < len(tr.recs) {
 		tr.n++
 	}
-	tr.seq++
-	r.seq = tr.seq
+	r.engine = engine
+	r.seq = seq
 	r.at = at
 	r.allDirty = allDirty
 	r.truncated = false
@@ -149,7 +189,8 @@ func (d *passDec) setOutcome(winner *core.Rule, ex conflict.Explain, list []*cor
 
 // PassTrace is one evaluation pass as captured by the firing-trace ring
 // (WithTrace): the dirty dependency keys that triggered it, the candidate
-// rules re-checked, and each reconciled device's arbitration outcome.
+// rules re-checked, and each reconciled device's arbitration outcome. Seq
+// numbers the engine's own traced passes from 1.
 type PassTrace struct {
 	Seq        uint64          `json:"seq"`
 	Time       time.Time       `json:"time"`
@@ -202,10 +243,12 @@ func (d *passDec) reason() string {
 	}
 }
 
-// TraceSnapshot returns the ring's records, oldest first. It allocates
-// freely (it is a read endpoint, not the firing path) and renders each
-// decision's reason string at snapshot time. Nil when tracing is disabled
-// or the engine runs in full-scan mode.
+// TraceSnapshot returns this engine's records in its trace ring, oldest
+// first. Other engines sharing the ring (WithTrace) evict records too, so a
+// quiet engine on a busy ring may keep few or none. It allocates freely (it
+// is a read endpoint, not the firing path) and renders each decision's
+// reason string at snapshot time. Nil when tracing is disabled or the engine
+// runs in full-scan mode.
 func (e *Engine) TraceSnapshot() []PassTrace {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -213,13 +256,16 @@ func (e *Engine) TraceSnapshot() []PassTrace {
 		return nil
 	}
 	tr := e.tr
-	out := make([]PassTrace, 0, tr.n)
+	out := []PassTrace{}
 	start := tr.next - tr.n
 	if start < 0 {
 		start += len(tr.recs)
 	}
 	for i := 0; i < tr.n; i++ {
 		r := &tr.recs[(start+i)%len(tr.recs)]
+		if r.engine != e.traceID {
+			continue
+		}
 		p := PassTrace{
 			Seq:        r.seq,
 			Time:       r.at,

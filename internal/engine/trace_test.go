@@ -15,18 +15,18 @@ import (
 )
 
 func TestTraceRingWrapAndReuse(t *testing.T) {
-	tr := newTraceRing(3)
+	tr := NewTraceRing(3)
 	at := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
-		r := tr.start(at, false)
+		r := tr.start(1, uint64(i+1), at, false)
 		r.addDirty(fmt.Sprintf("key%d", i))
 		r.addCand(fmt.Sprintf("rule%d", i))
 		d := r.addDec()
 		d.setDevice(core.DeviceRef{Name: fmt.Sprintf("dev%d", i)})
 		d.losers = append(d.losers, passLoser{"l", "u"})
 	}
-	if tr.seq != 5 || tr.n != 3 {
-		t.Fatalf("seq=%d n=%d, want 5/3", tr.seq, tr.n)
+	if tr.n != 3 {
+		t.Fatalf("n=%d, want 3", tr.n)
 	}
 	// Oldest surviving record is seq 3; newest is 5.
 	var seqs []uint64
@@ -47,9 +47,12 @@ func TestTraceRingWrapAndReuse(t *testing.T) {
 		t.Fatalf("dirty keys = %v", dirt)
 	}
 	// Slot reuse must not leak prior contents.
-	r := tr.start(at, true)
+	r := tr.start(2, 1, at, true)
 	if len(r.dirty) != 0 || len(r.cands) != 0 || len(r.decs) != 0 {
 		t.Fatalf("reused slot not truncated: %+v", r)
+	}
+	if r.engine != 2 || r.seq != 1 {
+		t.Fatalf("reused slot tagged engine %d seq %d, want 2/1", r.engine, r.seq)
 	}
 	d := r.addDec()
 	if len(d.losers) != 0 || cap(d.losers) == 0 {
@@ -62,8 +65,8 @@ func TestTraceRingWrapAndReuse(t *testing.T) {
 }
 
 func TestTraceRecordTruncation(t *testing.T) {
-	tr := newTraceRing(1)
-	r := tr.start(time.Time{}, false)
+	tr := NewTraceRing(1)
+	r := tr.start(1, 1, time.Time{}, false)
 	for i := 0; i < traceMaxDirty+5; i++ {
 		r.addDirty("k")
 	}
@@ -106,7 +109,7 @@ func TestTraceSnapshotHandoff(t *testing.T) {
 	rec := &recorder{}
 	clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
 	e := New(db, tbl, clock.Now, rec.dispatch,
-		WithEventTTL(4*time.Hour), WithTrace(16))
+		WithEventTTL(4*time.Hour), WithTrace(NewTraceRing(16)))
 
 	alanRule := compileRule(t,
 		"If alan is in the living room and a baseball game is on air, turn on the tv with 1 of channel setting.",
@@ -212,7 +215,7 @@ func TestTraceDirtyAndCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil, WithTrace(4))
+	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil, WithTrace(NewTraceRing(4)))
 	e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "kitchen",
 		map[string]string{"temperature": "30"})
 
@@ -245,11 +248,11 @@ func TestTraceDirtyAndCandidates(t *testing.T) {
 func TestTraceEquivalenceVsOracle(t *testing.T) {
 	m := obs.New(1)
 	runScriptedScenario(t, newEnginePairOpts(t,
-		[]Option{WithMetrics(&m.Shard(0).Engine), WithTrace(8)},
+		[]Option{WithMetrics(&m.Shard(0).Engine), WithTrace(NewTraceRing(8))},
 		[]Option{WithFullScan()}))
 	m2 := obs.New(1)
 	runRandomScenario(t, newEnginePairOpts(t,
-		[]Option{WithMetrics(&m2.Shard(0).Engine), WithTrace(8)},
+		[]Option{WithMetrics(&m2.Shard(0).Engine), WithTrace(NewTraceRing(8))},
 		[]Option{WithFullScan()}), 42)
 }
 
@@ -278,7 +281,7 @@ func TestTraceSteadyStateZeroAlloc(t *testing.T) {
 	m := obs.New(1)
 	const ringCap = 8
 	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil,
-		WithMetrics(&m.Shard(0).Engine), WithTrace(ringCap))
+		WithMetrics(&m.Shard(0).Engine), WithTrace(NewTraceRing(ringCap)))
 	events := []map[string]string{
 		{"temperature": "20"},
 		{"temperature": "21"},

@@ -110,11 +110,18 @@ func (e *SealedError) Unwrap() error { return ErrHomeSealed }
 // everything (single-home debugging, short-lived tests).
 const DefaultLogLimit = 1024
 
-// DefaultTraceLimit is the per-home firing-trace ring capacity (pass records
-// kept for GET /fleet/homes/{home}/trace) unless WithTraceLimit overrides
-// it. The ring reuses its slots in place, so the cap bounds idle memory, not
-// allocation rate.
-const DefaultTraceLimit = 64
+// DefaultTraceLimit is the per-shard firing-trace ring capacity (pass
+// records kept for GET /fleet/homes/{home}/trace) unless WithTraceLimit
+// overrides it. All homes of a shard share the ring, so a busy home evicts
+// a quiet neighbour's records. The ring is allocated with the hub and
+// reuses its slots in place, so the cap bounds memory, not allocation rate.
+//
+// The value is set by memory (about 250 B a slot), not by retention: a
+// record lasts capacity / traced passes per second of its shard, about
+// 0.1 s for a shard of 2,048 homes taking 10,000 events/s, so such homes
+// keep about half a record each. Raise it with WithTraceLimit where
+// deeper per-home history is worth the heap (internal/obs/README.md).
+const DefaultTraceLimit = 1024
 
 // Dispatcher applies one fired action of one home to the real (or simulated)
 // appliance. The single-home server wires this to UPnP control.
@@ -188,9 +195,10 @@ func WithLogLimit(n int) HubOption {
 	return optionFunc(func(c *config) { c.logLimit = n })
 }
 
-// WithTraceLimit sets each home's firing-trace ring capacity
-// (engine.WithTrace). The default is DefaultTraceLimit; n <= 0 disables
-// tracing entirely.
+// WithTraceLimit sets each shard's firing-trace ring capacity: the pass
+// records kept across all of the shard's homes together (engine.TraceRing),
+// so a busy home can evict a quiet neighbour's records. The default is
+// DefaultTraceLimit; n <= 0 disables tracing entirely.
 func WithTraceLimit(n int) HubOption {
 	return optionFunc(func(c *config) { c.traceCap = n })
 }

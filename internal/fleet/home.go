@@ -52,7 +52,7 @@ type wordDef struct {
 	owner  string
 }
 
-func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMetrics) *Home {
+func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMetrics, tr *engine.TraceRing) *Home {
 	lex := c.lexicon(id)
 	h := &Home{
 		id:         id,
@@ -66,12 +66,10 @@ func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMe
 	engineOpts := []engine.Option{
 		engine.WithEventTTL(c.eventTTL),
 		engine.WithBatchDispatcher(batch),
+		engine.WithTrace(tr),
 	}
 	if sm != nil {
 		engineOpts = append(engineOpts, engine.WithMetrics(&sm.Engine))
-	}
-	if c.traceCap > 0 {
-		engineOpts = append(engineOpts, engine.WithTrace(c.traceCap))
 	}
 	if c.logLimit > 0 {
 		engineOpts = append(engineOpts, engine.WithLogLimit(c.logLimit))

@@ -34,7 +34,8 @@ import (
 //	                                      "context"}
 //	GET    /fleet/homes/{home}/log                                fired actions of the home
 //	GET    /fleet/homes/{home}/stats                              home counters + symbol footprint
-//	GET    /fleet/homes/{home}/trace  ?rule=&device=&n=           firing-trace ring: why each
+//	GET    /fleet/homes/{home}/trace  ?rule=&device=&n=           the home's records in its shard's
+//	                                                              firing-trace ring: why each
 //	                                                              device picked its rule
 //	POST   /fleet/homes/{home}/compact                            force a symbol-compaction epoch
 //	GET    /fleet/homes                                           list home ids
@@ -491,9 +492,10 @@ func (h *HTTPHandler) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// getTrace serves a home's firing-trace ring with explain filters:
-// ?device= keeps decisions for one device (by key or bare name), ?rule=
-// keeps decisions where the rule won or lost, ?n= keeps the newest n passes.
+// getTrace serves a home's records in its shard's firing-trace ring with
+// explain filters: ?device= keeps decisions for one device (by key or bare
+// name), ?rule= keeps decisions where the rule won or lost, ?n= keeps the
+// newest n passes.
 func (h *HTTPHandler) getTrace(w http.ResponseWriter, r *http.Request) {
 	traces, err := h.hub.Trace(r.PathValue("home"))
 	if err != nil {

@@ -92,6 +92,7 @@ type shard struct {
 	hub     *Hub
 	mb      *mailbox
 	sm      *obs.ShardMetrics // this shard's stripe of the hub's metrics
+	tr      *engine.TraceRing // firing-trace ring shared by the shard's homes
 	homes   map[string]*Home
 	pending map[string]*Home // homes with ingested-but-unevaluated events
 	spare   []task           // recycled drain buffer
@@ -162,7 +163,7 @@ func (s *shard) flush() {
 func (s *shard) home(id string) *Home {
 	hm, ok := s.homes[id]
 	if !ok {
-		hm = newHome(id, &s.hub.cfg, s.hub.batchDispatcherFor(id), s.sm)
+		hm = newHome(id, &s.hub.cfg, s.hub.batchDispatcherFor(id), s.sm, s.tr)
 		s.homes[id] = hm
 		s.hub.metrics.Homes.Add(1)
 	}
@@ -225,10 +226,13 @@ func NewHub(opts ...HubOption) (*Hub, error) {
 		ms.SetStoreMetrics(&h.metrics.Store)
 	}
 	for i := 0; i < cfg.shards; i++ {
+		// The ring is built up front, not on a home's first pass: a shard
+		// that has run fills it anyway.
 		h.shards = append(h.shards, &shard{
 			hub:     h,
 			mb:      newMailbox(),
 			sm:      h.metrics.Shard(i),
+			tr:      engine.NewTraceRing(cfg.traceCap),
 			homes:   make(map[string]*Home),
 			pending: make(map[string]*Home),
 		})
@@ -925,9 +929,11 @@ func (h *Hub) Metrics() *obs.Metrics {
 	return h.metrics
 }
 
-// Trace returns a home's firing-trace ring, oldest pass first. It fails with
-// ErrNoHome for homes that were never written, and returns nil when tracing
-// is disabled (WithTraceLimit(0)).
+// Trace returns a home's records in its shard's firing-trace ring, oldest
+// pass first. The shard's other homes share the ring, so a quiet home's
+// records may have been evicted. It fails with ErrNoHome for homes that
+// were never written, and returns nil when tracing is disabled
+// (WithTraceLimit(0)).
 func (h *Hub) Trace(home string) ([]engine.PassTrace, error) {
 	var out []engine.PassTrace
 	err := h.do(home, func(hm *Home) error {

@@ -21,7 +21,7 @@ import (
 // bareOpts strips the default instrumentation: no metrics sink, no trace
 // ring — the pre-observability engine configuration.
 func bareOpts() []engine.Option {
-	return []engine.Option{engine.WithMetrics(nil), engine.WithTrace(0)}
+	return []engine.Option{engine.WithMetrics(nil), engine.WithTrace(nil)}
 }
 
 // BenchmarkObsOverhead reruns the 1k-rule single-key evaluate workload at
@@ -35,7 +35,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		benchmarkEngineWorkload(b, "engine_evaluate", 1000, bareOpts()...)
 	})
 	b.Run("metrics", func(b *testing.B) {
-		benchmarkEngineWorkload(b, "engine_evaluate", 1000, engine.WithTrace(0))
+		benchmarkEngineWorkload(b, "engine_evaluate", 1000, engine.WithTrace(nil))
 	})
 	b.Run("full", func(b *testing.B) {
 		benchmarkEngineWorkload(b, "engine_evaluate", 1000)
@@ -82,7 +82,7 @@ func TestObsOverheadGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics, err := benchwork.NewEngineWorkload("engine_evaluate", 1000, engine.WithTrace(0))
+	metrics, err := benchwork.NewEngineWorkload("engine_evaluate", 1000, engine.WithTrace(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
