@@ -1,9 +1,8 @@
-// Command corebench measures the engine evaluation hot path and fleet
-// ingestion, and emits BENCH_core.json for CI trend tracking — the perf
-// trajectory baseline of the symbol-interned evaluation core. The workloads
-// come from internal/benchwork, the same builders the root package's
-// `go test -bench` benchmarks use, so the JSON rows and the benchmark output
-// measure exactly the same thing.
+// Command corebench measures the engine evaluation hot path and emits
+// BENCH_core.json for CI trend tracking — the perf trajectory baseline of the
+// symbol-interned evaluation core. The workloads come from internal/benchwork,
+// the same builders the root package's `go test -bench` benchmarks use, so the
+// JSON rows and the benchmark output measure exactly the same thing.
 //
 // Three engine workloads are swept over the -rules counts:
 //
@@ -30,10 +29,9 @@
 //	          unbound conditions, no dependency index
 //
 // recording ns/op, allocs/op and B/op. The interned rows carry the
-// acceptance targets: 0 allocs/op, flat across rule counts. A fleet section
-// times end-to-end hub ingestion (post → coalesce → evaluate → quiesce) per
-// shard count so the engine-level win is visible through the sharded
-// pipeline too.
+// acceptance targets: 0 allocs/op, flat across rule counts. The hub around
+// the engine (transport, decode, mailbox, dispatch, store) is measured end to
+// end by the bench module (bench/run.sh), not here.
 package main
 
 import (
@@ -47,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/benchwork"
-	"repro/internal/device"
 	"repro/internal/engine"
 )
 
@@ -61,28 +58,14 @@ type engineRow struct {
 	Iterations  int     `json:"iterations"`
 }
 
-type fleetRow struct {
-	Bench        string  `json:"bench"`
-	Homes        int     `json:"homes"`
-	Shards       int     `json:"shards"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Iterations   int     `json:"iterations"`
-}
-
 type doc struct {
 	GeneratedUnix int64             `json:"generated_unix"`
 	Meta          benchwork.RunMeta `json:"meta"`
 	Engine        []engineRow       `json:"engine"`
-	Fleet         []fleetRow        `json:"fleet"`
 }
 
 func main() {
 	rulesFlag := flag.String("rules", "1000,10000", "comma-separated rule counts for the engine sweeps")
-	homes := flag.Int("homes", 1000, "homes for the fleet ingest measurement")
-	shardsFlag := flag.String("shards", "1,4", "comma-separated shard counts for the fleet sweep")
 	out := flag.String("out", "BENCH_core.json", "output JSON path")
 	flag.Parse()
 
@@ -101,12 +84,6 @@ func main() {
 			d.Engine = append(d.Engine, r)
 			printRow(r)
 		}
-	}
-	for _, shards := range parseInts(*shardsFlag) {
-		r := benchFleet(*homes, shards)
-		d.Fleet = append(d.Fleet, r)
-		fmt.Printf("fleet_ingest    homes=%-6d shards=%-6d %10.1f ns/op %6d allocs/op %10.0f events/sec\n",
-			*homes, shards, r.NsPerOp, r.AllocsPerOp, r.EventsPerSec)
 	}
 
 	data, err := json.MarshalIndent(d, "", "  ")
@@ -200,38 +177,5 @@ func benchChurn(n int, mode string) engineRow {
 		AllocsPerOp: res.AllocsPerOp(),
 		BytesPerOp:  res.AllocedBytesPerOp(),
 		Iterations:  res.N,
-	}
-}
-
-func benchFleet(homes, shards int) fleetRow {
-	res := testing.Benchmark(func(b *testing.B) {
-		hub, ids, err := benchwork.BuildHub(homes, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer hub.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			home := ids[i%homes]
-			if err := hub.PostEvent(home, device.TypeThermometer, "thermometer",
-				"living room", map[string]string{"temperature": benchwork.FleetEventValue(uint64(i), homes)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := hub.Quiesce(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	ns := float64(res.T.Nanoseconds()) / float64(res.N)
-	return fleetRow{
-		Bench:        "fleet_ingest",
-		Homes:        homes,
-		Shards:       shards,
-		NsPerOp:      ns,
-		AllocsPerOp:  res.AllocsPerOp(),
-		BytesPerOp:   res.AllocedBytesPerOp(),
-		EventsPerSec: 1e9 / ns,
-		Iterations:   res.N,
 	}
 }

@@ -1,7 +1,7 @@
 // Package benchwork holds the benchmark workload builders shared by the
-// root package's `go test -bench` benchmarks and the cmd/corebench and
-// cmd/fleetbench JSON emitters, so the BENCH_*.json perf trajectory measures
-// exactly the same rule sets and event streams the in-repo benchmarks do.
+// root package's `go test -bench` benchmarks and the cmd/corebench JSON
+// emitter, so BENCH_core.json measures exactly the same rule sets and event
+// streams the in-repo benchmarks do.
 //
 // Three engine workloads reproduce the paper's example-rule shapes:
 //
@@ -19,8 +19,7 @@
 //     context is dirtied by presence churn, so every pass re-arbitrates.
 //
 // The fleet workload (BuildHub) seeds one user and one temperature rule per
-// home, with event values that flip the rule's readiness on alternate
-// sweeps.
+// home.
 package benchwork
 
 import (
@@ -39,8 +38,8 @@ import (
 	"repro/internal/simplex"
 )
 
-// RunMeta is the run environment block every BENCH_*.json report embeds, so
-// a perf trajectory across commits can tell a regression from a machine or
+// RunMeta is the run environment block BENCH_core.json embeds, so a perf
+// trajectory across commits can tell a regression from a machine or
 // toolchain change.
 type RunMeta struct {
 	GoVersion  string `json:"go_version"`
@@ -512,15 +511,4 @@ func BuildHub(homes, shards int) (*fleet.Hub, []string, error) {
 		}
 	}
 	return hub, ids, nil
-}
-
-// FleetEventValue returns the i-th event's temperature value: alternating
-// above/below the rule threshold on successive sweeps over the homes, so
-// every event flips its home's rule readiness and each coalesced pass
-// re-arbitrates and fires.
-func FleetEventValue(i uint64, homes int) string {
-	if (i/uint64(homes))%2 == 1 {
-		return "20"
-	}
-	return "31"
 }
