@@ -11,7 +11,9 @@
 // fleet.Hub: the rule database, priority table and execution engine live in
 // the hub's one home, and the Server contributes what is inherently local —
 // UPnP discovery, event subscriptions, the lookup service, and action
-// dispatch to the discovered appliances. Multi-home deployments use
+// dispatch to the discovered appliances. The home's id in the hub is
+// HomeID, so a fleet API client addresses a home server's data as
+// /fleet/homes/home/... (internal/httpapi). Multi-home deployments use
 // internal/fleet's Hub directly (cmd/homeserver -fleet).
 //
 // Typical use:
@@ -132,8 +134,9 @@ func WithPermissions(store *auth.Store) Option {
 	return optionFunc(func(o *options) { o.perms = store })
 }
 
-// localHome is the id of the Server's single home inside its hub.
-const localHome = "home"
+// HomeID is the id of the Server's single home inside its hub — the
+// {home} segment under which internal/httpapi serves the fleet API.
+const HomeID = "home"
 
 // Server is the CADEL home server: a fleet.Hub scoped to one home, plus the
 // UPnP communication interface and the lookup service.
@@ -215,12 +218,12 @@ func (s *Server) Close() error {
 // RegisterUser adds a home user with optional favourite keywords (used by
 // "my favorite movie is on air").
 func (s *Server) RegisterUser(name string, favorites ...string) error {
-	return s.hub.RegisterUser(localHome, name, favorites...)
+	return s.hub.RegisterUser(HomeID, name, favorites...)
 }
 
 // Users returns the registered users.
 func (s *Server) Users() []string {
-	users, _ := s.hub.Users(localHome)
+	users, _ := s.hub.Users(HomeID)
 	return users
 }
 
@@ -248,7 +251,7 @@ func (s *Server) watch(rd *upnp.RemoteDevice) error {
 	for _, svc := range rd.Services {
 		rd := rd
 		cancel, err := s.cp.Subscribe(rd, svc.ServiceType, func(vars map[string]string) {
-			_ = s.hub.PostEvent(localHome, rd.DeviceType, rd.FriendlyName, rd.Location, vars)
+			_ = s.hub.PostEvent(HomeID, rd.DeviceType, rd.FriendlyName, rd.Location, vars)
 		})
 		if err != nil {
 			return fmt.Errorf("cadel: watch %s/%s: %w", rd.FriendlyName, svc.ServiceType, err)
@@ -286,31 +289,31 @@ func (s *Server) WordsFor(rd *RemoteDevice) []string { return s.lookup.WordsFor(
 // are rejected with ErrInconsistent) and the conflict check (conflicting
 // rules are registered and reported so the user can set a priority order).
 func (s *Server) Submit(source, owner string) (*SubmitResult, error) {
-	return s.hub.Submit(localHome, source, owner)
+	return s.hub.Submit(HomeID, source, owner)
 }
 
 // RemoveRule deletes a rule by id.
-func (s *Server) RemoveRule(id string) error { return s.hub.RemoveRule(localHome, id) }
+func (s *Server) RemoveRule(id string) error { return s.hub.RemoveRule(HomeID, id) }
 
 // Rules returns all registered rules in registration order.
 func (s *Server) Rules() []*Rule {
-	rules, _ := s.hub.Rules(localHome)
+	rules, _ := s.hub.Rules(HomeID)
 	return rules
 }
 
 // RulesByOwner returns one user's rules.
 func (s *Server) RulesByOwner(owner string) []*Rule {
-	rules, _ := s.hub.RulesByOwner(localHome, owner)
+	rules, _ := s.hub.RulesByOwner(HomeID, owner)
 	return rules
 }
 
 // ExportRules serializes the rule database (Sect. 4.3(iv)).
-func (s *Server) ExportRules() ([]byte, error) { return s.hub.ExportRules(localHome) }
+func (s *Server) ExportRules() ([]byte, error) { return s.hub.ExportRules(HomeID) }
 
 // ImportRules loads rules exported by ExportRules, recompiling their CADEL
 // sources against this server's lexicon.
 func (s *Server) ImportRules(data []byte) (int, error) {
-	return s.hub.ImportRules(localHome, data)
+	return s.hub.ImportRules(HomeID, data)
 }
 
 // SetPriority records a priority order for a device: users listed highest
@@ -318,14 +321,14 @@ func (s *Server) ImportRules(data []byte) (int, error) {
 // ("alan got home from work"). An empty context makes it the device's
 // default order (Sect. 3.2, Fig. 7).
 func (s *Server) SetPriority(ref DeviceRef, users []string, contextSource string) error {
-	return s.hub.SetPriority(localHome, ref, users, contextSource)
+	return s.hub.SetPriority(HomeID, ref, users, contextSource)
 }
 
 // PriorityOrders returns the orders applying to a device, contextual orders
 // first. The slice is a cached snapshot shared with the priority table:
 // treat it as read-only.
 func (s *Server) PriorityOrders(ref DeviceRef) []conflict.Order {
-	orders, _ := s.hub.PriorityOrders(localHome, ref)
+	orders, _ := s.hub.PriorityOrders(HomeID, ref)
 	return orders
 }
 
@@ -333,26 +336,26 @@ func (s *Server) PriorityOrders(ref DeviceRef) []conflict.Order {
 
 // Tick re-evaluates all rules at the current clock time. Call it after
 // advancing a simulation clock.
-func (s *Server) Tick() { _ = s.hub.Tick(localHome) }
+func (s *Server) Tick() { _ = s.hub.Tick(HomeID) }
 
 // Log returns the executed-action log. The log is a bounded ring (the
 // fleet's DefaultLogLimit, most recent entries kept), so a long-running
 // server does not grow it without bound.
 func (s *Server) Log() []Fired {
-	log, _ := s.hub.Log(localHome)
+	log, _ := s.hub.Log(HomeID)
 	return log
 }
 
 // Snapshot returns a copy of the current context.
 func (s *Server) Snapshot() *Context {
-	ctx, _ := s.hub.Context(localHome)
+	ctx, _ := s.hub.Context(HomeID)
 	return ctx
 }
 
 // SymbolStats returns the home's symbol-table and id-slice footprint (zero
 // before the first user or rule registration materializes the home).
 func (s *Server) SymbolStats() SymbolStats {
-	st, err := s.hub.HomeStats(localHome)
+	st, err := s.hub.HomeStats(HomeID)
 	if err != nil {
 		return SymbolStats{}
 	}
@@ -366,7 +369,7 @@ func (s *Server) SymbolStats() SymbolStats {
 // endpoint. ok is false when there is nothing to compact (no home yet, or
 // an oracle-mode engine).
 func (s *Server) CompactSymbols() (CompactStats, bool) {
-	st, compacted, err := s.hub.CompactHome(localHome)
+	st, compacted, err := s.hub.CompactHome(HomeID)
 	if err != nil {
 		return CompactStats{}, false
 	}

@@ -362,9 +362,15 @@ func TestPaperRule3EndToEnd(t *testing.T) {
 // end: Tom's evening jazz, Alan taking the TV when he returns from work,
 // Emily taking both TV and stereo when she returns from shopping, the video
 // recorder picking up the baseball game, and the air conditioner following
-// the highest-priority occupant's comfort band.
+// the highest-priority occupant's comfort band. It runs once on the default
+// interned engine and once on the full-scan oracle, which must agree.
 func TestFigure1Scenario(t *testing.T) {
-	hm, srv := newHomeServer(t)
+	t.Run("interned", func(t *testing.T) { runFigure1Scenario(t) })
+	t.Run("fullscan", func(t *testing.T) { runFigure1Scenario(t, WithFullScanEngine()) })
+}
+
+func runFigure1Scenario(t *testing.T, opts ...Option) {
+	hm, srv := newHomeServer(t, opts...)
 
 	// --- word definitions (each user's comfort band from Sect. 3.1) ---
 	words := []struct{ src, owner string }{

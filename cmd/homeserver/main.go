@@ -25,6 +25,14 @@
 //	:tick DURATION                  advance the simulation clock (e.g. 30m)
 //	:rules | :log | :export | :quit
 //
+// With -http ADDR the shell also serves the JSON API for interface devices:
+// GET /api/devices and /api/lookup, plus the fleet API for its one home
+// under /fleet/homes/home/ (users, rules, priority, log, export):
+//
+//	$ homeserver -http :8080
+//	$ curl -X POST localhost:8080/fleet/homes/home/rules \
+//	      -d '{"source":"If tom is in the living room, turn on the floor lamp.","owner":"tom"}'
+//
 // Multi-home mode: -fleet ADDR runs a sharded fleet hub instead of the
 // single-home shell, serving the /fleet JSON API (submit rules, post sensor
 // events, read per-home fired-action logs) for any number of homes:
@@ -79,7 +87,7 @@ func main() {
 }
 
 func run() error {
-	httpAddr := flag.String("http", "", "also serve the JSON API for interface devices (e.g. :8080)")
+	httpAddr := flag.String("http", "", "also serve the interface-device JSON API (/api/devices, /api/lookup, /fleet/homes/home/...) on this address (e.g. :8080)")
 	fleetAddr := flag.String("fleet", "", "run in multi-home mode, serving the fleet JSON API on this address (e.g. :8090)")
 	shards := flag.Int("shards", 0, "fleet mode: shard count (0 = one per CPU)")
 	storeDir := flag.String("store", "", "fleet mode: persist rules to this directory (append-only JSONL), or to a remote log server with remote://host:port (see cmd/logserver)")
@@ -154,7 +162,8 @@ func run() error {
 			}
 		}()
 		defer func() { _ = api.Close() }()
-		fmt.Printf("interface-device API on http://%s/api/\n", *httpAddr)
+		fmt.Printf("interface-device API on http://%s/api/ and http://%s/fleet/homes/%s/\n",
+			*httpAddr, *httpAddr, cadel.HomeID)
 	}
 	fmt.Printf("cadel home server — %d devices discovered, users: %s\n",
 		n, strings.Join(srv.Users(), ", "))

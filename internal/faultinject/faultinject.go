@@ -3,17 +3,12 @@
 // flaky network or a dying process does to a store, reproducible from a
 // seed.
 //
-// Three seams, matching where real faults strike:
+// Two seams, matching where real faults strike:
 //
 //   - Transport wraps an http.RoundTripper and injects connection timeouts,
 //     resets before and after delivery (the reset-after case performs the
 //     request and then loses the ack — the delivery the server must
 //     deduplicate), synthetic 500s, and duplicated deliveries.
-//
-//   - FlakyStore wraps a fleet.Store and injects failed appends (before the
-//     write), in-doubt appends (write lands, ack lost) and failed snapshots —
-//     the server-side view of the same faults, used to drive hub rollback
-//     paths without a network.
 //
 //   - The Crash* helpers build fleet.FaultHooks that kill the process at a
 //     chosen append or snapshot step; the crash-recovery harness runs a
@@ -235,68 +230,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	return resp, nil
 }
-
-// ErrInjected is the error FlakyStore returns for its injected failures.
-var ErrInjected = errors.New("faultinject: injected store fault")
-
-// FlakyStore wraps a fleet.Store with server-side append/snapshot faults.
-type FlakyStore struct {
-	inner fleet.Store
-
-	// FailBeforeP fails an Append without performing it.
-	FailBeforeP float64
-	// FailAfterP performs the Append, then reports failure: the record is
-	// durable but the caller thinks it is not (the in-doubt append).
-	FailAfterP float64
-	// SnapshotFailP fails WriteSnapshot without performing it.
-	SnapshotFailP float64
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewFlakyStore wraps inner with seeded fault draws; set the probability
-// fields before first use.
-func NewFlakyStore(inner fleet.Store, seed int64) *FlakyStore {
-	return &FlakyStore{inner: inner, rng: rand.New(rand.NewSource(seed))}
-}
-
-func (s *FlakyStore) hit(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rng.Float64() < p
-}
-
-// Append implements fleet.Store.
-func (s *FlakyStore) Append(rec fleet.Record) error {
-	if s.hit(s.FailBeforeP) {
-		return fmt.Errorf("%w: append refused", ErrInjected)
-	}
-	if err := s.inner.Append(rec); err != nil {
-		return err
-	}
-	if s.hit(s.FailAfterP) {
-		return fmt.Errorf("%w: append ack lost", ErrInjected)
-	}
-	return nil
-}
-
-// Replay implements fleet.Store.
-func (s *FlakyStore) Replay(fn func(fleet.Record) error) error { return s.inner.Replay(fn) }
-
-// WriteSnapshot implements fleet.Store.
-func (s *FlakyStore) WriteSnapshot(recs []fleet.Record) error {
-	if s.hit(s.SnapshotFailP) {
-		return fmt.Errorf("%w: snapshot refused", ErrInjected)
-	}
-	return s.inner.WriteSnapshot(recs)
-}
-
-// Close implements fleet.Store.
-func (s *FlakyStore) Close() error { return s.inner.Close() }
 
 // CrashOnAppend builds fleet.FaultHooks that call crash on the n'th append
 // write (1-based). With torn true, half the record reaches the WAL first —

@@ -20,7 +20,8 @@ import (
 )
 
 // HTTPHandler exposes a hub's ingestion and management operations as a JSON
-// API — the fleet-scale counterpart of the single-home interface-device API:
+// API. It is the one JSON API for home data: a single-home server
+// (internal/httpapi) mounts it for its one home.
 //
 //	POST   /fleet/homes/{home}/users     {"name","favorites"}     register a user
 //	GET    /fleet/homes/{home}/users                              list users
@@ -33,6 +34,7 @@ import (
 //	POST   /fleet/homes/{home}/priority  {"device","users",       set a priority order
 //	                                      "context"}
 //	GET    /fleet/homes/{home}/log                                fired actions of the home
+//	GET    /fleet/homes/{home}/export                             the home's rules, for import
 //	GET    /fleet/homes/{home}/stats                              home counters + symbol footprint
 //	GET    /fleet/homes/{home}/trace  ?rule=&device=&n=           the home's records in its shard's
 //	                                                              firing-trace ring: why each
@@ -84,8 +86,8 @@ func NewEventSink(hub *Hub, limits ingest.Limits, opts ...ingest.SinkOption) *in
 // serves, so both transports draw on one admission budget, one body cap,
 // and one error→status table, and the two cannot drift apart or let a home
 // double its rate limit by splitting traffic. The hub's sharded metrics
-// carry the connection counters. Extra rawhttp options (timeouts, header
-// cap) append after the defaults.
+// carry the connection counters. Extra rawhttp options (header cap, head
+// timeout) append after the defaults.
 func NewRawIngest(hub *Hub, sink *ingest.Sink, opts ...rawhttp.Option) *rawhttp.Server {
 	base := []rawhttp.Option{rawhttp.WithMetrics(hub.metrics)}
 	return rawhttp.NewServer(sink, append(base, opts...)...)
@@ -108,6 +110,7 @@ func NewHTTPHandler(hub *Hub, opts ...HandlerOption) *HTTPHandler {
 	h.mux.Handle("POST /fleet/homes/{home}/events", h.eventSink)
 	h.mux.HandleFunc("POST /fleet/homes/{home}/priority", h.postPriority)
 	h.mux.HandleFunc("GET /fleet/homes/{home}/log", h.getLog)
+	h.mux.HandleFunc("GET /fleet/homes/{home}/export", h.getExport)
 	h.mux.HandleFunc("GET /fleet/homes/{home}/stats", h.getHomeStats)
 	h.mux.HandleFunc("GET /fleet/homes/{home}/trace", h.getTrace)
 	h.mux.HandleFunc("POST /fleet/homes/{home}/compact", h.postHomeCompact)
@@ -349,14 +352,16 @@ func (h *HTTPHandler) postPriority(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// ---- log, homes, stats ----
+// ---- log, export, homes, stats ----
 
 type firedBody struct {
-	Time   string `json:"time"`
-	Rule   string `json:"rule"`
-	Device string `json:"device"`
-	Action string `json:"action"`
-	Error  string `json:"error,omitempty"`
+	Time       string   `json:"time"`
+	Rule       string   `json:"rule"`
+	Owner      string   `json:"owner"`
+	Device     string   `json:"device"`
+	Action     string   `json:"action"`
+	Suppressed []string `json:"suppressed,omitempty"` // ids of the rules that lost arbitration
+	Error      string   `json:"error,omitempty"`
 }
 
 func (h *HTTPHandler) getLog(w http.ResponseWriter, r *http.Request) {
@@ -370,8 +375,12 @@ func (h *HTTPHandler) getLog(w http.ResponseWriter, r *http.Request) {
 		fb := firedBody{
 			Time:   f.Time.Format(time.RFC3339),
 			Rule:   f.Rule.ID,
+			Owner:  f.Rule.Owner,
 			Device: f.Rule.Device.Key(),
 			Action: f.Rule.Action.String(),
+		}
+		for _, s := range f.Suppressed {
+			fb.Suppressed = append(fb.Suppressed, s.ID)
 		}
 		if f.Err != nil {
 			fb.Error = f.Err.Error()
@@ -379,6 +388,16 @@ func (h *HTTPHandler) getLog(w http.ResponseWriter, r *http.Request) {
 		out = append(out, fb)
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+func (h *HTTPHandler) getExport(w http.ResponseWriter, r *http.Request) {
+	data, err := h.hub.ExportRules(r.PathValue("home"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(data)
 }
 
 func (h *HTTPHandler) getHomeStats(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -89,7 +90,7 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &log); err != nil {
 		t.Fatal(err)
 	}
-	if len(log) != 1 || log[0].Device != "air conditioner" {
+	if len(log) != 1 || log[0].Device != "air conditioner" || log[0].Owner != "tom" {
 		t.Fatalf("h1 log = %s", body)
 	}
 	resp, body = doJSON(t, ts, "GET", "/fleet/homes/h2/log", nil)
@@ -143,5 +144,54 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	// Compact without a store is a no-op, not an error.
 	if resp, _ := doJSON(t, ts, "POST", "/fleet/compact", nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("compact: %d", resp.StatusCode)
+	}
+
+	// Export serves the home's rule sources (normalized by the lexer).
+	resp, body = doJSON(t, ts, "GET", "/fleet/homes/h1/export", nil)
+	var export struct {
+		Rules []struct{ Source string }
+	}
+	if err := json.Unmarshal(body, &export); err != nil || resp.StatusCode != http.StatusOK ||
+		len(export.Rules) != 1 || !strings.EqualFold(export.Rules[0].Source, strings.TrimSuffix(hotRule, ".")) {
+		t.Fatalf("export: %d %s (%v)", resp.StatusCode, body, err)
+	}
+
+	// Arbitration: a second owner's rule for the same device loses to tom's,
+	// and the log entry names it as suppressed.
+	if resp, body := doJSON(t, ts, "POST", "/fleet/homes/h1/users",
+		map[string]any{"name": "alan"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create alan: %d %s", resp.StatusCode, body)
+	}
+	resp, body = doJSON(t, ts, "POST", "/fleet/homes/h1/rules",
+		map[string]any{"source": hotRule, "owner": "alan"})
+	var alans submitBody
+	if err := json.Unmarshal(body, &alans); err != nil || resp.StatusCode != http.StatusCreated || alans.Rule == nil {
+		t.Fatalf("submit alan's rule: %d %s (%v)", resp.StatusCode, body, err)
+	}
+	if resp, body := doJSON(t, ts, "POST", "/fleet/homes/h1/priority", map[string]any{
+		"device": map[string]string{"name": "air conditioner"},
+		"users":  []string{"tom", "alan"},
+	}); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("set priority: %d %s", resp.StatusCode, body)
+	}
+	for _, temp := range []string{"20", "32"} {
+		if resp, body := doJSON(t, ts, "POST", "/fleet/homes/h1/events", map[string]any{
+			"deviceType": device.TypeThermometer,
+			"name":       "thermometer",
+			"location":   "living room",
+			"vars":       map[string]string{"temperature": temp},
+			"sync":       true,
+		}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("post event: %d %s", resp.StatusCode, body)
+		}
+	}
+	_, body = doJSON(t, ts, "GET", "/fleet/homes/h1/log", nil)
+	log = nil
+	if err := json.Unmarshal(body, &log); err != nil {
+		t.Fatal(err)
+	}
+	last := log[len(log)-1]
+	if last.Owner != "tom" || len(last.Suppressed) != 1 || last.Suppressed[0] != alans.Rule.ID {
+		t.Fatalf("h1 log after arbitration = %s", body)
 	}
 }

@@ -1,18 +1,26 @@
 // Package httpapi exposes the home server to interface devices — the touch
 // panels, PDAs and set-top boxes of the paper's Fig. 2 — as a small JSON/HTTP
-// API. Every operation of the rule description support module (submit,
-// lookup, priority setup, import/export) is available remotely, so GUI or
-// voice front ends stay thin shells, exactly as the paper intends.
+// API. Rule, user, priority, log and export operations are the fleet API
+// (internal/fleet) mounted for the server's one home under
+// /fleet/homes/{cadel.HomeID}/, so a client written for a fleet node works
+// unchanged against a home server. Only the two routes that need the UPnP
+// control point are served here:
+//
+//	GET /api/devices                  discovered devices
+//	GET /api/lookup  ?keyword=&sensor=&name=&location=&verb=&word=
+//
+// Other homes, the fleet-wide routes (/fleet/homes, /fleet/stats,
+// /fleet/compact, /metrics) and event injection (POST .../events) answer
+// 404: a home server's events come from its UPnP subscriptions, and it never
+// creates a second home.
 package httpapi
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-	"strings"
-	"time"
 
 	cadel "repro"
+	"repro/internal/fleet"
 )
 
 // Handler serves the JSON API for one home server.
@@ -24,16 +32,10 @@ type Handler struct {
 // New builds the API handler.
 func New(srv *cadel.Server) *Handler {
 	h := &Handler{srv: srv, mux: http.NewServeMux()}
-	h.mux.HandleFunc("GET /api/users", h.getUsers)
-	h.mux.HandleFunc("POST /api/users", h.postUsers)
 	h.mux.HandleFunc("GET /api/devices", h.getDevices)
 	h.mux.HandleFunc("GET /api/lookup", h.getLookup)
-	h.mux.HandleFunc("GET /api/rules", h.getRules)
-	h.mux.HandleFunc("POST /api/rules", h.postRules)
-	h.mux.HandleFunc("DELETE /api/rules/{id}", h.deleteRule)
-	h.mux.HandleFunc("POST /api/priority", h.postPriority)
-	h.mux.HandleFunc("GET /api/log", h.getLog)
-	h.mux.HandleFunc("GET /api/export", h.getExport)
+	h.mux.Handle("/fleet/homes/"+cadel.HomeID+"/",
+		fleet.NewHTTPHandler(srv.Hub(), fleet.WithEventSink(http.NotFoundHandler())))
 	return h
 }
 
@@ -46,54 +48,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, cadel.ErrUnknownUser):
-		status = http.StatusNotFound
-	case errors.Is(err, cadel.ErrForbidden):
-		status = http.StatusForbidden
-	case errors.Is(err, cadel.ErrInconsistent):
-		status = http.StatusUnprocessableEntity
-	default:
-		// Parse and compile problems are client errors.
-		if strings.Contains(err.Error(), "parse error") ||
-			strings.Contains(err.Error(), "compile error") ||
-			strings.Contains(err.Error(), "lang:") {
-			status = http.StatusBadRequest
-		}
-	}
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-// ---- users ----
-
-type userRequest struct {
-	Name      string   `json:"name"`
-	Favorites []string `json:"favorites,omitempty"`
-}
-
-func (h *Handler) getUsers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, h.srv.Users())
-}
-
-func (h *Handler) postUsers(w http.ResponseWriter, r *http.Request) {
-	var req userRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	if err := h.srv.RegisterUser(req.Name, req.Favorites...); err != nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusCreated, req.Name)
 }
 
 // ---- devices & lookup ----
@@ -142,147 +96,4 @@ func (h *Handler) getLookup(w http.ResponseWriter, r *http.Request) {
 		out = append(out, h.deviceBody(d))
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// ---- rules ----
-
-type ruleBody struct {
-	ID     string `json:"id"`
-	Owner  string `json:"owner"`
-	Device string `json:"device"`
-	Action string `json:"action"`
-	Cond   string `json:"condition"`
-	Source string `json:"source"`
-}
-
-type submitRequest struct {
-	Source string `json:"source"`
-	Owner  string `json:"owner"`
-}
-
-type submitResponse struct {
-	Rule        *ruleBody `json:"rule,omitempty"`
-	DefinedWord string    `json:"definedWord,omitempty"`
-	Conflicts   []string  `json:"conflicts,omitempty"`
-}
-
-func ruleToBody(r *cadel.Rule) *ruleBody {
-	return &ruleBody{
-		ID:     r.ID,
-		Owner:  r.Owner,
-		Device: r.Device.Key(),
-		Action: r.Action.String(),
-		Cond:   r.Cond.String(),
-		Source: r.Source,
-	}
-}
-
-func (h *Handler) getRules(w http.ResponseWriter, _ *http.Request) {
-	rules := h.srv.Rules()
-	out := make([]*ruleBody, 0, len(rules))
-	for _, r := range rules {
-		out = append(out, ruleToBody(r))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (h *Handler) postRules(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	res, err := h.srv.Submit(req.Source, req.Owner)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := submitResponse{DefinedWord: res.DefinedWord}
-	if res.Rule != nil {
-		resp.Rule = ruleToBody(res.Rule)
-	}
-	for _, c := range res.Conflicts {
-		resp.Conflicts = append(resp.Conflicts, c.String())
-	}
-	status := http.StatusCreated
-	if len(resp.Conflicts) > 0 {
-		// Registered, but the client should prompt for a priority order.
-		status = http.StatusAccepted
-	}
-	writeJSON(w, status, resp)
-}
-
-func (h *Handler) deleteRule(w http.ResponseWriter, r *http.Request) {
-	if err := h.srv.RemoveRule(r.PathValue("id")); err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, "deleted")
-}
-
-// ---- priorities ----
-
-type priorityRequest struct {
-	Device   string   `json:"device"`
-	Location string   `json:"location,omitempty"`
-	Users    []string `json:"users"`
-	Context  string   `json:"context,omitempty"`
-}
-
-func (h *Handler) postPriority(w http.ResponseWriter, r *http.Request) {
-	var req priorityRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	ref := cadel.DeviceRef{Name: req.Device, Location: req.Location}
-	if err := h.srv.SetPriority(ref, req.Users, req.Context); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusCreated, "ok")
-}
-
-// ---- log & export ----
-
-type logBody struct {
-	Time       time.Time `json:"time"`
-	RuleID     string    `json:"ruleId"`
-	Owner      string    `json:"owner"`
-	Device     string    `json:"device"`
-	Action     string    `json:"action"`
-	Suppressed []string  `json:"suppressed,omitempty"`
-	Error      string    `json:"error,omitempty"`
-}
-
-func (h *Handler) getLog(w http.ResponseWriter, _ *http.Request) {
-	log := h.srv.Log()
-	out := make([]logBody, 0, len(log))
-	for _, f := range log {
-		entry := logBody{
-			Time:   f.Time,
-			RuleID: f.Rule.ID,
-			Owner:  f.Rule.Owner,
-			Device: f.Rule.Device.Key(),
-			Action: f.Rule.Action.String(),
-		}
-		for _, s := range f.Suppressed {
-			entry.Suppressed = append(entry.Suppressed, s.ID)
-		}
-		if f.Err != nil {
-			entry.Error = f.Err.Error()
-		}
-		out = append(out, entry)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (h *Handler) getExport(w http.ResponseWriter, _ *http.Request) {
-	data, err := h.srv.ExportRules()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
 }

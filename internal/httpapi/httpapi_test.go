@@ -68,9 +68,12 @@ func doJSON(t *testing.T, method, url string, body any) (*http.Response, []byte)
 	return resp, buf.Bytes()
 }
 
+// homeURL is the fleet API prefix of the home server's one home.
+const homeURL = "/fleet/homes/" + cadel.HomeID
+
 func TestUsersEndpoint(t *testing.T) {
 	_, ts := newAPI(t)
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/api/users", nil)
+	resp, body := doJSON(t, http.MethodGet, ts.URL+homeURL+"/users", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET users = %d: %s", resp.StatusCode, body)
 	}
@@ -82,12 +85,12 @@ func TestUsersEndpoint(t *testing.T) {
 		t.Errorf("users = %v", users)
 	}
 
-	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/api/users",
+	resp, _ = doJSON(t, http.MethodPost, ts.URL+homeURL+"/users",
 		map[string]any{"name": "emily", "favorites": []string{"roman holiday"}})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST user = %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/api/users", map[string]any{"name": "emily"})
+	resp, _ = doJSON(t, http.MethodPost, ts.URL+homeURL+"/users", map[string]any{"name": "emily"})
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate user = %d, want 409", resp.StatusCode)
 	}
@@ -128,7 +131,7 @@ func TestRuleLifecycleOverHTTP(t *testing.T) {
 	_, ts := newAPI(t)
 
 	// Word definition.
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/api/rules", map[string]string{
+	resp, body := doJSON(t, http.MethodPost, ts.URL+homeURL+"/rules", map[string]string{
 		"source": "Let's call the condition that temperature is higher than 26 degrees and humidity is higher than 65 percent hot and stuffy",
 		"owner":  "tom",
 	})
@@ -146,7 +149,7 @@ func TestRuleLifecycleOverHTTP(t *testing.T) {
 	}
 
 	// Rule using the word.
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/api/rules", map[string]string{
+	resp, body = doJSON(t, http.MethodPost, ts.URL+homeURL+"/rules", map[string]string{
 		"source": "If hot and stuffy, turn on the air conditioner with 25 degrees of temperature setting.",
 		"owner":  "tom",
 	})
@@ -162,33 +165,33 @@ func TestRuleLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("bad response %s (%v)", body, err)
 	}
 
-	// Conflicting rule → 202 with conflicts.
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/api/rules", map[string]string{
+	// Conflicting rule → 201 with the conflicting rule.
+	resp, body = doJSON(t, http.MethodPost, ts.URL+homeURL+"/rules", map[string]string{
 		"source": "If temperature is higher than 25 degrees, turn on the air conditioner with 23 degrees of temperature setting.",
 		"owner":  "alan",
 	})
-	if resp.StatusCode != http.StatusAccepted {
+	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("conflicting POST = %d: %s", resp.StatusCode, body)
 	}
 	var conflicted struct {
-		Conflicts []string `json:"conflicts"`
+		Conflicts []map[string]any `json:"conflicts"`
 	}
 	if err := json.Unmarshal(body, &conflicted); err != nil || len(conflicted.Conflicts) != 1 {
 		t.Fatalf("conflicts = %v (%v)", conflicted.Conflicts, err)
 	}
 
 	// Priority setup.
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/api/priority", map[string]any{
-		"device":  "air conditioner",
+	resp, body = doJSON(t, http.MethodPost, ts.URL+homeURL+"/priority", map[string]any{
+		"device":  map[string]string{"name": "air conditioner"},
 		"users":   []string{"alan", "tom"},
 		"context": "alan got home from work",
 	})
-	if resp.StatusCode != http.StatusCreated {
+	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("POST priority = %d: %s", resp.StatusCode, body)
 	}
 
 	// Listing and deleting.
-	resp, body = doJSON(t, http.MethodGet, ts.URL+"/api/rules", nil)
+	resp, body = doJSON(t, http.MethodGet, ts.URL+homeURL+"/rules", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatal("GET rules failed")
 	}
@@ -196,11 +199,11 @@ func TestRuleLifecycleOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &rules); err != nil || len(rules) != 2 {
 		t.Fatalf("rules = %s", body)
 	}
-	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/api/rules/"+created.Rule.ID, nil)
-	if resp.StatusCode != http.StatusOK {
+	resp, _ = doJSON(t, http.MethodDelete, ts.URL+homeURL+"/rules/"+created.Rule.ID, nil)
+	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE = %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/api/rules/"+created.Rule.ID, nil)
+	resp, _ = doJSON(t, http.MethodDelete, ts.URL+homeURL+"/rules/"+created.Rule.ID, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("double DELETE = %d, want 404", resp.StatusCode)
 	}
@@ -235,7 +238,7 @@ func TestErrorMapping(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			resp, body := doJSON(t, http.MethodPost, ts.URL+"/api/rules",
+			resp, body := doJSON(t, http.MethodPost, ts.URL+homeURL+"/rules",
 				map[string]string{"source": tt.source, "owner": tt.owner})
 			if resp.StatusCode != tt.status {
 				t.Errorf("status = %d, want %d (%s)", resp.StatusCode, tt.status, body)
@@ -246,7 +249,7 @@ func TestErrorMapping(t *testing.T) {
 
 func TestLogAndExportEndpoints(t *testing.T) {
 	hm, ts := newAPI(t)
-	if _, body := doJSON(t, http.MethodPost, ts.URL+"/api/rules", map[string]string{
+	if _, body := doJSON(t, http.MethodPost, ts.URL+homeURL+"/rules", map[string]string{
 		"source": "If tom is in the living room, turn on the floor lamp.",
 		"owner":  "tom",
 	}); len(body) == 0 {
@@ -258,7 +261,7 @@ func TestLogAndExportEndpoints(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	var entries []map[string]any
 	for time.Now().Before(deadline) {
-		_, body := doJSON(t, http.MethodGet, ts.URL+"/api/log", nil)
+		_, body := doJSON(t, http.MethodGet, ts.URL+homeURL+"/log", nil)
 		if err := json.Unmarshal(body, &entries); err == nil && len(entries) > 0 {
 			break
 		}
@@ -271,7 +274,7 @@ func TestLogAndExportEndpoints(t *testing.T) {
 		t.Errorf("log entry = %v", entries[0])
 	}
 
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/api/export", nil)
+	resp, body := doJSON(t, http.MethodGet, ts.URL+homeURL+"/export", nil)
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "floor lamp") {
 		t.Errorf("export = %d %s", resp.StatusCode, body)
 	}
@@ -282,6 +285,25 @@ func TestUnknownEndpoint(t *testing.T) {
 	resp, _ := doJSON(t, http.MethodGet, ts.URL+"/api/nothing", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHomeServerScope checks that a home server serves the fleet API for its
+// one home only: no other home, no fleet-wide route, no event injection.
+func TestHomeServerScope(t *testing.T) {
+	_, ts := newAPI(t)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/fleet/homes/other/users"},
+		{http.MethodPost, homeURL + "/events"},
+		{http.MethodGet, "/fleet/homes"},
+		{http.MethodGet, "/fleet/stats"},
+		{http.MethodPost, "/fleet/compact"},
+		{http.MethodGet, "/metrics"},
+	} {
+		resp, body := doJSON(t, tc.method, ts.URL+tc.path, map[string]any{})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404 (%s)", tc.method, tc.path, resp.StatusCode, body)
+		}
 	}
 }
 

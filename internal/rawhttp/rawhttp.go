@@ -48,9 +48,6 @@ type Server struct {
 	maxHeader         int
 	maxBody           int64
 	readHeaderTimeout time.Duration
-	readTimeout       time.Duration
-	writeTimeout      time.Duration
-	idleTimeout       time.Duration
 	metrics           *obs.Metrics
 
 	mu        sync.Mutex
@@ -71,6 +68,15 @@ type Server struct {
 // back to an allocating conversion (still correct, no longer zero-alloc).
 const maxInternedHomes = 1 << 16
 
+// Connection deadlines: each body read and each response flush gets
+// readTimeout and writeTimeout; a keep-alive connection may sit idle between
+// requests for idleTimeout.
+const (
+	readTimeout  = 30 * time.Second
+	writeTimeout = 30 * time.Second
+	idleTimeout  = 2 * time.Minute
+)
+
 // Option configures NewServer.
 type Option interface{ apply(*Server) }
 
@@ -87,22 +93,6 @@ func WithMaxHeader(n int) Option {
 // WithReadHeaderTimeout bounds reading one request head.
 func WithReadHeaderTimeout(d time.Duration) Option {
 	return optionFunc(func(s *Server) { s.readHeaderTimeout = d })
-}
-
-// WithReadTimeout bounds each body read.
-func WithReadTimeout(d time.Duration) Option {
-	return optionFunc(func(s *Server) { s.readTimeout = d })
-}
-
-// WithWriteTimeout bounds each response flush.
-func WithWriteTimeout(d time.Duration) Option {
-	return optionFunc(func(s *Server) { s.writeTimeout = d })
-}
-
-// WithIdleTimeout bounds how long a keep-alive connection may sit between
-// requests.
-func WithIdleTimeout(d time.Duration) Option {
-	return optionFunc(func(s *Server) { s.idleTimeout = d })
 }
 
 // WithMetrics records connection metrics into m's sharded Conn stripes,
@@ -122,9 +112,6 @@ func NewServer(sink Sink, opts ...Option) *Server {
 		maxHeader:         8 << 10,
 		maxBody:           sink.MaxBody(),
 		readHeaderTimeout: 5 * time.Second,
-		readTimeout:       30 * time.Second,
-		writeTimeout:      30 * time.Second,
-		idleTimeout:       2 * time.Minute,
 		listeners:         make(map[net.Listener]struct{}),
 		conns:             make(map[*conn]struct{}),
 		homes:             make(map[string]string),
@@ -380,7 +367,7 @@ func (c *conn) readHead(req *Request) (int, error) {
 		}
 		empty := c.re == 0
 		if empty {
-			dl := c.srv.idleTimeout
+			dl := idleTimeout
 			if c.reqs == 0 {
 				dl = c.srv.readHeaderTimeout
 			}
@@ -529,7 +516,7 @@ func (c *conn) discardBody(req *Request) bool {
 		cl -= take
 	}
 	for cl > 0 {
-		c.rwc.SetReadDeadline(time.Now().Add(c.srv.readTimeout))
+		c.rwc.SetReadDeadline(time.Now().Add(readTimeout))
 		max := int64(len(c.rbuf))
 		if max > cl {
 			max = cl
@@ -567,7 +554,7 @@ func (c *conn) readCL(dst *[]byte, cl int64) error {
 			copy(nb, b)
 			b = nb
 		}
-		c.rwc.SetReadDeadline(time.Now().Add(c.srv.readTimeout))
+		c.rwc.SetReadDeadline(time.Now().Add(readTimeout))
 		n, err := c.rwc.Read(b[len(b) : len(b)+int(cl)])
 		b = b[:len(b)+n]
 		cl -= int64(n)
@@ -686,7 +673,7 @@ func (c *conn) fillBody() error {
 	if c.re == len(c.rbuf) {
 		return errBadChunkSize
 	}
-	c.rwc.SetReadDeadline(time.Now().Add(c.srv.readTimeout))
+	c.rwc.SetReadDeadline(time.Now().Add(readTimeout))
 	n, err := c.rwc.Read(c.rbuf[c.re:])
 	c.re += n
 	if err != nil && n == 0 {
@@ -825,7 +812,7 @@ func (c *conn) flush() error {
 	if len(c.wbuf) == 0 {
 		return nil
 	}
-	c.rwc.SetWriteDeadline(time.Now().Add(c.srv.writeTimeout))
+	c.rwc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := c.rwc.Write(c.wbuf)
 	c.wbuf = c.wbuf[:0]
 	return err
