@@ -52,11 +52,13 @@ var (
 	// DegradedError to carry the retry hint.
 	ErrStoreDegraded = errors.New("fleet: store degraded")
 	// ErrHomeSealed marks a mutation or event on a home sealed for live
-	// migration (Hub.SealHome): the home is mid-move and accepts no new
-	// writes until the target takes over. The HTTP layer answers 503 with a
-	// Retry-After; by the time the client retries, the ring answers with a
-	// 307 to the new owner. Wrap it in a SealedError to carry the hint.
+	// migration (Hub.SealHome) or released to another node: the HTTP layer
+	// answers 503 with a Retry-After; by the time the client retries, the
+	// ring answers with a 307 to the new owner. Wrap it in a SealedError to
+	// carry the hint.
 	ErrHomeSealed = errors.New("fleet: home sealed for migration")
+	// ErrMigrationInFlight marks a seal of a home another migration holds.
+	ErrMigrationInFlight = errors.New("fleet: migration already in flight")
 )
 
 // DegradedError is a store-degraded failure with a retry hint. It unwraps to

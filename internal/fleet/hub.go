@@ -23,12 +23,22 @@ import (
 type task struct {
 	home    string
 	event   *ingest.Event   // coalescable device event; pooled, so a post allocates nothing
-	fn      func(*Home)     // per-home operation; receives nil if the home does not exist and create is unset
-	shardFn func(*shard)    // shard-level operation (stats, barriers)
-	create  bool            // materialize the home on first touch (mutations, ingestion)
+	fn      func(*Home)     // per-home operation; receives nil if the home does not exist and acc < accCreate
+	shardFn func(*shard)    // shard-level operation (stats, barriers, migration steps)
+	acc     access          // how the task touches its home: what the placement table admits
 	done    chan struct{}   // close-once ack (API operations, barriers)
 	wg      *sync.WaitGroup // reusable ack for sync event posts; pooled, so the sync path allocates nothing
 }
+
+// access is how a task touches its home; mailbox.admit checks it.
+type access uint8
+
+const (
+	accRead     access = iota // reads, shard-level tasks and migration steps: always admitted
+	accWrite                  // mutation of an existing home (RemoveRule)
+	accCreate                 // mutation or external event: materializes the home on first touch
+	accFeedback               // dispatch-feedback event: accCreate, but admitted while sealed
+)
 
 // mailbox is an unbounded MPSC queue. Unboundedness is deliberate: a dispatch
 // callback may feed events back into the hub (an actuated appliance notifies
@@ -40,26 +50,39 @@ type mailbox struct {
 	cond   *sync.Cond
 	queue  []task
 	closed bool
+	table  map[string]Placement // placement table (migrate.go), under mu like the queue
 }
 
 func newMailbox() *mailbox {
-	m := &mailbox{}
+	m := &mailbox{table: make(map[string]Placement)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
-// put enqueues a task; it reports false when the mailbox is closed.
-func (m *mailbox) put(t task) bool {
+// put enqueues an accRead task; it reports false when the mailbox is closed.
+func (m *mailbox) put(t task) bool { return m.admit(t) == nil }
+
+// admit enqueues a task. It fails with ErrClosed once the mailbox is
+// closed, and with a SealedError when the home's placement refuses the
+// task's access: a sealed home takes no writes but feedback, a released one
+// none at all. An empty table costs one length test, so the steady-state
+// post stays allocation-free.
+func (m *mailbox) admit(t task) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return false
+		return ErrClosed
+	}
+	if len(m.table) > 0 && t.acc != accRead {
+		if p := m.table[t.home]; p.State == PlaceReleased || p.State == PlaceSealed && t.acc != accFeedback {
+			return &SealedError{Home: t.home, RetryAfter: DefaultSealRetryAfter}
+		}
 	}
 	m.queue = append(m.queue, t)
 	if len(m.queue) == 1 {
 		m.cond.Signal()
 	}
-	return true
+	return nil
 }
 
 // drainInto blocks until work arrives, then hands over the ENTIRE backlog in
@@ -128,7 +151,7 @@ func (s *shard) exec(t task) {
 	// Reads on a home that was never written leave hm nil: a probe of an
 	// unknown home id must not grow the shard's home map.
 	hm := s.homes[t.home]
-	if hm == nil && t.create {
+	if hm == nil && t.acc >= accCreate {
 		hm = s.home(t.home)
 	}
 	if t.event != nil {
@@ -170,6 +193,16 @@ func (s *shard) home(id string) *Home {
 	return hm
 }
 
+// evict drops a resident home from the shard's memory; the store is the
+// caller's business.
+func (s *shard) evict(id string) {
+	if _, ok := s.homes[id]; ok {
+		delete(s.homes, id)
+		delete(s.pending, id)
+		s.hub.metrics.Homes.Add(-1)
+	}
+}
+
 // dispatchJob is one fired action being applied by the worker pool.
 type dispatchJob struct {
 	home  string
@@ -192,13 +225,6 @@ type Hub struct {
 	closed    bool
 	compactMu sync.Mutex // serializes Compact's stop-the-world pause
 
-	// Migration seals (see migrate.go). sealedN is the hot-path fast gate:
-	// the ingest path pays one atomic load while nothing in the fleet is
-	// sealed, keeping steady-state posts allocation- and lock-free.
-	sealMu      sync.RWMutex
-	sealedHomes map[string]struct{}
-	sealedN     atomic.Int32
-
 	events atomic.Uint64 // events accepted by PostEvent[Sync]
 }
 
@@ -220,8 +246,7 @@ func NewHub(opts ...HubOption) (*Hub, error) {
 	if cfg.shards < 1 {
 		cfg.shards = 1
 	}
-	h := &Hub{cfg: cfg, store: cfg.store, metrics: obs.New(cfg.shards),
-		sealedHomes: make(map[string]struct{})}
+	h := &Hub{cfg: cfg, store: cfg.store, metrics: obs.New(cfg.shards)}
 	if ms, ok := h.store.(interface{ SetStoreMetrics(*obs.StoreMetrics) }); ok {
 		ms.SetStoreMetrics(&h.metrics.Store)
 	}
@@ -281,10 +306,7 @@ func (h *Hub) replay() error {
 			// Migration tombstone: discard everything replayed for this home
 			// so far. A released home stays gone; an interrupted import's
 			// partial records are superseded by the retry that follows.
-			if _, ok := s.homes[rec.Home]; ok {
-				delete(s.homes, rec.Home)
-				h.metrics.Homes.Add(-1)
-			}
+			s.evict(rec.Home)
 			return nil
 		}
 		hm := s.home(rec.Home)
@@ -396,10 +418,10 @@ func (h *Hub) send(home string, t task) error {
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	if h.closed || !h.shardFor(home).mb.put(t) {
+	if h.closed {
 		return ErrClosed
 	}
-	return nil
+	return h.shardFor(home).mb.admit(t)
 }
 
 // do runs fn on the home's shard goroutine and waits for it; fn receives nil
@@ -408,23 +430,29 @@ func (h *Hub) send(home string, t task) error {
 // dispatcher) would deadlock — observers get everything they need as
 // arguments instead.
 func (h *Hub) do(home string, fn func(*Home) error) error {
-	return h.exec(home, false, fn)
+	return h.exec(home, accRead, fn)
 }
 
-// doCreate is do for mutations: the home is materialized on first touch.
-func (h *Hub) doCreate(home string, fn func(*Home) error) error {
-	return h.exec(home, true, fn)
-}
-
-func (h *Hub) exec(home string, create bool, fn func(*Home) error) error {
+func (h *Hub) exec(home string, acc access, fn func(*Home) error) error {
 	var err error
 	done := make(chan struct{})
 	if sendErr := h.send(home, task{
-		home:   home,
-		create: create,
-		fn:     func(hm *Home) { err = fn(hm) },
-		done:   done,
+		home: home,
+		acc:  acc,
+		fn:   func(hm *Home) { err = fn(hm) },
+		done: done,
 	}); sendErr != nil {
+		return sendErr
+	}
+	<-done
+	return err
+}
+
+// onShard runs fn on home's shard goroutine and waits for its result.
+func (h *Hub) onShard(home string, fn func(*shard) error) error {
+	var err error
+	done := make(chan struct{})
+	if sendErr := h.send(home, task{home: home, shardFn: func(s *shard) { err = fn(s) }, done: done}); sendErr != nil {
 		return sendErr
 	}
 	<-done
@@ -479,10 +507,7 @@ func (h *Hub) EventsAccepted() uint64 { return h.events.Load() }
 
 // RegisterUser adds a user to a home, creating the home on first touch.
 func (h *Hub) RegisterUser(home, name string, favorites ...string) error {
-	if err := h.sealedErr(home); err != nil {
-		return err
-	}
-	return h.doCreate(home, func(hm *Home) error {
+	return h.exec(home, accCreate, func(hm *Home) error {
 		if err := hm.RegisterUser(name, favorites...); err != nil {
 			return err
 		}
@@ -508,10 +533,7 @@ func (h *Hub) Users(home string) ([]string, error) {
 
 // SetFavorites replaces a user's favourite keywords.
 func (h *Hub) SetFavorites(home, user string, keywords []string) error {
-	if err := h.sealedErr(home); err != nil {
-		return err
-	}
-	return h.doCreate(home, func(hm *Home) error {
+	return h.exec(home, accCreate, func(hm *Home) error {
 		old, had := hm.favorites[vocab.Normalize(user)]
 		hm.SetFavorites(user, keywords)
 		if err := h.append(Record{Home: home, Kind: RecordFavorites, User: vocab.Normalize(user), Favorites: keywords}); err != nil {
@@ -529,11 +551,8 @@ func (h *Hub) SetFavorites(home, user string, keywords []string) error {
 
 // Submit parses and registers one CADEL command for a home (see Home.Submit).
 func (h *Hub) Submit(home, source, owner string) (*Result, error) {
-	if err := h.sealedErr(home); err != nil {
-		return nil, err
-	}
 	var res *Result
-	err := h.doCreate(home, func(hm *Home) error {
+	err := h.exec(home, accCreate, func(hm *Home) error {
 		var err error
 		res, err = hm.Submit(source, owner)
 		if err != nil {
@@ -569,10 +588,7 @@ func (h *Hub) Submit(home, source, owner string) (*Result, error) {
 
 // RemoveRule deletes a home's rule by id.
 func (h *Hub) RemoveRule(home, id string) error {
-	if err := h.sealedErr(home); err != nil {
-		return err
-	}
-	return h.do(home, func(hm *Home) error {
+	return h.exec(home, accWrite, func(hm *Home) error {
 		if hm == nil {
 			return fmt.Errorf("%w: %q", registry.ErrNotFound, id)
 		}
@@ -634,11 +650,8 @@ func (h *Hub) ExportRules(home string) ([]byte, error) {
 // store append fails are rolled back, so the reported count matches what a
 // restart would rehydrate.
 func (h *Hub) ImportRules(home string, data []byte) (int, error) {
-	if err := h.sealedErr(home); err != nil {
-		return 0, err
-	}
 	var n int
-	err := h.doCreate(home, func(hm *Home) error {
+	err := h.exec(home, accCreate, func(hm *Home) error {
 		var recs []registry.Record
 		var err error
 		n, recs, err = hm.ImportRules(data)
@@ -660,10 +673,7 @@ func (h *Hub) ImportRules(home string, data []byte) (int, error) {
 // store append is reported but not rolled back (the previous order is
 // overwritten in place); the caller should retry.
 func (h *Hub) SetPriority(home string, ref core.DeviceRef, users []string, contextSource string) error {
-	if err := h.sealedErr(home); err != nil {
-		return err
-	}
-	return h.doCreate(home, func(hm *Home) error {
+	return h.exec(home, accCreate, func(hm *Home) error {
 		if err := hm.SetPriority(ref, users, contextSource); err != nil {
 			return err
 		}
@@ -690,37 +700,34 @@ func (h *Hub) PriorityOrders(home string, ref core.DeviceRef) ([]conflict.Order,
 // PostEvent asynchronously ingests a device event for a home. Events of one
 // home are applied in posting order; a backlog coalesces into a single
 // evaluation pass. The event is copied into a pooled ingest.Event before
-// PostEvent returns, so the caller keeps vars and may reuse it.
+// PostEvent returns, so the caller keeps vars and may reuse it. A home
+// sealed for migration or released refuses it with a SealedError.
 func (h *Hub) PostEvent(home, deviceType, friendlyName, location string, vars map[string]string) error {
-	if err := h.sealedErr(home); err != nil {
-		return err
-	}
-	return h.PostEventFeedback(home, deviceType, friendlyName, location, vars)
+	return h.postVars(home, deviceType, friendlyName, location, vars, accCreate, false)
 }
 
-// PostEventFeedback is PostEvent without the migration-seal check: the entry
-// point for dispatch-feedback chains (an actuated appliance notifying its own
-// property change from a Dispatcher or OnFire callback). A sealed home's
-// in-flight chains keep draining through here — the coordinator's quiesce
-// loop waits for them — while new external posts bounce with 503.
+// PostEventFeedback is PostEvent for dispatch-feedback chains (an actuated
+// appliance notifying its own property change from a Dispatcher or OnFire
+// callback). A sealed home still admits it, so in-flight chains keep
+// draining while the coordinator's quiesce loop waits for them and new
+// external posts bounce with 503. A released home refuses it like any other
+// write: the home lives elsewhere, and admitting the post would recreate it
+// here empty.
 func (h *Hub) PostEventFeedback(home, deviceType, friendlyName, location string, vars map[string]string) error {
-	return h.postVars(home, deviceType, friendlyName, location, vars, false)
+	return h.postVars(home, deviceType, friendlyName, location, vars, accFeedback, false)
 }
 
 // PostEventSync ingests a device event and waits until the home has
 // evaluated it. Like PostEvent, it copies vars and keeps no reference.
 func (h *Hub) PostEventSync(home, deviceType, friendlyName, location string, vars map[string]string) error {
-	if err := h.sealedErr(home); err != nil {
-		return err
-	}
-	return h.postVars(home, deviceType, friendlyName, location, vars, true)
+	return h.postVars(home, deviceType, friendlyName, location, vars, accCreate, true)
 }
 
 // postVars fills a pooled event from a map-shaped event and posts it.
-func (h *Hub) postVars(home, deviceType, friendlyName, location string, vars map[string]string, wait bool) error {
+func (h *Hub) postVars(home, deviceType, friendlyName, location string, vars map[string]string, acc access, wait bool) error {
 	ev := ingest.AcquireEvent()
 	ev.Fill(deviceType, friendlyName, location, vars)
-	err := h.post(home, ev, wait)
+	err := h.post(home, ev, acc, wait)
 	if err != nil {
 		ev.Release()
 	}
@@ -732,20 +739,14 @@ func (h *Hub) postVars(home, deviceType, friendlyName, location string, vars map
 // releases it to the pool after the home applies it; on error the caller
 // still owns ev. This is the ingest.Poster surface the sink posts into.
 func (h *Hub) PostEventFast(home string, ev *ingest.Event) error {
-	if err := h.sealedErr(home); err != nil {
-		return err
-	}
-	return h.post(home, ev, false)
+	return h.post(home, ev, accCreate, false)
 }
 
 // PostEventFastSync is PostEventFast waiting until the home has evaluated
 // the event. Ownership transfers as in PostEventFast; ev is already released
 // by the time this returns.
 func (h *Hub) PostEventFastSync(home string, ev *ingest.Event) error {
-	if err := h.sealedErr(home); err != nil {
-		return err
-	}
-	return h.post(home, ev, true)
+	return h.post(home, ev, accCreate, true)
 }
 
 // syncWaiters pools the WaitGroups that ack synchronous posts: a one-shot
@@ -757,8 +758,8 @@ var syncWaiters = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 // post enqueues ev for home — the one event path every post method takes —
 // and, when wait is set, blocks until the home has evaluated it. On success
 // the hub owns ev; on error the caller still does.
-func (h *Hub) post(home string, ev *ingest.Event, wait bool) error {
-	t := task{home: home, create: true, event: ev}
+func (h *Hub) post(home string, ev *ingest.Event, acc access, wait bool) error {
+	t := task{home: home, acc: acc, event: ev}
 	if wait {
 		t.wg = syncWaiters.Get().(*sync.WaitGroup)
 		t.wg.Add(1)
@@ -981,13 +982,9 @@ type Stats struct {
 // Stats returns a consistent-enough snapshot of the hub's counters. The
 // events/passes ratio is the ingestion coalescing factor.
 func (h *Hub) Stats() (Stats, error) {
-	st := Stats{Shards: len(h.shards), Events: h.events.Load()}
-	st.ShardQueues = make([]int, len(h.shards))
-	for i, s := range h.shards {
-		s.mb.mu.Lock()
-		st.ShardQueues[i] = len(s.mb.queue)
-		st.Queued += len(s.mb.queue)
-		s.mb.mu.Unlock()
+	st := Stats{Shards: len(h.shards), Events: h.events.Load(), ShardQueues: h.ShardQueues()}
+	for _, q := range st.ShardQueues {
+		st.Queued += q
 	}
 	err := h.barrier(func(s *shard) {
 		st.Homes += len(s.homes)

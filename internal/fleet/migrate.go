@@ -2,22 +2,29 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
 // This file is the hub's half of live home migration (see internal/ring for
-// the coordinator): sealing a home against new writes, exporting its full
-// state (durable records + volatile engine state), importing that state on a
-// target hub without re-firing anything, and releasing ownership on the
-// source once the target has acked.
+// the coordinator) and the placement table that says where a home lives.
 //
-// Protocol order on the source: SealHome → Quiesce (drain, repeated until
-// the home's backlog is empty — dispatch-feedback chains keep draining
-// through PostEventFeedback while the seal holds) → ExportHome → transfer →
-// ReleaseHome after the target acks. On any failure before the ack:
-// UnsealHome and the home keeps serving where it is.
+// Each shard's mailbox holds a placement table under the lock admit
+// enqueues under. A home without an entry is placed by the ring's hash; an
+// entry is sealed (migrating away: writes refused with a SealedError, HTTP
+// 503 + Retry-After, dispatch feedback admitted), released(owner) (handed
+// to owner: every write refused; a ring node redirects there) or adopted
+// (imported here: served here whatever the hash says). Every transition
+// goes through Hub.place, so a write is either queued before a transition
+// or refused after it; it never recreates a released home. In memory only.
+//
+// Protocol order on the source: SealHome (the claim) → Quiesce (drain,
+// repeated until the home's backlog is empty — dispatch-feedback chains keep
+// draining through PostEventFeedback while the seal holds) → ExportHome →
+// transfer → ReleaseHomeTo after the target acks. On any failure before the
+// ack: UnsealHome and the home keeps serving where it is.
 
 // HomeExport is one home's complete migratable state: the durable store
 // records (users, words, rules, priorities — rule ids preserved) plus the
@@ -29,56 +36,103 @@ type HomeExport struct {
 	State   *engine.StateExport
 }
 
-// sealedErr reports a SealedError when home is sealed for migration. The
-// fast path is one atomic load (zero when nothing in the fleet is sealed),
-// so the steady-state ingest path stays allocation-free.
-func (h *Hub) sealedErr(home string) error {
-	if h.sealedN.Load() == 0 {
+// PlaceState is a home's state in its shard's placement table.
+type PlaceState uint8
+
+const (
+	PlaceHashed   PlaceState = iota // no entry: the ring's hash places the home
+	PlaceSealed                     // migrating away from this hub
+	PlaceReleased                   // handed to Placement.Owner
+	PlaceAdopted                    // imported here, whatever the hash says
+)
+
+// Placement is a home's entry in its shard's placement table.
+type Placement struct {
+	State PlaceState
+	Owner string     // PlaceReleased: the node the home went to ("" if unknown)
+	prev  PlaceState // PlaceSealed: the state an unseal restores
+}
+
+// place is the table's one transition function; to names the transition.
+// PlaceSealed seals (ErrMigrationInFlight when already sealed); PlaceHashed
+// unseals, restoring the entry the seal replaced (a no-op unless sealed);
+// PlaceReleased releases to owner; PlaceAdopted imports. Only a seal can
+// fail, so the other transitions' callers drop the error.
+func (h *Hub) place(home string, to PlaceState, owner string) error {
+	m := h.shardFor(home).mb
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cur, next := m.table[home], Placement{State: to, Owner: owner}
+	switch {
+	case to == PlaceSealed && cur.State == PlaceSealed:
+		return fmt.Errorf("fleet: %q: %w", home, ErrMigrationInFlight)
+	case to == PlaceSealed:
+		next = Placement{State: to, Owner: cur.Owner, prev: cur.State}
+	case to == PlaceHashed && cur.State != PlaceSealed:
 		return nil
+	case to == PlaceHashed:
+		next = Placement{State: cur.prev, Owner: cur.Owner}
 	}
-	h.sealMu.RLock()
-	_, sealed := h.sealedHomes[home]
-	h.sealMu.RUnlock()
-	if sealed {
-		return &SealedError{Home: home, RetryAfter: DefaultSealRetryAfter}
+	if next.State == PlaceHashed {
+		delete(m.table, home)
+	} else {
+		m.table[home] = next
 	}
 	return nil
 }
 
-// SealHome marks a home as migrating: every later mutation and external
-// event post fails with a SealedError (HTTP: 503 + Retry-After) until
-// UnsealHome or ReleaseHome. Events already enqueued still evaluate, and
-// dispatch-feedback chains keep draining via PostEventFeedback. Sealing is
-// idempotent; sealing a home that does not exist fails with ErrNoHome.
+// Placement returns home's entry in the placement table: the zero Placement
+// (PlaceHashed) when there is none.
+func (h *Hub) Placement(home string) Placement {
+	m := h.shardFor(home).mb
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.table[home]
+}
+
+// Placements returns a copy of every entry in the hub's placement tables.
+func (h *Hub) Placements() map[string]Placement {
+	out := make(map[string]Placement)
+	for _, s := range h.shards {
+		s.mb.mu.Lock()
+		for home, p := range s.mb.table {
+			out[home] = p
+		}
+		s.mb.mu.Unlock()
+	}
+	return out
+}
+
+// SealHome claims a resident home for migration: from here on every
+// mutation and external event post fails with a SealedError (HTTP: 503 +
+// Retry-After) until UnsealHome or ReleaseHome. Events already enqueued
+// still evaluate, and dispatch-feedback chains keep draining via
+// PostEventFeedback. Sealing a home that does not exist fails with
+// ErrNoHome, sealing one that is already sealed with ErrMigrationInFlight.
 func (h *Hub) SealHome(home string) error {
 	return h.do(home, func(hm *Home) error {
 		if hm == nil {
 			return ErrNoHome
 		}
-		h.sealMu.Lock()
-		if _, ok := h.sealedHomes[home]; !ok {
-			h.sealedHomes[home] = struct{}{}
-			h.sealedN.Add(1)
-		}
-		h.sealMu.Unlock()
-		return nil
+		return h.place(home, PlaceSealed, "")
 	})
 }
 
 // UnsealHome lifts a migration seal (the abort path: transfer failed, the
-// home keeps serving on this hub). Idempotent.
-func (h *Hub) UnsealHome(home string) {
-	h.sealMu.Lock()
-	if _, ok := h.sealedHomes[home]; ok {
-		delete(h.sealedHomes, home)
-		h.sealedN.Add(-1)
-	}
-	h.sealMu.Unlock()
-}
+// home keeps serving on this hub) and restores the placement the seal
+// replaced. Idempotent.
+func (h *Hub) UnsealHome(home string) { _ = h.place(home, PlaceHashed, "") }
 
 // SealedHomes reports how many homes are currently sealed for migration —
 // a readiness signal (a draining node is not ready) and a /metrics gauge.
-func (h *Hub) SealedHomes() int { return int(h.sealedN.Load()) }
+func (h *Hub) SealedHomes() (n int) {
+	for _, p := range h.Placements() {
+		if p.State == PlaceSealed {
+			n++
+		}
+	}
+	return n
+}
 
 // MetricsRegistry returns the hub's metrics registry without the flush
 // barrier Metrics() runs. It is the write-side accessor migration and ring
@@ -90,22 +144,14 @@ func (h *Hub) MetricsRegistry() *obs.Metrics { return h.metrics }
 // drained its backlog first (Quiesce until Backlog(home) == 0), so the
 // export observes a settled home.
 func (h *Hub) ExportHome(home string) (*HomeExport, error) {
-	var (
-		exp *HomeExport
-		err error
-	)
-	done := make(chan struct{})
-	if sendErr := h.send(home, task{home: home, shardFn: func(s *shard) {
-		hm := s.homes[home]
+	var exp *HomeExport
+	err := h.do(home, func(hm *Home) error {
 		if hm == nil {
-			err = ErrNoHome
-			return
+			return ErrNoHome
 		}
 		exp = &HomeExport{Home: home, Records: hm.snapshotRecords(), State: hm.engine.ExportState()}
-	}, done: done}); sendErr != nil {
-		return nil, sendErr
-	}
-	<-done
+		return nil
+	})
 	return exp, err
 }
 
@@ -121,26 +167,19 @@ func (h *Hub) ImportHome(exp *HomeExport) error {
 	if exp == nil || exp.Home == "" {
 		return errors.New("fleet: import without home")
 	}
-	var err error
-	done := make(chan struct{})
-	if sendErr := h.send(exp.Home, task{home: exp.Home, shardFn: func(s *shard) {
-		err = s.importHome(exp)
-	}, done: done}); sendErr != nil {
-		return sendErr
-	}
-	<-done
-	return err
+	return h.onShard(exp.Home, func(s *shard) error {
+		if err := s.importHome(exp); err != nil {
+			return err
+		}
+		return h.place(exp.Home, PlaceAdopted, "")
+	})
 }
 
 func (s *shard) importHome(exp *HomeExport) error {
 	h := s.hub
 	// Drop any resident copy: a stale pre-migration home, or the partial
 	// result of an earlier interrupted import.
-	if _, ok := s.homes[exp.Home]; ok {
-		delete(s.homes, exp.Home)
-		delete(s.pending, exp.Home)
-		h.metrics.Homes.Add(-1)
-	}
+	s.evict(exp.Home)
 	// Tombstone before the records: if this process dies mid-import, replay
 	// sees <reset, partial records> and the next transfer retry prepends a
 	// fresh reset — the store can never rehydrate a duplicate or a hybrid.
@@ -169,40 +208,33 @@ func (s *shard) importHome(exp *HomeExport) error {
 
 // dropHome removes a home mid-import and tombstones its partial records.
 func (s *shard) dropHome(id string) {
-	if _, ok := s.homes[id]; ok {
-		delete(s.homes, id)
-		delete(s.pending, id)
-		s.hub.metrics.Homes.Add(-1)
-	}
+	s.evict(id)
 	// Best effort: if this append fails too, the partial records stay ahead
 	// of no reset, but the next import attempt writes one before its own
 	// records, restoring the invariant.
 	_ = s.hub.append(Record{Home: id, Kind: RecordHomeReset})
 }
 
-// ReleaseHome forgets a home after the migration target acked the transfer:
-// a tombstone is appended (a restarted source must not resurrect a home it
-// handed away), the home leaves memory, and the seal lifts. Releasing a home
-// that is already gone is a no-op, so coordinator retries are safe.
-func (h *Hub) ReleaseHome(home string) error {
-	var err error
-	done := make(chan struct{})
-	if sendErr := h.send(home, task{home: home, shardFn: func(s *shard) {
+// ReleaseHome is ReleaseHomeTo with the new owner unknown.
+func (h *Hub) ReleaseHome(home string) error { return h.ReleaseHomeTo(home, "") }
+
+// ReleaseHomeTo forgets a home after the migration target acked the
+// transfer. The placement entry turns released(owner) first, so every later
+// write, dispatch feedback included, is refused instead of recreating the
+// home empty; then a tombstone is appended (a restarted source must not
+// resurrect a home it handed away) and the home leaves memory. A failed
+// append leaves a released copy that only bounces requests until a retry or
+// restart; releasing a home already gone is a no-op, so retries are safe.
+func (h *Hub) ReleaseHomeTo(home, owner string) error {
+	_ = h.place(home, PlaceReleased, owner)
+	return h.onShard(home, func(s *shard) error {
 		if _, ok := s.homes[home]; !ok {
-			return
+			return nil
 		}
-		if err = h.append(Record{Home: home, Kind: RecordHomeReset}); err != nil {
-			return
+		if err := h.append(Record{Home: home, Kind: RecordHomeReset}); err != nil {
+			return err
 		}
-		delete(s.homes, home)
-		delete(s.pending, home)
-		h.metrics.Homes.Add(-1)
-	}, done: done}); sendErr != nil {
-		return sendErr
-	}
-	<-done
-	if err == nil {
-		h.UnsealHome(home)
-	}
-	return err
+		s.evict(home)
+		return nil
+	})
 }

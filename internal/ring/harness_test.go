@@ -60,6 +60,8 @@ type testNode struct {
 	client *http.Client // transfer client for this node's Migrate calls
 	peers  []string
 	shards int
+	// wrap, when set, wraps the fleet handler the node routes owned homes to.
+	wrap func(http.Handler) http.Handler
 
 	cur  atomic.Pointer[Node]
 	hook atomic.Pointer[func(step string) error]
@@ -100,10 +102,14 @@ func (tn *testNode) start(peers []string) {
 	if err != nil {
 		tn.t.Fatal(err)
 	}
+	var handler http.Handler = fleet.NewHTTPHandler(hub, fleet.WithEventSink(fleet.NewEventSink(hub, ingest.Limits{})))
+	if tn.wrap != nil {
+		handler = tn.wrap(handler)
+	}
 	node, err := NewNode(NodeConfig{
 		Self:    tn.addr,
 		Hub:     hub,
-		Handler: fleet.NewHTTPHandler(hub, fleet.WithEventSink(fleet.NewEventSink(hub, ingest.Limits{}))),
+		Handler: handler,
 		Peers:   peers,
 		TransferHook: func(step string) error {
 			if fn := tn.hook.Load(); fn != nil {
@@ -124,7 +130,7 @@ func (tn *testNode) node() *Node     { return tn.cur.Load() }
 func (tn *testNode) hub() *fleet.Hub { return tn.cur.Load().hub }
 
 // restart simulates a process kill and supervisor restart: the hub dies
-// (volatile engine state, override map, import marks — all gone), then a
+// (volatile engine state, placement table, import marks — all gone), then a
 // fresh hub rehydrates from the same store directory behind the same
 // address.
 func (tn *testNode) restart() {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	neturl "net/url"
 	"time"
@@ -38,35 +39,27 @@ const (
 
 // ErrMigrationInFlight reports a migration rejected because another
 // migration of the same home is already running on this node (HTTP: 409).
-var ErrMigrationInFlight = errors.New("ring: migration already in flight")
+var ErrMigrationInFlight = fleet.ErrMigrationInFlight
 
 // Migrate moves one resident home to the target node and releases it here.
 // On any error the home is unsealed and keeps serving on this node; the only
-// non-retryable window is after the target's ack, where release failures
-// leave the home sealed (served by the target via the ownership override,
-// never by both). At most one migration per home runs at a time: a manual
-// /ring/migrate racing a background rebalance gets ErrMigrationInFlight
-// instead of a second concurrent transfer to a possibly different target.
+// non-retryable window is after the target's ack, where a failed release
+// leaves the home released to the target here (served by the target, never
+// by both). The seal is the claim: a manual /ring/migrate racing a
+// background rebalance gets ErrMigrationInFlight instead of a second
+// concurrent transfer to a possibly different target.
 func (n *Node) Migrate(ctx context.Context, home, target string) error {
 	m := &n.hub.MetricsRegistry().Migration
 	if target == "" || target == n.self {
 		return fmt.Errorf("ring: cannot migrate %q to %q", home, target)
 	}
-	n.mu.Lock()
-	if _, busy := n.migrating[home]; busy {
-		n.mu.Unlock()
-		return fmt.Errorf("ring: %q: %w", home, ErrMigrationInFlight)
+	err := n.hub.SealHome(home)
+	if errors.Is(err, ErrMigrationInFlight) {
+		return err
 	}
-	n.migrating[home] = struct{}{}
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.migrating, home)
-		n.mu.Unlock()
-	}()
 	m.Started.Inc()
 	start := time.Now()
-	if err := n.hub.SealHome(home); err != nil {
+	if err != nil {
 		m.Failed.Inc()
 		return err
 	}
@@ -114,17 +107,15 @@ func (n *Node) Migrate(ctx context.Context, home, target string) error {
 		return abort(fmt.Errorf("ring: target acked %d lines, sent %d", ack.Lines, lines))
 	}
 
-	// Commit point: the target holds the complete home. The ownership
-	// override goes in FIRST: ReleaseHome deletes the home and lifts the
-	// seal, and if this node is still the hash owner, a post landing in that
-	// window would otherwise pass the lifted seal, fall through Owner() to
-	// the ring (self) and resurrect an empty home after the release
-	// tombstone. With the override installed, routing redirects to the
-	// target throughout the release. Release must not unseal on failure —
-	// the home now lives on the target, and a sealed zombie copy here only
-	// bounces requests until a retry or restart finishes the forget.
-	n.setOverride(home, target)
-	if err := n.hub.ReleaseHome(home); err != nil {
+	// Commit point: the target holds the complete home. ReleaseHomeTo turns
+	// the placement entry from sealed to released(target) before it drops
+	// the home, in the critical section the mailbox admits under: from that
+	// instant routing redirects to the target and every write that still
+	// reaches this hub, even one routed here before the release, is refused
+	// instead of recreating an empty home. A failed release keeps the entry:
+	// the home now lives on the target, and the copy here only bounces
+	// requests until a retry or restart finishes the forget.
+	if err := n.hub.ReleaseHomeTo(home, target); err != nil {
 		m.Failed.Inc()
 		return fmt.Errorf("ring: target holds %q but source release failed: %w", home, err)
 	}
@@ -134,10 +125,10 @@ func (n *Node) Migrate(ctx context.Context, home, target string) error {
 }
 
 // Rebalance migrates every resident home whose hash owner is another member.
-// Overrides are deliberately ignored here: rebalancing moves homes TOWARD
-// hash ownership, which is what survives a restart (overrides are
-// in-memory). Each home migrates independently; the first error is reported
-// after every home has been attempted.
+// Placement entries are deliberately ignored here: rebalancing moves homes
+// TOWARD hash ownership, which is what survives a restart (the placement
+// table is in-memory). Each home migrates independently; each failure is
+// logged, and the first is reported after every home has been attempted.
 func (n *Node) Rebalance(ctx context.Context) error {
 	homes, err := n.hub.Homes()
 	if err != nil {
@@ -147,13 +138,13 @@ func (n *Node) Rebalance(ctx context.Context) error {
 	for _, home := range homes {
 		owner := n.ring.Owner(home)
 		if owner == "" || owner == n.self {
-			// Hash-owned here: drop any stale override so routing follows
-			// the ring again.
-			n.setOverride(home, "")
 			continue
 		}
-		if err := n.Migrate(ctx, home, owner); err != nil && firstErr == nil {
-			firstErr = err
+		if err := n.Migrate(ctx, home, owner); err != nil {
+			slog.Warn("ring: migration failed", "home", home, "target", owner, "err", err)
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	return firstErr

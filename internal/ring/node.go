@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -19,35 +19,22 @@ import (
 
 // Node is one ring member: a hub plus its fleet HTTP handler, wrapped with
 // ownership routing, the migration transfer endpoint, liveness/readiness
-// probes and per-node ring gauges on /metrics.
+// probes and per-node ring gauges on /metrics. It keeps no ownership state:
+// the hub's placement table (fleet/migrate.go) and the ring's hash decide.
 type Node struct {
 	self  string // advertised address (host:port), also the ring member id
 	hub   *fleet.Hub
 	inner http.Handler
 	ring  *Ring
 
-	mu sync.RWMutex
-	// overrides layers explicit ownership over the ring's hash default:
-	// after a migration the source points the home at the target (so
-	// requests redirect before membership catches up) and the target points
-	// it at itself (so it serves a home it does not hash-own). In-memory
-	// only: a restarted node falls back to hash ownership, which is why
-	// rebalancing migrates homes TOWARD their hash owner.
-	overrides map[string]string
+	// transferMu serializes imports so a duplicated delivery racing the
+	// original cannot interleave two wholesale-replaces of the same home;
+	// it guards imports.
+	transferMu sync.Mutex
 	// imports marks completed transfers by migration id: a duplicated or
 	// retried delivery of an already-applied transfer is acked idempotently
 	// instead of re-imported.
 	imports map[string]importMark
-	// migrating holds homes with a source-side migration in flight on this
-	// node. SealHome alone is idempotent, so without this a manual
-	// /ring/migrate racing a background rebalance could run two full
-	// migrations of the same home to different targets; the second caller is
-	// rejected with ErrMigrationInFlight instead.
-	migrating map[string]struct{}
-
-	// transferMu serializes imports so a duplicated delivery racing the
-	// original cannot interleave two wholesale-replaces of the same home.
-	transferMu sync.Mutex
 
 	draining atomic.Bool
 
@@ -126,9 +113,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		hub:          cfg.Hub,
 		inner:        cfg.Handler,
 		ring:         New(peers...),
-		overrides:    make(map[string]string),
 		imports:      make(map[string]importMark),
-		migrating:    make(map[string]struct{}),
 		transferHook: cfg.TransferHook,
 		client:       client,
 		nonce:        time.Now().UnixNano(),
@@ -149,26 +134,33 @@ func (n *Node) Hub() *fleet.Hub { return n.hub }
 // in-flight requests finish.
 func (n *Node) SetDraining(d bool) { n.draining.Store(d) }
 
-// Owner returns who currently owns home: an explicit override when one
-// exists (migration just moved it), the ring's hash owner otherwise.
+// Owner returns who owns home right now: one lookup in the hub's placement
+// table (a home sealed or adopted here is this node's, a released one its
+// new owner's), then the ring's hash. The table is in-memory, so rebalancing
+// migrates homes TOWARD their hash owner.
 func (n *Node) Owner(home string) string {
-	n.mu.RLock()
-	if o, ok := n.overrides[home]; ok {
-		n.mu.RUnlock()
-		return o
+	switch p := n.hub.Placement(home); {
+	case p.State == fleet.PlaceSealed || p.State == fleet.PlaceAdopted:
+		return n.self
+	case p.State == fleet.PlaceReleased && p.Owner != "":
+		return p.Owner
 	}
-	n.mu.RUnlock()
 	return n.ring.Owner(home)
 }
 
-func (n *Node) setOverride(home, owner string) {
-	n.mu.Lock()
-	if owner == "" {
-		delete(n.overrides, home)
-	} else {
-		n.overrides[home] = owner
+// overrides renders the placement entries that route a home off its hash:
+// released homes to their new owner, adopted ones to this node.
+func (n *Node) overrides() map[string]string {
+	out := make(map[string]string)
+	for home, p := range n.hub.Placements() {
+		switch p.State {
+		case fleet.PlaceReleased:
+			out[home] = p.Owner
+		case fleet.PlaceAdopted:
+			out[home] = n.self
+		}
 	}
-	n.mu.Unlock()
+	return out
 }
 
 func (n *Node) hook(step string) error {
@@ -280,15 +272,8 @@ func (n *Node) handleRingStatus(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	}
-	st := ringStatus{Self: n.self, Members: n.ring.Members(), Homes: len(homes), Sealed: n.hub.SealedHomes()}
-	n.mu.RLock()
-	if len(n.overrides) > 0 {
-		st.Overrides = make(map[string]string, len(n.overrides))
-		for h, o := range n.overrides {
-			st.Overrides[h] = o
-		}
-	}
-	n.mu.RUnlock()
+	st := ringStatus{Self: n.self, Members: n.ring.Members(), Homes: len(homes),
+		Sealed: n.hub.SealedHomes(), Overrides: n.overrides()}
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -315,7 +300,7 @@ func (n *Node) handleSetMembers(w http.ResponseWriter, r *http.Request) {
 	ctx := context.WithoutCancel(r.Context())
 	go func() {
 		if err := n.Rebalance(ctx); err != nil {
-			log.Printf("ring: rebalance after membership change on %s: %v", n.self, err)
+			slog.Error("ring: rebalance after membership change", "node", n.self, "err", err)
 		}
 	}()
 	writeJSON(w, http.StatusOK, membersRequest{Members: n.ring.Members()})
@@ -386,9 +371,7 @@ func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	n.transferMu.Lock()
 	defer n.transferMu.Unlock()
 
-	n.mu.RLock()
 	mark, done := n.imports[home]
-	n.mu.RUnlock()
 	if done && mark.migration == mig {
 		writeJSON(w, http.StatusOK, transferAck{Home: home, Migration: mig, Lines: mark.lines, Applied: false})
 		return
@@ -429,10 +412,7 @@ func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	n.mu.Lock()
 	n.imports[home] = importMark{migration: mig, lines: lines}
-	n.overrides[home] = n.self
-	n.mu.Unlock()
 	n.hub.MetricsRegistry().Migration.Imported.Inc()
 	if err := n.hook("pre-ack"); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
@@ -450,17 +430,14 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	n.mu.RLock()
-	overrides := len(n.overrides)
-	n.mu.RUnlock()
 	fmt.Fprintf(w, "# HELP cadel_ring_members Ring membership size as this node sees it.\n")
 	fmt.Fprintf(w, "# TYPE cadel_ring_members gauge\ncadel_ring_members %d\n", len(n.ring.Members()))
 	fmt.Fprintf(w, "# HELP cadel_ring_homes_owned Homes resident on this node.\n")
 	fmt.Fprintf(w, "# TYPE cadel_ring_homes_owned gauge\ncadel_ring_homes_owned %d\n", len(homes))
 	fmt.Fprintf(w, "# HELP cadel_ring_homes_sealed Homes sealed for migration on this node.\n")
 	fmt.Fprintf(w, "# TYPE cadel_ring_homes_sealed gauge\ncadel_ring_homes_sealed %d\n", n.hub.SealedHomes())
-	fmt.Fprintf(w, "# HELP cadel_ring_ownership_overrides Post-migration ownership overrides held.\n")
-	fmt.Fprintf(w, "# TYPE cadel_ring_ownership_overrides gauge\ncadel_ring_ownership_overrides %d\n", overrides)
+	fmt.Fprintf(w, "# HELP cadel_ring_ownership_overrides Placement entries routing a home off its hash owner.\n")
+	fmt.Fprintf(w, "# TYPE cadel_ring_ownership_overrides gauge\ncadel_ring_ownership_overrides %d\n", len(n.overrides()))
 }
 
 type errorBody struct {

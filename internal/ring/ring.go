@@ -11,9 +11,9 @@
 // Routing: a Node wraps its hub's fleet HTTP handler. Requests for a home
 // the node owns pass through; requests for anyone else's home answer
 // 307 Temporary Redirect with the owner's address, so any node is a valid
-// entry point and clients converge on the owner in one hop (two during a
-// migration, while an ownership override points at the new owner before the
-// hash says so).
+// entry point and clients converge on the owner in one hop (two after a
+// migration, while the hub's placement table routes the home off its hash
+// owner). Ownership is one lookup in that table, then the hash.
 //
 // Migration (see migrate.go): seal → drain → snapshot → transfer → replay →
 // ack → release, idempotent per migration id, fault-tested under transport
