@@ -79,12 +79,18 @@ func (c *Checker) Conflicts(a, b *core.Rule) (bool, error) {
 
 // findConflicts is the candidate loop shared by the production checker and
 // the oracle; feasible decides whether the conjunction of two DNF terms can
-// hold.
+// hold and must not keep either term.
+//
+// A candidate whose condition is a single atom is its own one-term DNF, so
+// it is written into a scratch term reused across candidates; only And, Or
+// and Duration conditions pay for core.ToDNF.
 func findConflicts(newRule *core.Rule, candidates []*core.Rule, feasible func(a, b core.Term) (bool, error)) ([]Conflict, error) {
 	newTerms, err := core.ToDNF(newRule.Cond)
 	if err != nil {
 		return nil, err
 	}
+	var atom [1]core.Condition
+	atomDNF := []core.Term{atom[:]}
 	var out []Conflict
 	for _, cand := range candidates {
 		if cand.ID == newRule.ID {
@@ -96,8 +102,10 @@ func findConflicts(newRule *core.Rule, candidates []*core.Rule, feasible func(a,
 		if cand.Action.Equal(newRule.Action) {
 			continue // same action: no conflict even if both fire
 		}
-		candTerms, err := core.ToDNF(cand.Cond)
-		if err != nil {
+		candTerms := atomDNF
+		if core.IsAtom(cand.Cond) {
+			atom[0] = cand.Cond
+		} else if candTerms, err = core.ToDNF(cand.Cond); err != nil {
 			return nil, err
 		}
 		overlap, err := termsOverlap(newTerms, candTerms, feasible)

@@ -75,6 +75,16 @@ func ToDNF(c Condition) ([]Term, error) {
 	}
 }
 
+// IsAtom reports whether c is a single atomic condition, whose DNF is the
+// one term {c}: anything but nil, Always, And, Or and Duration.
+func IsAtom(c Condition) bool {
+	switch c.(type) {
+	case nil, Always, *Always, *And, *Or, *Duration:
+		return false
+	}
+	return true
+}
+
 // Eval evaluates the term as a conjunction.
 func (t Term) Eval(ctx *Context) bool {
 	for _, c := range t {

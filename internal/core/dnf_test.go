@@ -23,6 +23,27 @@ func TestToDNFAtom(t *testing.T) {
 	}
 }
 
+// TestIsAtomMatchesToDNF checks that IsAtom holds exactly for the
+// conditions ToDNF returns as the one term {c}.
+func TestIsAtomMatchesToDNF(t *testing.T) {
+	a := cmp("t", simplex.GT, 28)
+	for _, c := range []Condition{
+		nil, Always{}, &Always{}, a, &BoolIs{Var: "dark", Want: true}, &Presence{Person: "tom", Place: "hall"},
+		&Nobody{Place: "hall"}, &Everyone{Place: "hall"}, &Arrival{Person: "tom", Event: "return-home"},
+		&OnAir{Keyword: "movie"}, &TimeWindow{FromMin: 60, ToMin: 120, Weekday: -1},
+		&And{Terms: []Condition{a}}, &Or{Terms: []Condition{a}}, &Duration{Inner: a, Seconds: 60},
+	} {
+		terms, err := ToDNF(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := len(terms) == 1 && len(terms[0]) == 1 && terms[0][0] == c
+		if got := IsAtom(c); got != single {
+			t.Errorf("IsAtom(%T) = %v, but ToDNF returns %v", c, got, terms)
+		}
+	}
+}
+
 func TestToDNFNilAndAlways(t *testing.T) {
 	for _, c := range []Condition{nil, Always{}} {
 		terms, err := ToDNF(c)

@@ -3,7 +3,6 @@ package lang
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/vocab"
 )
@@ -198,90 +197,110 @@ type PeriodSpec struct {
 // ---- printing ----
 //
 // String renders each node back to normalized CADEL text. The language-level
-// round-trip property is Print(Parse(Print(x))) == Print(x).
+// round-trip property is Print(Parse(Print(x))) == Print(x). Every node
+// appends its text to one byte slice; a command's String allocates that
+// slice once at a capacity that fits typical rules, and the result.
+
+// printCap is the starting capacity of a command's text buffer.
+const printCap = 256
+
+// cat appends strings to b.
+func cat(b []byte, parts ...string) []byte {
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	return b
+}
 
 func (r *RuleDef) String() string {
-	var sb strings.Builder
+	return string(r.appendText(make([]byte, 0, printCap)))
+}
+
+func (r *RuleDef) appendText(b []byte) []byte {
 	if r.Pre != nil {
-		sb.WriteString(r.Pre.String())
-		sb.WriteString(", ")
+		b = append(r.Pre.appendText(b), ", "...)
 	}
 	verb := r.VerbText
 	if verb == "" {
 		verb = r.Verb
 	}
-	sb.WriteString(verb)
-	sb.WriteString(" ")
-	sb.WriteString(r.Object.String())
+	b = r.Object.appendText(cat(b, verb, " "))
 	if len(r.Config) > 0 {
-		sb.WriteString(" with ")
-		parts := make([]string, len(r.Config))
-		for i, c := range r.Config {
-			parts[i] = c.String()
-		}
-		sb.WriteString(strings.Join(parts, " and "))
+		b = appendConfs(append(b, " with "...), r.Config)
 	}
 	if r.Post != nil {
-		sb.WriteString(" ")
-		sb.WriteString(r.Post.String())
+		b = r.Post.appendText(append(b, ' '))
 	}
-	return sb.String()
+	return b
 }
 
 func (d *CondDef) String() string {
-	return "let's call the condition that " + d.Expr.String() + " " + d.Name
+	b := appendExpr(cat(make([]byte, 0, printCap), "let's call the condition that "), d.Expr)
+	return string(cat(b, " ", d.Name))
 }
 
 func (d *ConfDef) String() string {
-	parts := make([]string, len(d.Confs))
-	for i, c := range d.Confs {
-		parts[i] = c.String()
-	}
-	return "let's call the configuration that " + strings.Join(parts, " and ") + " " + d.Name
+	b := appendConfs(cat(make([]byte, 0, printCap), "let's call the configuration that "), d.Confs)
+	return string(cat(b, " ", d.Name))
 }
 
-func (o Object) String() string {
-	var sb strings.Builder
+func appendConfs(b []byte, items []ConfItem) []byte {
+	for i, c := range items {
+		if i > 0 {
+			b = append(b, " and "...)
+		}
+		b = c.appendText(b)
+	}
+	return b
+}
+
+func (o Object) String() string { return string(o.appendText(nil)) }
+
+func (o Object) appendText(b []byte) []byte {
 	if o.Article != "" {
-		sb.WriteString(o.Article)
-		sb.WriteString(" ")
+		b = cat(b, o.Article, " ")
 	}
-	sb.WriteString(o.Device)
+	b = append(b, o.Device...)
 	if o.Location != "" {
-		sb.WriteString(" at the ")
-		sb.WriteString(o.Location)
+		b = cat(b, " at the ", o.Location)
 	}
-	return sb.String()
+	return b
 }
 
-func (c ConfItem) String() string {
-	if c.Parameter == "" {
-		return c.Value.String()
+func (c ConfItem) String() string { return string(c.appendText(nil)) }
+
+func (c ConfItem) appendText(b []byte) []byte {
+	b = c.Value.appendText(b)
+	if c.Parameter != "" {
+		b = cat(b, " of ", c.Parameter, " setting")
 	}
-	return c.Value.String() + " of " + c.Parameter + " setting"
+	return b
 }
 
-func (v Value) String() string {
+func (v Value) String() string { return string(v.appendText(nil)) }
+
+func (v Value) appendText(b []byte) []byte {
 	if !v.IsNumber {
-		return v.Word
+		return append(b, v.Word...)
 	}
-	num := strconv.FormatFloat(v.Number, 'g', -1, 64)
+	b = strconv.AppendFloat(b, v.Number, 'g', -1, 64)
 	unit := v.UnitText
 	if unit == "" {
 		unit = v.Unit
 	}
-	if unit == "" {
-		return num
+	if unit != "" {
+		b = cat(b, " ", unit)
 	}
-	return num + " " + unit
+	return b
 }
 
-func (c *CondClause) String() string {
-	var sb strings.Builder
+func (c *CondClause) String() string { return string(c.appendText(nil)) }
+
+func (c *CondClause) appendText(b []byte) []byte {
 	if c.Time != nil {
-		sb.WriteString(c.Time.String())
+		b = c.Time.appendText(b)
 		if c.Expr != nil {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
 	}
 	if c.Expr != nil {
@@ -289,135 +308,159 @@ func (c *CondClause) String() string {
 		if kw == "" {
 			kw = "if"
 		}
-		sb.WriteString(kw)
-		sb.WriteString(" ")
-		sb.WriteString(c.Expr.String())
+		b = appendExpr(cat(b, kw, " "), c.Expr)
 	}
-	return sb.String()
+	return b
 }
 
-func (b *BinaryExpr) String() string {
-	l := b.L.String()
-	r := b.R.String()
-	// "and" binds tighter than "or": parenthesize inner "or" under "and".
-	if b.Op == "and" {
-		if inner, ok := b.L.(*BinaryExpr); ok && inner.Op == "or" {
-			l = "( " + l + " )"
-		}
-		if inner, ok := b.R.(*BinaryExpr); ok && inner.Op == "or" {
-			r = "( " + r + " )"
-		}
+// appendExpr appends the text of one of the three CondExpr node types.
+func appendExpr(b []byte, e CondExpr) []byte {
+	switch e := e.(type) {
+	case *BinaryExpr:
+		return e.appendText(b)
+	case *CondAtom:
+		return e.appendText(b)
+	case *UserCond:
+		return e.appendText(b)
 	}
-	return l + " " + b.Op + " " + r
+	return b
 }
 
-func (a *CondAtom) String() string {
-	var sb strings.Builder
-	sb.WriteString(a.Subject.String())
-	sb.WriteString(" ")
-	sb.WriteString(a.State.String())
-	if a.Period != nil {
-		sb.WriteString(" ")
-		sb.WriteString(a.Period.String())
-	}
-	if a.Time != nil {
-		sb.WriteString(" ")
-		sb.WriteString(a.Time.String())
-	}
-	return sb.String()
+func (x *BinaryExpr) String() string { return string(x.appendText(nil)) }
+
+// appendText parenthesizes what the parser would otherwise group
+// differently: "and" binds tighter than "or" and both associate to the
+// left, so an inner "or" under "and" and any right operand except an "and"
+// under "or" get parentheses.
+func (x *BinaryExpr) appendText(b []byte) []byte {
+	l, ok := x.L.(*BinaryExpr)
+	b = appendOperand(b, x.L, ok && x.Op == "and" && l.Op == "or")
+	b = cat(b, " ", x.Op, " ")
+	r, ok := x.R.(*BinaryExpr)
+	return appendOperand(b, x.R, ok && (x.Op == "and" || r.Op == "or"))
 }
 
-func (u *UserCond) String() string {
-	var sb strings.Builder
-	sb.WriteString(u.Name)
-	if u.Period != nil {
-		sb.WriteString(" ")
-		sb.WriteString(u.Period.String())
+func appendOperand(b []byte, e CondExpr, paren bool) []byte {
+	if !paren {
+		return appendExpr(b, e)
 	}
-	if u.Time != nil {
-		sb.WriteString(" ")
-		sb.WriteString(u.Time.String())
-	}
-	return sb.String()
+	return append(appendExpr(append(b, "( "...), e), " )"...)
 }
 
-func (s Subject) String() string {
-	var sb strings.Builder
+func (a *CondAtom) String() string { return string(a.appendText(nil)) }
+
+func (a *CondAtom) appendText(b []byte) []byte {
+	b = a.State.appendText(append(a.Subject.appendText(b), ' '))
+	return appendQualifiers(b, a.Period, a.Time)
+}
+
+func (u *UserCond) String() string { return string(u.appendText(nil)) }
+
+func (u *UserCond) appendText(b []byte) []byte {
+	return appendQualifiers(append(b, u.Name...), u.Period, u.Time)
+}
+
+func appendQualifiers(b []byte, period *PeriodSpec, ts *TimeSpec) []byte {
+	if period != nil {
+		b = period.appendText(append(b, ' '))
+	}
+	if ts != nil {
+		b = ts.appendText(append(b, ' '))
+	}
+	return b
+}
+
+func (s Subject) String() string { return string(s.appendText(nil)) }
+
+func (s Subject) appendText(b []byte) []byte {
 	switch s.Kind {
 	case SubMe:
-		return "i"
+		return append(b, "i"...)
 	case SubSomeone:
-		return "someone"
+		return append(b, "someone"...)
 	case SubNobody:
-		return "nobody"
+		return append(b, "nobody"...)
 	case SubEveryone:
-		return "everyone"
+		return append(b, "everyone"...)
 	}
 	if s.Article != "" {
-		sb.WriteString(s.Article)
-		sb.WriteString(" ")
+		b = cat(b, s.Article, " ")
 	}
 	if s.My {
-		sb.WriteString("my ")
+		b = append(b, "my "...)
 	}
-	sb.WriteString(s.Name)
+	b = append(b, s.Name...)
 	if s.Location != "" {
-		sb.WriteString(" at the ")
-		sb.WriteString(s.Location)
+		b = cat(b, " at the ", s.Location)
 	}
-	return sb.String()
+	return b
 }
 
-func (s State) String() string {
-	var sb strings.Builder
+func (s State) String() string { return string(s.appendText(nil)) }
+
+func (s State) appendText(b []byte) []byte {
 	if s.Be != "" {
-		sb.WriteString(s.Be)
-		sb.WriteString(" ")
+		b = cat(b, s.Be, " ")
 	}
-	sb.WriteString(s.Text)
+	b = append(b, s.Text...)
 	switch s.Kind {
 	case vocab.StateCompare:
 		if s.Value != nil {
-			sb.WriteString(" ")
-			sb.WriteString(s.Value.String())
+			b = s.Value.appendText(append(b, ' '))
 		}
 	case vocab.StatePresence:
-		sb.WriteString(" the ")
-		sb.WriteString(s.Place)
+		b = cat(b, " the ", s.Place)
 	}
-	return sb.String()
+	return b
 }
 
-func (t TimeOfDay) String() string {
-	var parts []string
+func (t TimeOfDay) String() string { return string(t.appendText(nil)) }
+
+func (t TimeOfDay) appendText(b []byte) []byte {
+	sep := ""
 	if t.Every != "" {
-		parts = append(parts, "every "+t.Every)
+		b = cat(b, "every ", t.Every)
+		sep = " "
 	}
 	switch t.Kind {
 	case TimeClock:
-		parts = append(parts, fmt.Sprintf("%d:%02d", t.Minutes/60, t.Minutes%60))
+		b = appendClock(append(b, sep...), t.Minutes)
 	case TimePeriod:
-		parts = append(parts, t.Name)
+		b = cat(b, sep, t.Name)
 	}
-	return strings.Join(parts, " ")
+	return b
 }
 
-func (t *TimeSpec) String() string {
-	return t.Prep + " " + t.Time.String()
+// appendClock appends minutes since midnight as "h:mm".
+func appendClock(b []byte, minutes int) []byte {
+	b = append(strconv.AppendInt(b, int64(minutes/60), 10), ':')
+	if m := minutes % 60; m >= 0 && m < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(minutes%60), 10)
 }
 
-func (p *PeriodSpec) String() string {
+func (t *TimeSpec) String() string { return string(t.appendText(nil)) }
+
+func (t *TimeSpec) appendText(b []byte) []byte {
+	return t.Time.appendText(cat(b, t.Prep, " "))
+}
+
+func (p *PeriodSpec) String() string { return string(p.appendText(nil)) }
+
+func (p *PeriodSpec) appendText(b []byte) []byte {
 	switch p.Kind {
-	case PeriodFor:
-		return "for " + strconv.FormatFloat(p.Amount, 'g', -1, 64) + " " + p.UnitText
+	case PeriodFor, PeriodAfter:
+		b = strconv.AppendFloat(append(b, "for "...), p.Amount, 'g', -1, 64)
+		b = cat(b, " ", p.UnitText)
+		if p.Kind == PeriodAfter {
+			b = p.After.appendText(append(b, " after "...))
+		}
 	case PeriodFromTo:
-		return "from " + p.From.String() + " to " + p.To.String()
-	case PeriodAfter:
-		return "for " + strconv.FormatFloat(p.Amount, 'g', -1, 64) + " " + p.UnitText +
-			" after " + p.After.String()
-	default:
-		return ""
+		b = p.From.appendText(append(b, "from "...))
+		b = p.To.appendText(append(b, " to "...))
 	}
+	return b
 }
 
 // Walk visits every CondExpr node in the expression tree in depth-first

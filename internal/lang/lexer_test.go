@@ -51,18 +51,31 @@ func TestLexPercentSign(t *testing.T) {
 }
 
 func TestLexClockTime(t *testing.T) {
-	toks, err := Lex("at 18:30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toks[1].Type != TokTime {
-		t.Fatalf("token = %+v, want TokTime", toks[1])
-	}
-	if toks[1].Num != 18*60+30 {
-		t.Errorf("minutes = %v, want 1110", toks[1].Num)
-	}
-	if toks[1].Text != "18:30" {
-		t.Errorf("text = %q, want 18:30", toks[1].Text)
+	for _, tc := range []struct {
+		src, text string
+		minutes   int
+	}{
+		{"at 18:30", "18:30", 18*60 + 30},
+		{"at 07:05", "7:05", 7*60 + 5},
+		{"at 0:00", "0:00", 0},
+	} {
+		toks, err := Lex(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if toks[1].Type != TokTime {
+			t.Fatalf("token = %+v, want TokTime", toks[1])
+		}
+		if toks[1].Num != float64(tc.minutes) {
+			t.Errorf("%q: minutes = %v, want %d", tc.src, toks[1].Num, tc.minutes)
+		}
+		if toks[1].Text != tc.text {
+			t.Errorf("%q: text = %q, want %q", tc.src, toks[1].Text, tc.text)
+		}
+		// The printer renders clock times exactly as the lexer spells them.
+		if got := (TimeOfDay{Kind: TimeClock, Minutes: tc.minutes}).String(); got != tc.text {
+			t.Errorf("%q: printed %q, want %q", tc.src, got, tc.text)
+		}
 	}
 }
 

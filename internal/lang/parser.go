@@ -27,6 +27,11 @@ func (e *ParseError) Is(target error) bool { return target == ErrParse }
 
 // Parse parses one CADEL command (RuleDef, CondDef or ConfDef) against the
 // given lexicon.
+//
+// Besides the AST it returns, Parse allocates the token slice, lowercased
+// copies of capitalized words, and the text of multi-word names and of the
+// error it returns. Lookahead reuses one window, and a speculative state
+// parse formats no error and keeps no value.
 func Parse(input string, lex *vocab.Lexicon) (Command, error) {
 	toks, err := Lex(input)
 	if err != nil {
@@ -83,11 +88,23 @@ func ParseConfItems(input string, lex *vocab.Lexicon) ([]ConfItem, error) {
 	return items, nil
 }
 
+// parser is a recursive-descent parser over one token slice. Lookahead
+// windows returned by wordsAhead share the win array and are only valid until
+// the next call. While probe is set, errors are not formatted: errorf and
+// expected return errProbe, and parseState keeps no value nodes.
 type parser struct {
-	lex  *vocab.Lexicon
-	toks []Token
-	pos  int
+	lex   *vocab.Lexicon
+	toks  []Token
+	pos   int
+	probe bool
+	win   [maxAhead]string
 }
+
+// maxAhead is the longest phrase, in words, that matchLex can recognize.
+const maxAhead = 6
+
+// errProbe is the error of every failed speculative parse.
+var errProbe = &ParseError{Msg: "speculative parse failed"}
 
 func (p *parser) cur() Token          { return p.toks[p.pos] }
 func (p *parser) at(t TokenType) bool { return p.cur().Type == t }
@@ -96,7 +113,19 @@ func (p *parser) save() int           { return p.pos }
 func (p *parser) restore(mark int)    { p.pos = mark }
 
 func (p *parser) errorf(format string, args ...any) error {
+	if p.probe {
+		return errProbe
+	}
 	return &ParseError{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// expected reports "expected <what>, got <current token>". It boxes the
+// token text only when the error is reported, so a probe allocates nothing.
+func (p *parser) expected(what string) error {
+	if p.probe {
+		return errProbe
+	}
+	return p.errorf("expected %s, got %q", what, p.cur().Text)
 }
 
 func (p *parser) word() string {
@@ -127,22 +156,21 @@ func (p *parser) skipStops() {
 	}
 }
 
-// wordsAhead returns up to max consecutive word-token texts starting at pos.
-func (p *parser) wordsAhead(max int) []string {
-	out := make([]string, 0, max)
-	for i := p.pos; i < len(p.toks) && len(out) < max; i++ {
-		if p.toks[i].Type != TokWord {
-			break
-		}
-		out = append(out, p.toks[i].Text)
+// wordsAhead returns up to maxAhead consecutive word-token texts starting at
+// pos, in the parser's window: valid only until the next call.
+func (p *parser) wordsAhead() []string {
+	n := 0
+	for i := p.pos; i < len(p.toks) && n < maxAhead && p.toks[i].Type == TokWord; i++ {
+		p.win[n] = p.toks[i].Text
+		n++
 	}
-	return out
+	return p.win[:n]
 }
 
 // matchLex matches the longest lexicon phrase of the given kinds at the
 // current position and consumes it.
 func (p *parser) matchLex(kinds ...vocab.Kind) (vocab.Entry, bool) {
-	e, n, ok := p.lex.MatchLongest(p.wordsAhead(6), kinds...)
+	e, n, ok := p.lex.MatchLongest(p.wordsAhead(), kinds...)
 	if !ok {
 		return vocab.Entry{}, false
 	}
@@ -150,27 +178,44 @@ func (p *parser) matchLex(kinds ...vocab.Kind) (vocab.Entry, bool) {
 	return e, true
 }
 
-// peekPhrase reports whether the upcoming word tokens begin with phrase.
-func (p *parser) peekPhrase(phrase string) bool {
-	want := strings.Fields(phrase)
-	have := p.wordsAhead(len(want))
-	if len(have) < len(want) {
-		return false
-	}
-	for i := range want {
-		if have[i] != want[i] {
+// eatPhrase consumes the upcoming word tokens if they spell phrase, a
+// single-spaced lowercase constant.
+func (p *parser) eatPhrase(phrase string) bool {
+	i := p.pos
+	for phrase != "" {
+		var w string
+		w, phrase, _ = strings.Cut(phrase, " ")
+		if i >= len(p.toks) || p.toks[i].Type != TokWord || p.toks[i].Text != w {
 			return false
 		}
+		i++
 	}
+	p.pos = i
 	return true
 }
 
-func (p *parser) eatPhrase(phrase string) bool {
-	if !p.peekPhrase(phrase) {
-		return false
+// joinWords returns the texts of tokens [from, to), joined by single spaces.
+// A one-word name is the token's own text.
+func (p *parser) joinWords(from, to int) string {
+	switch to - from {
+	case 0:
+		return ""
+	case 1:
+		return p.toks[from].Text
 	}
-	p.pos += len(strings.Fields(phrase))
-	return true
+	n := to - from - 1
+	for _, t := range p.toks[from:to] {
+		n += len(t.Text)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, t := range p.toks[from:to] {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(t.Text)
+	}
+	return sb.String()
 }
 
 func (p *parser) parseCommand() (Command, error) {
@@ -203,15 +248,14 @@ func (p *parser) parseCommand() (Command, error) {
 // collectName gathers the trailing words of a CondDef/ConfDef as the new
 // word's name.
 func (p *parser) collectName() (string, error) {
-	var words []string
+	start := p.pos
 	for p.at(TokWord) {
-		words = append(words, p.cur().Text)
 		p.next()
 	}
-	if len(words) == 0 {
+	if p.pos == start {
 		return "", p.errorf("expected a name for the new word")
 	}
-	return strings.Join(words, " "), nil
+	return p.joinWords(start, p.pos), nil
 }
 
 func (p *parser) parseRuleDef() (*RuleDef, error) {
@@ -228,7 +272,7 @@ func (p *parser) parseRuleDef() (*RuleDef, error) {
 
 	verb, ok := p.matchLex(vocab.KindVerb)
 	if !ok {
-		return nil, p.errorf("expected a verb (e.g. \"turn on\"), got %q", p.cur().Text)
+		return nil, p.expected(`a verb (e.g. "turn on")`)
 	}
 	rule.Verb = verb.Canon
 	rule.VerbText = verb.Phrase
@@ -286,20 +330,14 @@ func (p *parser) parseObject() (Object, error) {
 		obj.Article = p.word()
 		p.next()
 	}
-	boundary := map[string]bool{
-		"with": true, "if": true, "when": true, "at": true, "in": true,
-		"until": true, "after": true, "for": true, "and": true, "or": true,
-		"then": true, "before": true, "during": true,
-	}
-	var words []string
-	for p.at(TokWord) && !boundary[p.word()] && len(words) < 6 {
-		words = append(words, p.word())
+	start := p.pos
+	for p.at(TokWord) && !deviceBoundary[p.word()] && p.pos-start < 6 {
 		p.next()
 	}
-	if len(words) == 0 {
-		return obj, p.errorf("expected a device name, got %q", p.cur().Text)
+	if p.pos == start {
+		return obj, p.expected("a device name")
 	}
-	obj.Device = strings.Join(words, " ")
+	obj.Device = p.joinWords(start, p.pos)
 
 	// Optional location modifier: "at the hall", "in the living room".
 	if p.word() == "at" || p.word() == "in" {
@@ -315,6 +353,20 @@ func (p *parser) parseObject() (Object, error) {
 	return obj, nil
 }
 
+// deviceBoundary ends a device name; placeStop ends an ad-hoc place name.
+var (
+	deviceBoundary = map[string]bool{
+		"with": true, "if": true, "when": true, "at": true, "in": true,
+		"until": true, "after": true, "for": true, "and": true, "or": true,
+		"then": true, "before": true, "during": true,
+	}
+	placeStop = map[string]bool{
+		"and": true, "or": true, "if": true, "when": true, "for": true,
+		"after": true, "until": true, "with": true, "then": true, "is": true,
+		"are": true, "to": true, "before": true,
+	}
+)
+
 func (p *parser) eatArticle() {
 	switch p.word() {
 	case "a", "an", "the":
@@ -328,20 +380,14 @@ func (p *parser) parsePlace() (string, bool) {
 	if e, ok := p.matchLex(vocab.KindPlace); ok {
 		return e.Canon, true
 	}
-	stop := map[string]bool{
-		"and": true, "or": true, "if": true, "when": true, "for": true,
-		"after": true, "until": true, "with": true, "then": true, "is": true,
-		"are": true, "to": true, "before": true,
-	}
-	var words []string
-	for p.at(TokWord) && !stop[p.word()] && len(words) < 3 {
-		words = append(words, p.word())
+	start := p.pos
+	for p.at(TokWord) && !placeStop[p.word()] && p.pos-start < 3 {
 		p.next()
 	}
-	if len(words) == 0 {
+	if p.pos == start {
 		return "", false
 	}
-	return strings.Join(words, " "), true
+	return p.joinWords(start, p.pos), true
 }
 
 // ---- condition expressions ----
@@ -392,7 +438,7 @@ func (p *parser) parsePrimary() (CondExpr, error) {
 			return nil, err
 		}
 		if !p.at(TokRParen) {
-			return nil, p.errorf("expected ')', got %q", p.cur().Text)
+			return nil, p.expected("')'")
 		}
 		p.next()
 		return expr, nil
@@ -463,41 +509,44 @@ func (p *parser) parseCondAtom() (CondExpr, error) {
 // location modifier between the subject and its state ("temperature at the
 // living room is higher than ...").
 func (p *parser) parseSubjectWords(atom *CondAtom) error {
-	var words []string
+	start := p.pos
+	end := start // the subject's words are tokens [start, end)
 	for {
 		// A location modifier ("temperature at the living room is ...") must
 		// be tried before the state lookahead: a bare "at" would otherwise
 		// match the presence state.
-		if len(words) > 0 && (p.word() == "at" || p.word() == "in") {
-			mark := p.save()
+		if end > start && (p.word() == "at" || p.word() == "in") {
 			p.next()
 			p.eatArticle()
 			if loc, ok := p.parsePlace(); ok && p.stateAhead() {
 				atom.Subject.Location = loc
 				break
 			}
-			p.restore(mark)
+			p.restore(end)
 		}
-		if len(words) > 0 && p.stateAhead() {
+		if end > start && p.stateAhead() {
 			break
 		}
-		if !p.at(TokWord) || len(words) >= 8 {
+		if !p.at(TokWord) || end-start >= 8 {
 			return p.errorf("expected a condition state after %q, got %q",
-				strings.Join(words, " "), p.cur().Text)
+				p.joinWords(start, end), p.cur().Text)
 		}
-		words = append(words, p.word())
 		p.next()
+		end = p.pos
 	}
-	atom.Subject.Name = strings.Join(words, " ")
+	atom.Subject.Name = p.joinWords(start, end)
 	return nil
 }
 
 // stateAhead reports whether a state parse would succeed at the current
-// position, without consuming input.
+// position, without consuming input. It parses in probe mode, so a failure
+// formats no error.
 func (p *parser) stateAhead() bool {
-	mark := p.save()
+	mark, probe := p.save(), p.probe
+	p.probe = true
 	_, err := p.parseState()
 	p.restore(mark)
+	p.probe = probe
 	return err == nil
 }
 
@@ -520,10 +569,10 @@ func (p *parser) parseState() (State, error) {
 			st.Kind = vocab.StateCompare
 			st.Op = "eq"
 			st.Text = "exactly"
-			st.Value = &val
+			st.Value = p.keepValue(val)
 			return st, nil
 		}
-		return st, p.errorf("expected a state phrase, got %q", p.cur().Text)
+		return st, p.expected("a state phrase")
 	}
 
 	st.Kind = vocab.StateKind(entry.MetaValue(vocab.MetaStateKind))
@@ -538,7 +587,7 @@ func (p *parser) parseState() (State, error) {
 		if err != nil {
 			return st, err
 		}
-		st.Value = &val
+		st.Value = p.keepValue(val)
 	case vocab.StatePresence:
 		p.eatArticle()
 		place, ok := p.parsePlace()
@@ -554,6 +603,15 @@ func (p *parser) parseState() (State, error) {
 		return st, p.errorf("unknown state kind %q for %q", st.Kind, entry.Phrase)
 	}
 	return st, nil
+}
+
+// keepValue returns a heap copy of v for the AST; a probe keeps nothing.
+func (p *parser) keepValue(v Value) *Value {
+	if p.probe {
+		return nil
+	}
+	kept := v
+	return &kept
 }
 
 // classifySubject resolves the subject kind once the state is known.
@@ -605,7 +663,7 @@ func (p *parser) parseValue() (Value, error) {
 		p.next()
 		return v, nil
 	}
-	return Value{}, p.errorf("expected a value, got %q", p.cur().Text)
+	return Value{}, p.expected("a value")
 }
 
 // ---- time and period specs ----
@@ -805,7 +863,7 @@ func (p *parser) parseConfItem(allowBare bool) (ConfItem, error) {
 		p.next()
 		return ConfItem{Value: v}, nil
 	}
-	return ConfItem{}, p.errorf("expected a configuration item, got %q", p.cur().Text)
+	return ConfItem{}, p.expected("a configuration item")
 }
 
 // parseConfValue parses a number+unit or a short word sequence up to "of".
@@ -819,13 +877,12 @@ func (p *parser) parseConfValue() (Value, bool) {
 		}
 		return v, true
 	}
-	var words []string
-	for p.at(TokWord) && p.word() != "of" && p.word() != "and" && len(words) < 3 {
-		words = append(words, p.word())
+	start := p.pos
+	for p.at(TokWord) && p.word() != "of" && p.word() != "and" && p.pos-start < 3 {
 		p.next()
 	}
-	if len(words) == 0 {
+	if p.pos == start {
 		return Value{}, false
 	}
-	return Value{Word: strings.Join(words, " ")}, true
+	return Value{Word: p.joinWords(start, p.pos)}, true
 }

@@ -88,8 +88,12 @@ var contractions = map[string][]string{
 // Lex tokenizes CADEL input. Words are lowercased; "%" becomes the word
 // "percent"; "hh:mm" becomes a TokTime. The token stream always ends with a
 // TokEOF.
+//
+// Lex allocates the token slice once, sized from the input's separators.
+// Only words with upper-case letters and clock times get texts of their own;
+// other texts share the input's bytes or are constants.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
+	toks := make([]Token, 0, tokenEstimate(input))
 	i := 0
 	n := len(input)
 	for i < n {
@@ -132,7 +136,7 @@ func Lex(input string) ([]Token, error) {
 				}
 				toks = append(toks, Token{
 					Type: TokTime,
-					Text: fmt.Sprintf("%d:%02d", hh, mm),
+					Text: string(appendClock(make([]byte, 0, 5), hh*60+mm)),
 					Num:  float64(hh*60 + mm),
 					Pos:  start,
 				})
@@ -158,11 +162,13 @@ func Lex(input string) ([]Token, error) {
 				i++
 			}
 			word := strings.ToLower(input[start:i])
-			if parts, ok := contractions[word]; ok {
-				for _, p := range parts {
-					toks = append(toks, Token{Type: TokWord, Text: p, Pos: start})
+			if strings.IndexByte(word, '\'') >= 0 {
+				if parts, ok := contractions[word]; ok {
+					for _, p := range parts {
+						toks = append(toks, Token{Type: TokWord, Text: p, Pos: start})
+					}
+					continue
 				}
-				continue
 			}
 			toks = append(toks, Token{Type: TokWord, Text: word, Pos: start})
 		default:
@@ -181,6 +187,28 @@ func Lex(input string) ([]Token, error) {
 	}
 	toks = append(toks, Token{Type: TokEOF, Text: "", Pos: n})
 	return toks, nil
+}
+
+// tokenEstimate bounds the token count of typical input: one token per
+// separator run plus each punctuation mark, apostrophe (a contraction adds
+// a word) and the final EOF. Run-together input ("28degrees") may need more;
+// append then grows the slice.
+func tokenEstimate(input string) int {
+	n, space := 2, true
+	for i := 0; i < len(input); i++ {
+		switch input[i] {
+		case ' ', '\t', '\n', '\r':
+			if !space {
+				n++
+			}
+			space = true
+			continue
+		case ',', '.', '(', ')', '%', '\'':
+			n++
+		}
+		space = false
+	}
+	return n
 }
 
 func isWordByte(c byte) bool {

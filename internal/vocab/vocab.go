@@ -147,9 +147,28 @@ func New() *Lexicon {
 	return &Lexicon{}
 }
 
-// Normalize lowercases and single-spaces a phrase.
+// Normalize lowercases and single-spaces a phrase. A phrase that is already
+// normalized is returned as is, without allocating.
 func Normalize(phrase string) string {
+	if isNormalized(phrase) {
+		return phrase
+	}
 	return strings.Join(strings.Fields(strings.ToLower(phrase)), " ")
+}
+
+// isNormalized reports whether phrase is ASCII without upper-case letters or
+// white space other than single inner spaces.
+func isNormalized(phrase string) bool {
+	for i := 0; i < len(phrase); i++ {
+		c := phrase[i]
+		switch {
+		case c >= 0x80 || 'A' <= c && c <= 'Z' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
+			return false
+		case c == ' ' && (i == 0 || i == len(phrase)-1 || phrase[i-1] == ' '):
+			return false
+		}
+	}
+	return true
 }
 
 // Add inserts an entry. It fails with ErrDuplicate if the same phrase is

@@ -245,3 +245,28 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	<-done
 }
+
+// FuzzNormalize checks Normalize, fast path included, against its
+// definition: lowercase, then join the fields with single spaces.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "living room", "Living Room", "living  room", " hall", "hall ",
+		"a\tb", "a\nb", "a\vb\fc\rd", "ÄRGER über", "a b", "a\u0085b", "\xff", "hot and stuffy",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := strings.Join(strings.Fields(strings.ToLower(s)), " ")
+		if got := Normalize(s); got != want {
+			t.Errorf("Normalize(%q) = %q, want %q", s, got, want)
+		}
+	})
+}
+
+func TestNormalizeNormalizedDoesNotAllocate(t *testing.T) {
+	for _, s := range []string{"temperature", "living room", "hot and stuffy"} {
+		if n := testing.AllocsPerRun(100, func() { _ = Normalize(s) }); n != 0 {
+			t.Errorf("Normalize(%q): %v allocs, want 0", s, n)
+		}
+	}
+}
