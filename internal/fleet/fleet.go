@@ -2,18 +2,20 @@
 // (Fig. 3, Nishigaki et al., ICDCS 2005) to a multi-home service. A Hub owns
 // N shards; every home maps to one shard by hash, and each shard runs the
 // homes it owns — their lexicon, rule database, priority table and execution
-// engine — behind a single mailbox goroutine, so homes evaluate independently
-// and shards evaluate in parallel.
+// engine — behind one mailbox and one owner at a time, so homes evaluate
+// independently and shards evaluate in parallel.
 //
 // The pipeline, stage by stage (see README.md for the sketch):
 //
 //	ingestion → shard mailbox → coalesce → engine pass → dispatch pool → store
 //
-// Ingestion is asynchronous and coalesced: PostEvent enqueues onto the
-// home's shard mailbox, and the shard drains its whole backlog at once —
-// a burst of UPnP property-change events for one home collapses into one
-// accumulated dirty-key set and a single evaluation pass instead of a pass
-// per NOTIFY. Actions fired by a pass are handed to the dispatch worker pool
+// Ingestion runs to completion on an idle shard and coalesces on a busy
+// one: a PostEvent that finds its shard idle claims it and evaluates the
+// event on the caller's goroutine, with no mailbox wake-up; otherwise it
+// enqueues onto the home's shard mailbox, and the shard goroutine drains
+// its whole backlog at once — a burst of UPnP property-change events for
+// one home collapses into one accumulated dirty-key set and a single
+// evaluation pass instead of a pass per NOTIFY. Actions fired by a pass are handed to the dispatch worker pool
 // as one batch (engine.WithBatchDispatcher), so slow appliance round-trips
 // overlap instead of serializing under the engine lock. Rule and priority
 // mutations persist through a pluggable Store; a hub restarted over the same
@@ -129,8 +131,9 @@ const DefaultTraceLimit = 1024
 // appliance. The single-home server wires this to UPnP control.
 type Dispatcher func(home string, ref core.DeviceRef, action core.Action) error
 
-// OnFire observes every dispatched action. It runs on the home's shard
-// goroutine; it must not call back into the hub for the same shard.
+// OnFire observes every dispatched action. It runs on whichever goroutine
+// owns the home's shard for the pass (the shard goroutine, or the poster
+// whose event ran inline); it must not wait on the hub for the same shard.
 type OnFire func(home string, f engine.Fired)
 
 // Authorizer gates rule submission: it reports whether owner may register a
@@ -166,7 +169,8 @@ type optionFunc func(*config)
 
 func (f optionFunc) apply(c *config) { f(c) }
 
-// WithShards sets the number of shards (mailbox goroutines). Homes map to
+// WithShards sets the number of shards (mailboxes, each with its
+// goroutine). Homes map to
 // shards by hash; more shards mean more evaluation parallelism. Defaults to
 // the number of CPUs.
 func WithShards(n int) HubOption {
@@ -174,8 +178,9 @@ func WithShards(n int) HubOption {
 }
 
 // WithDispatchWorkers sets the size of the dispatch worker pool shared by all
-// shards. 0 (the default) dispatches inline on the shard goroutine; with
-// workers, a pass's fired batch goes out in parallel.
+// shards. 0 (the default) dispatches inline on the goroutine running the
+// pass; with workers, a pass's fired batch of two or more goes out in
+// parallel.
 func WithDispatchWorkers(n int) HubOption {
 	return optionFunc(func(c *config) { c.dispatchWorkers = n })
 }

@@ -21,8 +21,9 @@ type Conflict = conflict.Conflict
 // database, priority table, conflict checker and execution engine — the five
 // modules of the paper's Fig. 3, minus the UPnP communication interface,
 // which stays with the transport that feeds the hub. A Home is owned by
-// exactly one shard; all methods run on that shard's goroutine (or during
-// replay, before the shard starts), so they need no locking of their own.
+// exactly one shard; all methods run on the shard's current owner — its
+// goroutine, or a poster running its own event inline — or during replay,
+// before the shard starts, so they need no locking of their own.
 type Home struct {
 	id         string
 	lex        *vocab.Lexicon

@@ -40,16 +40,27 @@ const (
 	accFeedback               // dispatch-feedback event: accCreate, but admitted while sealed
 )
 
-// mailbox is an unbounded MPSC queue. Unboundedness is deliberate: a dispatch
-// callback may feed events back into the hub (an actuated appliance notifies
-// its own property change), and a bounded channel would deadlock the shard
-// against its own downstream. Production backpressure belongs at the
-// transport in front of PostEvent, not here.
+// mailbox is an unbounded MPSC queue plus the shard's owner flag.
+// Unboundedness is deliberate: a dispatch callback may feed events back into
+// the hub (an actuated appliance notifies its own property change), and a
+// bounded channel would deadlock the shard against its own downstream.
+// Production backpressure belongs at the transport in front of PostEvent,
+// not here.
+//
+// The owner rule: at most one goroutine runs a shard's tasks at a time, and
+// it holds the claim (owned) for as long as it does. The shard goroutine
+// claims before each drain. An event post that finds the shard unowned with
+// an empty queue claims it instead of queueing and runs its own event on the
+// poster's goroutine (run to completion, as in flat combining): no wake-up of
+// the parked shard goroutine sits between the post and the action. Because a
+// claim needs an empty queue, nothing admitted earlier is overtaken, and a
+// busy shard still queues, so bursts still coalesce.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []task
 	closed bool
+	owned  bool                 // a goroutine is running the shard's tasks
 	table  map[string]Placement // placement table (migrate.go), under mu like the queue
 }
 
@@ -60,46 +71,70 @@ func newMailbox() *mailbox {
 }
 
 // put enqueues an accRead task; it reports false when the mailbox is closed.
-func (m *mailbox) put(t task) bool { return m.admit(t) == nil }
+func (m *mailbox) put(t task) bool {
+	_, err := m.admit(t, false)
+	return err == nil
+}
 
 // admit enqueues a task. It fails with ErrClosed once the mailbox is
 // closed, and with a SealedError when the home's placement refuses the
 // task's access: a sealed home takes no writes but feedback, a released one
-// none at all. An empty table costs one length test, so the steady-state
-// post stays allocation-free.
-func (m *mailbox) admit(t task) error {
+// none at all. Both refusals come before any claim. With claim set and the
+// shard idle (unowned, nothing queued), the task is not queued: the caller
+// becomes the owner, must run the task itself and then call release. An
+// empty table costs one length test, so the steady-state post stays
+// allocation-free.
+func (m *mailbox) admit(t task, claim bool) (claimed bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return ErrClosed
+		return false, ErrClosed
 	}
 	if len(m.table) > 0 && t.acc != accRead {
 		if p := m.table[t.home]; p.State == PlaceReleased || p.State == PlaceSealed && t.acc != accFeedback {
-			return &SealedError{Home: t.home, RetryAfter: DefaultSealRetryAfter}
+			return false, &SealedError{Home: t.home, RetryAfter: DefaultSealRetryAfter}
 		}
 	}
+	if claim && !m.owned && len(m.queue) == 0 {
+		m.owned = true
+		return true, nil
+	}
 	m.queue = append(m.queue, t)
-	if len(m.queue) == 1 {
+	if len(m.queue) == 1 && !m.owned { // an owner's release wakes the shard goroutine instead
 		m.cond.Signal()
 	}
-	return nil
+	return false, nil
 }
 
-// drainInto blocks until work arrives, then hands over the ENTIRE backlog in
-// one swap — this is what turns an event flood into one coalesced batch. buf
-// is the consumer's recycled slice. ok is false once closed and empty.
+// drainInto blocks until work is queued and the shard is unowned, claims
+// it, then hands over the ENTIRE backlog in one swap — this is what turns an
+// event flood into one coalesced batch. buf is the consumer's recycled
+// slice. ok is false once the mailbox is closed, empty and unowned.
 func (m *mailbox) drainInto(buf []task) (batch []task, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.queue) == 0 {
-		if m.closed {
+	for m.owned || len(m.queue) == 0 {
+		if m.closed && !m.owned && len(m.queue) == 0 {
 			return nil, false
 		}
 		m.cond.Wait()
 	}
+	m.owned = true
 	batch = m.queue
 	m.queue = buf[:0]
 	return batch, true
+}
+
+// release ends the caller's claim and wakes the shard goroutine when tasks
+// queued behind the claim, or Close waits for the goroutine to exit.
+func (m *mailbox) release() {
+	m.mu.Lock()
+	m.owned = false
+	wake := len(m.queue) > 0 || m.closed
+	m.mu.Unlock()
+	if wake {
+		m.cond.Signal()
+	}
 }
 
 func (m *mailbox) close() {
@@ -110,7 +145,10 @@ func (m *mailbox) close() {
 }
 
 // shard owns a partition of the hub's homes. All state below is touched only
-// by the shard's goroutine (and by replay, before that goroutine starts).
+// by the shard's current owner (see mailbox): the shard goroutine, or a
+// poster running its own event inline; and by replay, before the shard
+// goroutine starts. The mailbox lock orders one owner's writes before the
+// next owner's reads.
 type shard struct {
 	hub     *Hub
 	mb      *mailbox
@@ -118,8 +156,7 @@ type shard struct {
 	tr      *engine.TraceRing // firing-trace ring shared by the shard's homes
 	homes   map[string]*Home
 	pending map[string]*Home // homes with ingested-but-unevaluated events
-	spare   []task           // recycled drain buffer
-	events  uint64           // device events ingested
+	spare   []task           // recycled drain buffer; the shard goroutine's alone
 }
 
 func (s *shard) run() {
@@ -127,16 +164,32 @@ func (s *shard) run() {
 	for {
 		batch, ok := s.mb.drainInto(s.spare)
 		if !ok {
-			s.flush()
 			return
 		}
+		var events uint64
 		for i := range batch {
+			if batch[i].event != nil {
+				events++
+			}
 			s.exec(batch[i])
 			batch[i] = task{} // drop references for the recycled buffer
 		}
 		s.flush()
+		s.mb.release()
+		s.sm.EventsQueued.Add(events)
 		s.spare = batch
 	}
+}
+
+// runInline is the poster's half of the owner rule: it runs t, an event post
+// whose admit claimed the idle shard, on the caller's goroutine — ingest,
+// pass, inline dispatch, sync ack — then releases the shard. The release is
+// deferred so a panicking dispatcher cannot leave the shard owned forever.
+func (s *shard) runInline(t task) {
+	defer s.mb.release()
+	s.exec(t)
+	s.flush()
+	s.sm.EventsInline.Inc()
 }
 
 func (s *shard) exec(t task) {
@@ -157,7 +210,6 @@ func (s *shard) exec(t task) {
 	if t.event != nil {
 		hm.Apply(t.event)
 		s.pending[t.home] = hm
-		s.events++
 		if t.wg != nil { // synchronous event: evaluate before acking
 			s.flush()
 			t.wg.Done()
@@ -384,7 +436,8 @@ func (h *Hub) stopPool() {
 }
 
 // Close drains and stops every shard, then the dispatch pool, then the store.
-// Operations already enqueued still complete; later ones fail with ErrClosed.
+// Operations already enqueued still complete, and a post already running its
+// event inline finishes first; later ones fail with ErrClosed.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -413,22 +466,37 @@ func (h *Hub) Close() error {
 
 // send enqueues a task for the home's shard under the closed-check lock.
 func (h *Hub) send(home string, t task) error {
+	_, err := h.admit(home, t, false)
+	return err
+}
+
+// admit is send for a task that may claim an idle shard (see
+// mailbox.admit): when it does, admit returns the shard, and the caller must
+// run the task with runInline. That run happens after admit has dropped
+// Hub.mu: the task may post again, and a second RLock queued behind a
+// pending Close would deadlock.
+func (h *Hub) admit(home string, t task, claim bool) (owner *shard, err error) {
 	if home == "" {
-		return errors.New("fleet: empty home id")
+		return nil, errors.New("fleet: empty home id")
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if h.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	return h.shardFor(home).mb.admit(t)
+	s := h.shardFor(home)
+	claimed, err := s.mb.admit(t, claim)
+	if claimed {
+		return s, nil
+	}
+	return nil, err
 }
 
 // do runs fn on the home's shard goroutine and waits for it; fn receives nil
 // when the home does not exist (reads must not materialize homes). Calling
 // do from code already running on that shard (an OnFire observer, a
-// dispatcher) would deadlock — observers get everything they need as
-// arguments instead.
+// dispatcher, on the shard goroutine or inline on a poster) would deadlock —
+// observers get everything they need as arguments instead.
 func (h *Hub) do(home string, fn func(*Home) error) error {
 	return h.exec(home, accRead, fn)
 }
@@ -697,11 +765,14 @@ func (h *Hub) PriorityOrders(home string, ref core.DeviceRef) ([]conflict.Order,
 	return out, err
 }
 
-// PostEvent asynchronously ingests a device event for a home. Events of one
-// home are applied in posting order; a backlog coalesces into a single
-// evaluation pass. The event is copied into a pooled ingest.Event before
-// PostEvent returns, so the caller keeps vars and may reuse it. A home
-// sealed for migration or released refuses it with a SealedError.
+// PostEvent ingests a device event for a home without waiting for a busy
+// shard. When the home's shard is idle, the event is evaluated — and a
+// single fired action dispatched — on the caller's goroutine before
+// PostEvent returns; otherwise it queues. Events of one home are applied in
+// posting order; a backlog coalesces into a single evaluation pass. The
+// event is copied into a pooled ingest.Event before PostEvent returns, so
+// the caller keeps vars and may reuse it. A home sealed for migration or
+// released refuses it with a SealedError.
 func (h *Hub) PostEvent(home, deviceType, friendlyName, location string, vars map[string]string) error {
 	return h.postVars(home, deviceType, friendlyName, location, vars, accCreate, false)
 }
@@ -734,7 +805,7 @@ func (h *Hub) postVars(home, deviceType, friendlyName, location string, vars map
 	return err
 }
 
-// PostEventFast asynchronously ingests a wire-decoded event. On success the
+// PostEventFast is PostEvent for a wire-decoded event. On success the
 // hub takes ownership of ev (including every slice decoded from it) and
 // releases it to the pool after the home applies it; on error the caller
 // still owns ev. This is the ingest.Poster surface the sink posts into.
@@ -755,18 +826,24 @@ func (h *Hub) PostEventFastSync(home string, ev *ingest.Event) error {
 // sees it again.
 var syncWaiters = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
-// post enqueues ev for home — the one event path every post method takes —
-// and, when wait is set, blocks until the home has evaluated it. On success
-// the hub owns ev; on error the caller still does.
+// post hands ev to home's shard — the one event path every post method
+// takes — and, when wait is set, blocks until the home has evaluated it.
+// When the shard is idle, post claims it and evaluates ev on the caller's
+// goroutine before returning, async posts included; otherwise ev queues for
+// the shard goroutine. On success the hub owns ev; on error the caller
+// still does.
 func (h *Hub) post(home string, ev *ingest.Event, acc access, wait bool) error {
 	t := task{home: home, acc: acc, event: ev}
 	if wait {
 		t.wg = syncWaiters.Get().(*sync.WaitGroup)
 		t.wg.Add(1)
 	}
-	err := h.send(home, t)
+	owner, err := h.admit(home, t, true)
 	if err == nil {
 		h.events.Add(1)
+	}
+	if owner != nil {
+		owner.runInline(t)
 	}
 	if t.wg != nil {
 		if err == nil {

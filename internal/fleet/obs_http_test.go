@@ -103,6 +103,46 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestShardEventsMetric: /metrics splits evaluated events by where they
+// ran. A post to an idle shard runs inline; posts that arrive while the
+// shard goroutine holds the shard queue, and the goroutine evaluates them.
+func TestShardEventsMetric(t *testing.T) {
+	hub := newTestHub(t, WithShards(1))
+	ts := httptest.NewServer(NewHTTPHandler(hub))
+	defer ts.Close()
+	seedHome(t, hub, "h")
+	s := hub.shardFor("h")
+	waitIdle(t, s)
+	postTemp(t, hub, "h", "31")
+
+	gate, entered := make(chan struct{}), make(chan struct{})
+	if !s.mb.put(task{shardFn: func(*shard) { close(entered); <-gate }}) {
+		t.Fatal("mailbox closed")
+	}
+	<-entered
+	for _, v := range []string{"20", "31", "25"} {
+		postTemp(t, hub, "h", v)
+	}
+	close(gate)
+	if err := hub.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, body := doJSON(t, ts, "GET", "/metrics", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+	}
+	for _, want := range []string{
+		"# TYPE cadel_shard_events_total counter",
+		`cadel_shard_events_total{path="inline"} 1` + "\n",
+		`cadel_shard_events_total{path="queued"} 3` + "\n",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 // TestTraceEndpointHandoffExplain is the acceptance scenario: the trace
 // endpoint, filtered to one device, reproduces the paper's Fig. 1 hand-off —
 // which rule won the device, which lost, and the arbitration reason.

@@ -1,7 +1,7 @@
 // Package obs is the fleet's allocation-free observability layer: atomic
 // counters and gauges plus fixed-bucket log-linear histograms, grouped into
-// per-hub-shard blocks so the hot writers (one mailbox goroutine per shard,
-// plus the transport goroutines hashed onto the owning shard's stripe) never
+// per-hub-shard blocks so the hot writers (each shard's current owner, plus
+// the transport goroutines hashed onto the owning shard's stripe) never
 // contend on a shared cache line, and rendered as hand-rolled Prometheus
 // text exposition — no dependencies beyond the standard library.
 //
@@ -212,15 +212,22 @@ type ConnMetrics struct {
 	ReadTimeouts   Counter // reads that hit a deadline (slowloris, stalls)
 }
 
-// ShardMetrics groups one hub shard's blocks. The shard's mailbox goroutine
-// owns the Engine block; transport goroutines hash each home onto its owning
-// shard's Ingest stripe (Metrics.IngestShard), so cross-shard traffic never
-// shares a write-hot cache line. Conn stripes are claimed round-robin by the
-// raw front end's connections.
+// ShardMetrics groups one hub shard's blocks. The shard's current owner
+// (its mailbox goroutine, or a poster evaluating its own event on an idle
+// shard) writes the Engine block and the two event counters; transport
+// goroutines hash each home onto its owning shard's Ingest stripe
+// (Metrics.IngestShard), so cross-shard traffic never shares a write-hot
+// cache line. Conn stripes are claimed round-robin by the raw front end's
+// connections.
 type ShardMetrics struct {
 	Engine EngineMetrics
 	Ingest IngestMetrics
 	Conn   ConnMetrics
+	// Where each device event ran: inline on the posting goroutine, which
+	// found the shard idle and evaluated the event before returning, or
+	// queued in the mailbox for the shard goroutine.
+	EventsInline Counter
+	EventsQueued Counter
 }
 
 // Metrics is a hub's full metric surface: hub-level series plus one
@@ -293,6 +300,8 @@ type Totals struct {
 	CompactEpochs   uint64    `json:"compact_epochs"`
 	EventsDecoded   uint64    `json:"events_decoded"`
 	DecodeErrors    uint64    `json:"decode_errors"`
+	EventsInline    uint64    `json:"events_inline"`
+	EventsQueued    uint64    `json:"events_queued"`
 	StoreAppends    uint64    `json:"store_appends"`
 	PassNs          HistStats `json:"pass_ns"`
 	DecodeNs        HistStats `json:"decode_ns"`
@@ -345,6 +354,8 @@ func (m *Metrics) Totals() Totals {
 		t.CompactEpochs += sh.Engine.CompactEpochs.Load()
 		t.EventsDecoded += sh.Ingest.EventsDecoded.Load()
 		t.DecodeErrors += sh.Ingest.DecodeErrors.Load()
+		t.EventsInline += sh.EventsInline.Load()
+		t.EventsQueued += sh.EventsQueued.Load()
 		sh.Engine.PassNs.addTo(&passNs)
 		sh.Ingest.DecodeNs.addTo(&decodeNs)
 	}
@@ -373,6 +384,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	writeCounter(w, "cadel_engine_compact_epochs_total", "Symbol-compaction epochs run.", t.CompactEpochs)
 	writeCounter(w, "cadel_ingest_events_decoded_total", "Events decoded by the wire fast path.", t.EventsDecoded)
 	writeCounter(w, "cadel_ingest_decode_errors_total", "Event bodies the wire decoder rejected.", t.DecodeErrors)
+	fmt.Fprintf(w, "# HELP cadel_shard_events_total Device events evaluated, by path: inline on the posting goroutine (idle shard) or queued for the shard goroutine.\n"+
+		"# TYPE cadel_shard_events_total counter\ncadel_shard_events_total{path=\"inline\"} %d\ncadel_shard_events_total{path=\"queued\"} %d\n",
+		t.EventsInline, t.EventsQueued)
 
 	var accepted, reuse, parseErrs, timeouts uint64
 	var active int64

@@ -159,12 +159,7 @@ func eventReq(home, body string, close bool) string {
 // the hub-wide accepted-event count.
 func (tw *twin) compareState(t *testing.T, homes ...string) {
 	t.Helper()
-	if err := tw.rawHub.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.oracleHub.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	tw.quiesce(t)
 	for _, home := range homes {
 		rLog, err1 := tw.rawHub.Log(home)
 		oLog, err2 := tw.oracleHub.Log(home)
@@ -260,9 +255,25 @@ func TestRawOracleParityTable(t *testing.T) {
 			if !reflect.DeepEqual(raw, oracle) {
 				t.Fatalf("status sequences diverge:\n  raw    %v\n  oracle %v", raw, oracle)
 			}
+			tw.quiesce(t)
 		})
 	}
 	tw.compareState(t, "h")
+}
+
+// quiesce waits until both hubs have evaluated every event posted so far.
+// The table's cases post async events; without a barrier after each case,
+// one case's events (chunked valid's 30 crosses hotRule's threshold) can
+// share a pass with the next case's 20 on one hub and not on the other, and
+// the coalesced pass legitimately skips the firing.
+func (tw *twin) quiesce(t *testing.T) {
+	t.Helper()
+	if err := tw.rawHub.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.oracleHub.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // chunked encodes body as chunked transfer coding with the given chunk size.

@@ -220,13 +220,24 @@ func (cp *ControlPoint) FindByService(serviceType string, window time.Duration) 
 	return cp.waitFor(match, serviceType, window, fmt.Sprintf("service %q", serviceType))
 }
 
+// searchResend is the wait before a lookup's first repeated M-SEARCH; each
+// later repeat waits twice as long as the one before. SSDP runs over UDP,
+// and one lost datagram (the search, or the one response that names the
+// device) would otherwise lose the device for the whole window, so the UPnP
+// Device Architecture advises sending each M-SEARCH more than once.
+const searchResend = 100 * time.Millisecond
+
 func (cp *ControlPoint) waitFor(match func() *RemoteDevice, target string, window time.Duration, what string) (*RemoteDevice, error) {
 	if d := match(); d != nil {
 		return d, nil
 	}
-	_ = cp.network.multicast(cp.udp, buildMSearch(target, 1))
+	msearch := buildMSearch(target, 1)
+	_ = cp.network.multicast(cp.udp, msearch)
 	deadline := time.NewTimer(window)
 	defer deadline.Stop()
+	backoff := searchResend
+	resend := time.NewTimer(backoff)
+	defer resend.Stop()
 	for {
 		cp.mu.RLock()
 		ch := cp.changed
@@ -240,6 +251,10 @@ func (cp *ControlPoint) waitFor(match func() *RemoteDevice, target string, windo
 				return d, nil
 			}
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, what)
+		case <-resend.C:
+			_ = cp.network.multicast(cp.udp, msearch)
+			backoff *= 2
+			resend.Reset(backoff)
 		case <-ch:
 		case <-cp.done:
 			return nil, fmt.Errorf("%w: control point closed", ErrNotFound)

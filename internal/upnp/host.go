@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,6 +44,7 @@ type DeviceHost struct {
 	subs    map[string][]*subscription // by udn + "|" + serviceType
 
 	sidCounter atomic.Uint64
+	rng        *rand.Rand // search-response order; the UDP loop's alone
 	done       chan struct{}
 	wg         sync.WaitGroup
 }
@@ -66,6 +69,7 @@ func NewDeviceHost(network *Network) (*DeviceHost, error) {
 		baseURL: "http://" + ln.Addr().String(),
 		devices: make(map[string]*Device),
 		subs:    make(map[string][]*subscription),
+		rng:     rand.New(rand.NewSource(searchSeed)),
 		done:    make(chan struct{}),
 	}
 	h.leave = network.Join(udpConn.LocalAddr().(*net.UDPAddr))
@@ -482,22 +486,66 @@ func (h *DeviceHost) udpLoop() {
 		if err != nil || !msg.isMSearch() {
 			continue
 		}
-		st := msg.header("ST")
-		h.respondToSearch(st, src)
+		h.respondToSearch(msg.header("ST"), searchMX(msg.header("MX")), src)
 	}
 }
 
+// Search responses go out in bursts of searchBurst, searchPause apart: a
+// host answering for hundreds of devices in one back-to-back burst overruns
+// the searcher's socket buffer, and every response lost there is a device
+// the searcher does not find.
+const (
+	searchBurst = 64
+	searchPause = time.Millisecond
+	searchSeed  = 1 // seeds the order responses go out in
+)
+
+// searchMX parses an M-SEARCH's MX header: the seconds over which devices
+// may spread their responses. The UPnP Device Architecture caps it at 5; a
+// missing or malformed value counts as 1.
+func searchMX(v string) time.Duration {
+	mx, err := strconv.Atoi(v)
+	switch {
+	case err != nil || mx < 1:
+		mx = 1
+	case mx > 5:
+		mx = 5
+	}
+	return time.Duration(mx) * time.Second
+}
+
 // respondToSearch unicasts a response for every hosted device matching the
-// search target.
-func (h *DeviceHost) respondToSearch(st string, src *net.UDPAddr) {
+// search target, paced over the search's MX window: the UPnP Device
+// Architecture has devices spread their responses by a random delay. The
+// matching devices answer in an order drawn from h.rng, searchBurst at a
+// time, with searchPause between bursts, shortened if the bursts would
+// otherwise outlast mx. It runs on the UDP loop, so one search's responses
+// go out before the next search is read.
+func (h *DeviceHost) respondToSearch(st string, mx time.Duration, src *net.UDPAddr) {
 	h.mu.RLock()
-	defer h.mu.RUnlock()
+	var resps [][]byte
 	for _, d := range h.devices {
-		if !matchesTarget(d, st) {
-			continue
+		if matchesTarget(d, st) {
+			resps = append(resps, buildSearchResponse(st, d.usn(), h.descURL(d.UDN), serverHeader))
 		}
-		resp := buildSearchResponse(st, d.usn(), h.descURL(d.UDN), serverHeader)
-		_, _ = h.udp.WriteToUDP(resp, src)
+	}
+	h.mu.RUnlock()
+	// Sorted first, so the order depends on the seed alone, not on map order.
+	sort.Slice(resps, func(i, j int) bool { return string(resps[i]) < string(resps[j]) })
+	h.rng.Shuffle(len(resps), func(i, j int) { resps[i], resps[j] = resps[j], resps[i] })
+	pause := searchPause
+	if n := time.Duration((len(resps) - 1) / searchBurst); n > 0 && n*pause > mx {
+		pause = mx / n // n pauses must fit in the MX window
+	}
+	for i, resp := range resps {
+		if i > 0 && i%searchBurst == 0 {
+			select {
+			case <-h.done:
+				return
+			case <-time.After(pause):
+			}
+		}
+		_ = h.network.send(h.udp, resp, src)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 type Network struct {
 	mu      sync.RWMutex
 	members map[string]*net.UDPAddr
+	drop    func(payload []byte) bool // loss model; nil is lossless
 }
 
 // NewNetwork returns an empty network segment.
@@ -55,6 +56,29 @@ func (n *Network) Members() []*net.UDPAddr {
 	return out
 }
 
+// SetDrop installs a loss model for the segment's SSDP datagrams, the
+// multicasts and the unicast search responses alike: each datagram is passed
+// to drop before it is sent and discarded when drop returns true. Tests
+// drive it from a seeded source to lose datagrams reproducibly; nil restores
+// a lossless segment. drop may be called from several goroutines at once.
+func (n *Network) SetDrop(drop func(payload []byte) bool) {
+	n.mu.Lock()
+	n.drop = drop
+	n.mu.Unlock()
+}
+
+// send writes one datagram to addr unless the loss model drops it.
+func (n *Network) send(conn *net.UDPConn, payload []byte, addr *net.UDPAddr) error {
+	n.mu.RLock()
+	drop := n.drop
+	n.mu.RUnlock()
+	if drop != nil && drop(payload) {
+		return nil
+	}
+	_, err := conn.WriteToUDP(payload, addr)
+	return err
+}
+
 // multicast sends the payload to every member except the sender itself.
 func (n *Network) multicast(conn *net.UDPConn, payload []byte) error {
 	self := conn.LocalAddr().String()
@@ -63,7 +87,7 @@ func (n *Network) multicast(conn *net.UDPConn, payload []byte) error {
 		if addr.String() == self {
 			continue
 		}
-		if _, err := conn.WriteToUDP(payload, addr); err != nil && firstErr == nil {
+		if err := n.send(conn, payload, addr); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("upnp: multicast to %s: %w", addr, err)
 		}
 	}
