@@ -18,6 +18,7 @@ package cadel
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -496,12 +497,23 @@ func benchmarkRuleChurn(b *testing.B, live int, opts ...engine.Option) {
 // internal/fleet. Only rule registration is timed here.
 
 // BenchmarkFleetSubmit measures rule registration throughput across a
-// sharded hub (parse + compile + consistency + conflict check + store-less
-// registration), round-robin over 1000 homes.
+// sharded hub (consistency + conflict check + store-less registration),
+// round-robin over 1000 homes. The homes share one vocabulary, so in the
+// shards=N rows every write after a shard's first reuses its compiled
+// template; the unique-text row writes a new threshold each time and pays
+// parse and compile on every write.
 func BenchmarkFleetSubmit(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			hub, ids, err := benchwork.BuildHub(1000, shards)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		unique bool
+	}{
+		{"shards=1", 1, false},
+		{"shards=4", 4, false},
+		{"unique-text", 1, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			hub, ids, err := benchwork.BuildHub(1000, tc.shards)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -511,8 +523,11 @@ func BenchmarkFleetSubmit(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					i := idx.Add(1)
-					if _, err := hub.Submit(ids[i%uint64(len(ids))],
-						"If humidity is higher than 60 percent, turn on the fan.", "u"); err != nil {
+					src := "If humidity is higher than 60 percent, turn on the fan."
+					if tc.unique {
+						src = "If humidity is higher than " + strconv.FormatUint(i, 10) + " percent, turn on the fan."
+					}
+					if _, err := hub.Submit(ids[i%uint64(len(ids))], src, "u"); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unique"
 )
 
 // DeviceRef identifies the target device of a rule by friendly name and
@@ -96,6 +97,15 @@ func (a Action) String() string {
 // Rule is a compiled CADEL rule object: when Cond holds, apply Action to
 // Device. Source preserves the original CADEL text, which doubles as the
 // database serialization format.
+//
+// The compiled parts (Device, Action with its Settings map, Cond and
+// Source) may be shared with other rules built from the same Template, in
+// other homes too. They are read-only: only the compiler writes them, and
+// it is done (location scoping included) before a template is built from
+// its result. Everything else is the rule's own: ID, Owner, Seq and the
+// bound, per-database state from Bound on, which registration builds afresh
+// and compaction rewrites in place. The rule object itself belongs to at
+// most one database.
 type Rule struct {
 	ID     string
 	Owner  string
@@ -103,6 +113,10 @@ type Rule struct {
 	Action Action
 	Cond   Condition // never nil; Always{} when the rule is unconditional
 	Source string
+	// Template is the shared compiled form this rule was built from, nil
+	// when the rule was compiled for itself alone. The table that hands out
+	// templates counts references through it.
+	Template *Template
 	// Seq is the registration sequence number assigned by the rule
 	// database; it provides a deterministic fallback ordering.
 	Seq uint64
@@ -125,6 +139,43 @@ type Rule struct {
 	// reconciliation state and the priority table's owner-rank index address
 	// rules and devices by them instead of by string.
 	IDSym, OwnerSym, DeviceSym uint32
+}
+
+// TemplateKey names one compiled rule exactly: the rule text, the owner it
+// was compiled for (the owner resolves "i" and "my") and the fingerprint of
+// the lexicon it was compiled against (vocab.Lexicon.Fingerprint), which
+// fixes how every phrase and user-defined word of the text reads.
+type TemplateKey struct {
+	Lexicon unique.Handle[string]
+	Owner   string
+	Text    string
+}
+
+// Template is the compiled form of one rule text, shared by every rule
+// built from it (Rule.Template). Its parts are read-only (see Rule).
+type Template struct {
+	Key TemplateKey
+	// Refs counts the live rules built from the template. The table that
+	// owns the template maintains it.
+	Refs   int
+	Device DeviceRef
+	Action Action
+	Cond   Condition
+	Source string
+}
+
+// NewTemplate makes a freshly compiled rule the template for key: the
+// template takes the rule's compiled parts, and the rule points at it. The
+// rule must not have been registered yet.
+func NewTemplate(key TemplateKey, r *Rule) *Template {
+	t := &Template{Key: key, Device: r.Device, Action: r.Action, Cond: r.Cond, Source: r.Source}
+	r.Template = t
+	return t
+}
+
+// Rule builds a new, unregistered rule around the template's shared parts.
+func (t *Template) Rule(id, owner string) *Rule {
+	return &Rule{ID: id, Owner: owner, Device: t.Device, Action: t.Action, Cond: t.Cond, Source: t.Source, Template: t}
 }
 
 // ReadyBound reports whether the rule's condition holds, preferring the

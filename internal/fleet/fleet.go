@@ -129,6 +129,9 @@ const DefaultTraceLimit = 1024
 
 // Dispatcher applies one fired action of one home to the real (or simulated)
 // appliance. The single-home server wires this to UPnP control.
+// action.Settings is the firing rule's compiled settings map, which rules of
+// other homes may share (see core.Rule): the dispatcher must treat it as
+// read-only.
 type Dispatcher func(home string, ref core.DeviceRef, action core.Action) error
 
 // OnFire observes every dispatched action. It runs on whichever goroutine

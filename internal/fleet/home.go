@@ -32,6 +32,8 @@ type Home struct {
 	priorities *conflict.Table
 	checker    conflict.Checker
 	engine     *engine.Engine
+	rules      *ruleTable // the shard's compiled-rule table, shared by its homes
+	pending    bool       // queued in the shard's pending list (shard.flush)
 
 	users     []string
 	favorites map[string][]string
@@ -53,7 +55,7 @@ type wordDef struct {
 	owner  string
 }
 
-func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMetrics, tr *engine.TraceRing) *Home {
+func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMetrics, tr *engine.TraceRing, rules *ruleTable) *Home {
 	lex := c.lexicon(id)
 	h := &Home{
 		id:         id,
@@ -61,6 +63,7 @@ func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMe
 		compiler:   core.NewCompiler(lex),
 		db:         registry.New(),
 		priorities: conflict.NewTable(),
+		rules:      rules,
 		favorites:  make(map[string][]string),
 		authorize:  c.authorize,
 	}
@@ -138,14 +141,19 @@ func (h *Home) SetFavorites(user string, keywords []string) {
 // definition. Rule submissions run the consistency check (inconsistent rules
 // are rejected with ErrInconsistent) and the conflict check (conflicting
 // rules are registered and reported so the user can set a priority order).
+// A rule text the shard compiled before for the same owner and vocabulary
+// is not parsed again (see ruleTable); every check still runs.
 func (h *Home) Submit(source, owner string) (*Result, error) {
 	owner = vocab.Normalize(owner)
 	if !h.isUser(owner) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownUser, owner)
 	}
-	cmd, err := lang.Parse(source, h.lex)
+	rule, cmd, err := h.compile(source, owner, func() string { return h.nextRuleID(owner) })
 	if err != nil {
 		return nil, err
+	}
+	if rule != nil {
+		return h.submitRule(rule)
 	}
 	switch c := cmd.(type) {
 	case *lang.CondDef:
@@ -178,35 +186,43 @@ func (h *Home) Submit(source, owner string) (*Result, error) {
 			WordKind:    vocab.KindConfWord,
 			WordSource:  confSource,
 		}, nil
-	case *lang.RuleDef:
-		id := h.nextRuleID(owner)
-		rule, err := h.compiler.CompileRule(c, id, owner)
-		if err != nil {
-			return nil, err
-		}
-		if h.authorize != nil && !h.authorize(h.id, owner, rule.Device, rule.Action.Verb) {
-			return nil, fmt.Errorf("%w: %s on %s by %s", ErrForbidden, rule.Action.Verb, rule.Device, owner)
-		}
-		ok, err := h.checker.Consistent(rule)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrInconsistent, rule.Cond)
-		}
-		candidates := h.db.SameDevice(rule.Device)
-		conflicts, err := h.checker.FindConflicts(rule, candidates)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.db.Add(rule); err != nil {
-			return nil, err
-		}
-		h.engine.Tick()
-		return &Result{Rule: rule, Conflicts: conflicts}, nil
 	default:
 		return nil, fmt.Errorf("fleet: unsupported command %T", cmd)
 	}
+}
+
+// submitRule runs a submitted rule's authorization, consistency and conflict
+// checks and registers it.
+func (h *Home) submitRule(rule *core.Rule) (*Result, error) {
+	if h.authorize != nil && !h.authorize(h.id, rule.Owner, rule.Device, rule.Action.Verb) {
+		return nil, fmt.Errorf("%w: %s on %s by %s", ErrForbidden, rule.Action.Verb, rule.Device, rule.Owner)
+	}
+	ok, err := h.checker.Consistent(rule)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrInconsistent, rule.Cond)
+	}
+	candidates := h.db.SameDevice(rule.Device)
+	conflicts, err := h.checker.FindConflicts(rule, candidates)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.addRule(rule); err != nil {
+		return nil, err
+	}
+	h.engine.Tick()
+	return &Result{Rule: rule, Conflicts: conflicts}, nil
+}
+
+// addRule registers a compiled rule and counts its template reference.
+func (h *Home) addRule(rule *core.Rule) error {
+	if err := h.db.Add(rule); err != nil {
+		return err
+	}
+	h.rules.hold(rule)
+	return nil
 }
 
 // nextRuleID generates an unused "<owner>-<n>" rule id. Replayed rules keep
@@ -234,15 +250,11 @@ func joinAnd(parts []string) string {
 
 // compileSource recompiles one stored rule source against the home's lexicon.
 func (h *Home) compileSource(source, id, owner string) (*core.Rule, error) {
-	cmd, err := lang.Parse(source, h.lex)
-	if err != nil {
-		return nil, err
+	rule, _, err := h.compile(source, owner, func() string { return id })
+	if err == nil && rule == nil {
+		err = fmt.Errorf("fleet: %q is not a rule", source)
 	}
-	def, ok := cmd.(*lang.RuleDef)
-	if !ok {
-		return nil, fmt.Errorf("fleet: %q is not a rule", source)
-	}
-	return h.compiler.CompileRule(def, id, owner)
+	return rule, err
 }
 
 // restoreRule re-registers a persisted rule under its original id, skipping
@@ -252,7 +264,7 @@ func (h *Home) restoreRule(id, owner, source string) error {
 	if err != nil {
 		return err
 	}
-	if err := h.db.Add(rule); err != nil {
+	if err := h.addRule(rule); err != nil {
 		return err
 	}
 	h.engine.Tick()
@@ -260,7 +272,22 @@ func (h *Home) restoreRule(id, owner, source string) error {
 }
 
 // RemoveRule deletes a rule by id.
-func (h *Home) RemoveRule(id string) error { return h.db.Remove(id) }
+func (h *Home) RemoveRule(id string) error {
+	rule, _ := h.db.Get(id)
+	if err := h.db.Remove(id); err != nil {
+		return err
+	}
+	h.rules.release(rule)
+	return nil
+}
+
+// releaseRules drops every rule's template reference when the home leaves
+// its shard.
+func (h *Home) releaseRules() {
+	for _, r := range h.db.All() {
+		h.rules.release(r)
+	}
+}
 
 // Rules returns all registered rules in registration order.
 func (h *Home) Rules() []*core.Rule { return h.db.All() }
@@ -278,6 +305,10 @@ func (h *Home) ExportRules() ([]byte, error) { return h.db.Export() }
 // and their serialized records (for persistence).
 func (h *Home) ImportRules(data []byte) (int, []registry.Record, error) {
 	n, err := h.db.Import(data, h.compileSource)
+	all := h.db.All()
+	for _, r := range all[len(all)-n:] {
+		h.rules.hold(r)
+	}
 	if n > 0 {
 		h.engine.Tick()
 	}
@@ -412,7 +443,7 @@ func (h *Home) rollbackUser(name string) {
 }
 
 func (h *Home) rollbackRule(id string) {
-	_ = h.db.Remove(id)
+	_ = h.RemoveRule(id)
 	h.engine.Tick()
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,8 +156,9 @@ type shard struct {
 	sm      *obs.ShardMetrics // this shard's stripe of the hub's metrics
 	tr      *engine.TraceRing // firing-trace ring shared by the shard's homes
 	homes   map[string]*Home
-	pending map[string]*Home // homes with ingested-but-unevaluated events
-	spare   []task           // recycled drain buffer; the shard goroutine's alone
+	pending []*Home    // homes with ingested-but-unevaluated events, each once (Home.pending)
+	rules   *ruleTable // compiled rules shared by the shard's homes
+	spare   []task     // recycled drain buffer; the shard goroutine's alone
 }
 
 func (s *shard) run() {
@@ -209,7 +211,10 @@ func (s *shard) exec(t task) {
 	}
 	if t.event != nil {
 		hm.Apply(t.event)
-		s.pending[t.home] = hm
+		if !hm.pending {
+			hm.pending = true
+			s.pending = append(s.pending, hm)
+		}
 		if t.wg != nil { // synchronous event: evaluate before acking
 			s.flush()
 			t.wg.Done()
@@ -226,10 +231,15 @@ func (s *shard) exec(t task) {
 }
 
 // flush evaluates every home with pending ingested events: one engine pass
-// per home regardless of how many events the backlog held for it.
+// per home regardless of how many events the backlog held for it. Each home
+// leaves the list before its pass, so a panicking dispatcher leaves no
+// stale entry behind; the list keeps its capacity.
 func (s *shard) flush() {
-	for id, hm := range s.pending {
-		delete(s.pending, id)
+	for n := len(s.pending); n > 0; n = len(s.pending) {
+		hm := s.pending[n-1]
+		s.pending[n-1] = nil
+		s.pending = s.pending[:n-1]
+		hm.pending = false
 		hm.Flush()
 	}
 }
@@ -238,21 +248,28 @@ func (s *shard) flush() {
 func (s *shard) home(id string) *Home {
 	hm, ok := s.homes[id]
 	if !ok {
-		hm = newHome(id, &s.hub.cfg, s.hub.batchDispatcherFor(id), s.sm, s.tr)
+		hm = newHome(id, &s.hub.cfg, s.hub.batchDispatcherFor(id), s.sm, s.tr, s.rules)
 		s.homes[id] = hm
 		s.hub.metrics.Homes.Add(1)
 	}
 	return hm
 }
 
-// evict drops a resident home from the shard's memory; the store is the
-// caller's business.
+// evict drops a resident home from the shard's memory, with its pending
+// pass and its rules' template references; the store is the caller's
+// business.
 func (s *shard) evict(id string) {
-	if _, ok := s.homes[id]; ok {
-		delete(s.homes, id)
-		delete(s.pending, id)
-		s.hub.metrics.Homes.Add(-1)
+	hm, ok := s.homes[id]
+	if !ok {
+		return
 	}
+	delete(s.homes, id)
+	if hm.pending {
+		hm.pending = false
+		s.pending = slices.DeleteFunc(s.pending, func(p *Home) bool { return p == hm })
+	}
+	hm.releaseRules()
+	s.hub.metrics.Homes.Add(-1)
 }
 
 // dispatchJob is one fired action being applied by the worker pool.
@@ -306,12 +323,12 @@ func NewHub(opts ...HubOption) (*Hub, error) {
 		// The ring is built up front, not on a home's first pass: a shard
 		// that has run fills it anyway.
 		h.shards = append(h.shards, &shard{
-			hub:     h,
-			mb:      newMailbox(),
-			sm:      h.metrics.Shard(i),
-			tr:      engine.NewTraceRing(cfg.traceCap),
-			homes:   make(map[string]*Home),
-			pending: make(map[string]*Home),
+			hub:   h,
+			mb:    newMailbox(),
+			sm:    h.metrics.Shard(i),
+			tr:    engine.NewTraceRing(cfg.traceCap),
+			homes: make(map[string]*Home),
+			rules: newRuleTable(h.metrics.Shard(i)),
 		})
 	}
 	if cfg.dispatchWorkers > 0 {

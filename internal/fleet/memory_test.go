@@ -12,8 +12,9 @@ import (
 // rule, idle or after loadedPasses traced passes. A home that copied the
 // built-in lexicon instead of sharing it would cost over 60 KiB; one that
 // kept its own firing-trace ring of 64 records instead of sharing its
-// shard's, about 8 KiB more.
-const perHomeHeapCeiling = 10 << 10
+// shard's, about 8 KiB more; one that compiled its rule for itself instead
+// of sharing its shard's template, about 0.7 KiB more.
+const perHomeHeapCeiling = 9 << 10
 
 // loadedPasses is how many evaluation passes each home of the loaded
 // variant runs before the measurement: more than a 64-record per-home ring

@@ -143,6 +143,48 @@ func TestShardEventsMetric(t *testing.T) {
 	}
 }
 
+// TestRuleTemplateMetrics: /metrics counts rule compiles by how they were
+// served and the templates live in the shard tables. Three homes with one
+// vocabulary submit one text: the first compiles it, the other two share
+// its template, and removing the three rules empties the table.
+func TestRuleTemplateMetrics(t *testing.T) {
+	hub := newTestHub(t, WithShards(1))
+	ts := httptest.NewServer(NewHTTPHandler(hub))
+	defer ts.Close()
+	homes := []string{"h1", "h2", "h3"}
+	for _, home := range homes {
+		seedHome(t, hub, home)
+	}
+	scrape := func(wants ...string) {
+		t.Helper()
+		resp, body := doJSON(t, ts, "GET", "/metrics", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /metrics: %d", resp.StatusCode)
+		}
+		for _, want := range wants {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("exposition missing %q", want)
+			}
+		}
+	}
+	scrape(
+		"# TYPE cadel_rule_templates gauge\ncadel_rule_templates 1\n",
+		"# TYPE cadel_rule_compiles_total counter\n",
+		`cadel_rule_compiles_total{result="shared"} 2`+"\n",
+		`cadel_rule_compiles_total{result="compiled"} 1`+"\n",
+	)
+	for _, home := range homes {
+		rules, err := hub.Rules(home)
+		if err != nil || len(rules) != 1 {
+			t.Fatalf("%s rules = %v, %v", home, rules, err)
+		}
+		if err := hub.RemoveRule(home, rules[0].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape("cadel_rule_templates 0\n", `cadel_rule_compiles_total{result="shared"} 2`+"\n")
+}
+
 // TestTraceEndpointHandoffExplain is the acceptance scenario: the trace
 // endpoint, filtered to one device, reproduces the paper's Fig. 1 hand-off —
 // which rule won the device, which lost, and the arbitration reason.

@@ -228,6 +228,11 @@ type ShardMetrics struct {
 	// queued in the mailbox for the shard goroutine.
 	EventsInline Counter
 	EventsQueued Counter
+	// The shard's compiled-rule table: live templates, and rule compiles
+	// served from a template (shared) or by parsing and compiling.
+	RuleTemplates        Gauge
+	RuleCompilesShared   Counter
+	RuleCompilesCompiled Counter
 }
 
 // Metrics is a hub's full metric surface: hub-level series plus one
@@ -292,19 +297,22 @@ type HistStats struct {
 
 // Totals is the cross-shard aggregate for JSON stats endpoints.
 type Totals struct {
-	Passes          uint64    `json:"passes"`
-	RulesChecked    uint64    `json:"rules_checked"`
-	RulesFired      uint64    `json:"rules_fired"`
-	RulesSuppressed uint64    `json:"rules_suppressed"`
-	DispatchBatches uint64    `json:"dispatch_batches"`
-	CompactEpochs   uint64    `json:"compact_epochs"`
-	EventsDecoded   uint64    `json:"events_decoded"`
-	DecodeErrors    uint64    `json:"decode_errors"`
-	EventsInline    uint64    `json:"events_inline"`
-	EventsQueued    uint64    `json:"events_queued"`
-	StoreAppends    uint64    `json:"store_appends"`
-	PassNs          HistStats `json:"pass_ns"`
-	DecodeNs        HistStats `json:"decode_ns"`
+	Passes           uint64    `json:"passes"`
+	RulesChecked     uint64    `json:"rules_checked"`
+	RulesFired       uint64    `json:"rules_fired"`
+	RulesSuppressed  uint64    `json:"rules_suppressed"`
+	DispatchBatches  uint64    `json:"dispatch_batches"`
+	CompactEpochs    uint64    `json:"compact_epochs"`
+	EventsDecoded    uint64    `json:"events_decoded"`
+	DecodeErrors     uint64    `json:"decode_errors"`
+	EventsInline     uint64    `json:"events_inline"`
+	EventsQueued     uint64    `json:"events_queued"`
+	StoreAppends     uint64    `json:"store_appends"`
+	RuleTemplates    int64     `json:"rule_templates"`
+	CompilesShared   uint64    `json:"rule_compiles_shared"`
+	CompilesCompiled uint64    `json:"rule_compiles_compiled"`
+	PassNs           HistStats `json:"pass_ns"`
+	DecodeNs         HistStats `json:"decode_ns"`
 }
 
 // StoreTotals is the store-backend aggregate for JSON stats endpoints: the
@@ -356,6 +364,9 @@ func (m *Metrics) Totals() Totals {
 		t.DecodeErrors += sh.Ingest.DecodeErrors.Load()
 		t.EventsInline += sh.EventsInline.Load()
 		t.EventsQueued += sh.EventsQueued.Load()
+		t.RuleTemplates += sh.RuleTemplates.Load()
+		t.CompilesShared += sh.RuleCompilesShared.Load()
+		t.CompilesCompiled += sh.RuleCompilesCompiled.Load()
 		sh.Engine.PassNs.addTo(&passNs)
 		sh.Ingest.DecodeNs.addTo(&decodeNs)
 	}
@@ -387,6 +398,10 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP cadel_shard_events_total Device events evaluated, by path: inline on the posting goroutine (idle shard) or queued for the shard goroutine.\n"+
 		"# TYPE cadel_shard_events_total counter\ncadel_shard_events_total{path=\"inline\"} %d\ncadel_shard_events_total{path=\"queued\"} %d\n",
 		t.EventsInline, t.EventsQueued)
+	writeGauge(w, "cadel_rule_templates", "Compiled-rule templates live in the shards' tables.", t.RuleTemplates)
+	fmt.Fprintf(w, "# HELP cadel_rule_compiles_total Rule compiles, by how they were served: from a shard's template (shared) or by parsing and compiling.\n"+
+		"# TYPE cadel_rule_compiles_total counter\ncadel_rule_compiles_total{result=\"shared\"} %d\ncadel_rule_compiles_total{result=\"compiled\"} %d\n",
+		t.CompilesShared, t.CompilesCompiled)
 
 	var accepted, reuse, parseErrs, timeouts uint64
 	var active int64

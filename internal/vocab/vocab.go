@@ -17,6 +17,10 @@
 // first copies the base into that lexicon's overlay (copy-on-write), so no
 // other lexicon sees the removal. Entry.Meta maps may be shared with every
 // other lexicon and must be treated as read-only.
+//
+// Fingerprint names a lexicon's content exactly, so that callers can share
+// work derived from it (compiled rules) between lexicons that would answer
+// every query alike.
 package vocab
 
 import (
@@ -25,8 +29,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"unique"
 )
 
 // Kind classifies lexicon entries.
@@ -128,7 +135,17 @@ type Lexicon struct {
 	mu   sync.RWMutex
 	base *table // frozen shared layer, read without locking; nil when flat
 	own  table  // this lexicon's entries, guarded by mu
+	// version counts mutations; fp caches Fingerprint while fpOK. solo is a
+	// process-unique id once flatten copied the base (0 otherwise). All
+	// three are guarded by mu.
+	version uint64
+	solo    uint64
+	fp      unique.Handle[string]
+	fpOK    bool
 }
+
+// soloIDs numbers lexicons that copied their base.
+var soloIDs atomic.Uint64
 
 // table is one layer of phrases. Its maps are created on first add.
 type table struct {
@@ -187,7 +204,14 @@ func (l *Lexicon) Add(e Entry) error {
 		return fmt.Errorf("%w: %q (%v)", ErrDuplicate, e.Phrase, e.Kind)
 	}
 	l.own.add(item{e, strings.Fields(e.Phrase)})
+	l.changed()
 	return nil
+}
+
+// changed records a mutation; the caller holds mu for writing.
+func (l *Lexicon) changed() {
+	l.version++
+	l.fpOK = false
 }
 
 // MustAdd is Add for static tables; it panics on error and is used only while
@@ -233,6 +257,7 @@ func (l *Lexicon) Remove(kind Kind, phrase string) error {
 	l.own.firstWord[head] = slices.DeleteFunc(l.own.firstWord[head], func(p item) bool {
 		return p.Kind == kind && p.Phrase == phrase
 	})
+	l.changed()
 	return nil
 }
 
@@ -248,6 +273,7 @@ func (l *Lexicon) flatten() {
 		}
 	}
 	l.base, l.own = nil, t
+	l.solo = soloIDs.Add(1)
 }
 
 // layers returns the lexicon's tables, base first; the caller holds mu.
@@ -332,6 +358,89 @@ func (t *table) match(tokens []string, set kindSet, all bool) *item {
 	return nil
 }
 
+// Version returns the lexicon's mutation count. A caller that derives
+// something from the lexicon compares it before and after to learn whether
+// the lexicon changed meanwhile.
+func (l *Lexicon) Version() uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.version
+}
+
+// Fingerprint returns an exact name for everything the lexicon answers, and
+// the Version it describes. Two lexicons get equal fingerprints only when
+// every Lookup, MatchLongest and Entries call agrees between them: the same
+// frozen base, and the same overlay entries (kind, phrase, canon and every
+// meta field) in the same order among the equally long phrases of one head
+// word, the order MatchLongest breaks ties by. The handle wraps the whole
+// canonical listing, not a hash of it, so equal fingerprints never come from
+// a collision. A lexicon that copied its base (flatten) is named by a
+// process-unique id and its version instead, and equals no other lexicon.
+// The listing is built once per version.
+func (l *Lexicon) Fingerprint() (unique.Handle[string], uint64) {
+	l.mu.RLock()
+	fp, ok, v := l.fp, l.fpOK, l.version
+	l.mu.RUnlock()
+	if ok {
+		return fp, v
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.fpOK {
+		l.fp, l.fpOK = unique.Make(l.listing()), true
+	}
+	return l.fp, l.version
+}
+
+// listing is the canonical text behind Fingerprint; the caller holds mu.
+func (l *Lexicon) listing() string {
+	if l.solo != 0 {
+		return "solo " + strconv.FormatUint(l.solo, 10) + " " + strconv.FormatUint(l.version, 10)
+	}
+	var b []byte
+	if l.base != nil {
+		// Default is the only constructor that sets a base, and it always
+		// sets the one process-wide built-in table.
+		b = append(b, "default\n"...)
+	} else {
+		b = append(b, "flat\n"...)
+	}
+	heads := make([]string, 0, len(l.own.firstWord))
+	for head, list := range l.own.firstWord {
+		if len(list) > 0 {
+			heads = append(heads, head)
+		}
+	}
+	slices.Sort(heads)
+	var keys []string
+	for _, head := range heads {
+		for _, p := range l.own.firstWord[head] {
+			b = strconv.AppendInt(b, int64(p.Kind), 10)
+			b = append(b, ' ')
+			b = strconv.AppendQuote(b, p.Phrase)
+			b = append(b, ' ')
+			b = strconv.AppendQuote(b, p.Canon)
+			if p.Meta != nil { // an empty map and none read alike but dump apart
+				keys = keys[:0]
+				for k := range p.Meta {
+					keys = append(keys, k)
+				}
+				slices.Sort(keys)
+				b = append(b, " {"...)
+				for _, k := range keys {
+					b = append(b, ' ')
+					b = strconv.AppendQuote(b, k)
+					b = append(b, '=')
+					b = strconv.AppendQuote(b, p.Meta[k])
+				}
+				b = append(b, '}')
+			}
+			b = append(b, '\n')
+		}
+	}
+	return string(b)
+}
+
 // Entries returns all entries of a kind, sorted by phrase.
 func (l *Lexicon) Entries(kind Kind) []Entry {
 	l.mu.RLock()
@@ -398,7 +507,8 @@ func (l *Lexicon) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	l.mu.Lock()
-	l.base, l.own = nil, table{}
+	l.base, l.own, l.solo = nil, table{}, 0
+	l.changed()
 	l.mu.Unlock()
 	for _, e := range doc.Entries {
 		if err := l.Add(e); err != nil {
