@@ -5,11 +5,11 @@ import (
 )
 
 // Bind rewrites a condition tree into its pre-bound form against a symbol
-// table: every variable-reading leaf is replaced by a bound node whose slot
-// is the interned symbol id (Compare, BoolIs) or a pre-built event key
-// (Arrival), so Eval on the bound tree performs no map lookup and no string
-// building. And/Or/Duration nodes are rebuilt around their bound children;
-// leaves with nothing to bind (time windows, presence, EPG, foreign kinds)
+// table: every variable-reading leaf (Compare, BoolIs, presence and
+// arrival leaves) is replaced by a bound node holding the interned symbol
+// ids it reads, so Eval on the bound tree performs no map lookup and no
+// string building. And/Or/Duration nodes are rebuilt around their bound
+// children; leaves with nothing to bind (time windows, EPG, foreign kinds)
 // are shared with the original tree.
 //
 // A bound tree is only meaningful against contexts backed by the same
@@ -54,11 +54,8 @@ func Bind(c Condition, tab *Symtab) Condition {
 		return b
 	case *Arrival:
 		b := &BoundArrival{Arrival: n, nameID: tab.Intern(EventDepKey(n.Event))}
-		if n.Person == Someone {
-			b.key = "|" + n.Event
-		} else {
-			b.key = n.Person + "|" + n.Event
-			b.keyID = tab.Intern(b.key)
+		if n.Person != Someone {
+			b.keyID = tab.Intern(n.Person + "|" + n.Event)
 		}
 		return b
 	case *Duration:
@@ -143,7 +140,7 @@ func (b *BoundBoolIs) AddCondDeps(d *DepSet) { d.AddKey(BoolDepKey(b.Var)) }
 
 // BoundPresence is a Presence whose person and place are resolved to symbol
 // ids, so Eval reads the context's dense location slots and reverse-index
-// counters instead of the Locations map.
+// counters.
 type BoundPresence struct {
 	*Presence
 	person uint32 // interned Person (unused when anyone)
@@ -152,12 +149,8 @@ type BoundPresence struct {
 	home   bool   // Place == "home"
 }
 
-// Eval implements Condition over the interned presence store, falling back
-// to the wrapped leaf against purely string-keyed contexts.
+// Eval implements Condition over the interned presence store.
 func (b *BoundPresence) Eval(ctx *Context) bool {
-	if ctx.tab == nil {
-		return b.Presence.Eval(ctx)
-	}
 	switch {
 	case b.anyone && b.home:
 		return ctx.AnyoneHome()
@@ -188,9 +181,6 @@ type BoundNobody struct {
 
 // Eval implements Condition over the interned presence store.
 func (b *BoundNobody) Eval(ctx *Context) bool {
-	if ctx.tab == nil {
-		return b.Nobody.Eval(ctx)
-	}
 	if b.home {
 		return !ctx.AnyoneHome()
 	}
@@ -209,9 +199,6 @@ type BoundEveryone struct {
 
 // Eval implements Condition over the interned presence store.
 func (b *BoundEveryone) Eval(ctx *Context) bool {
-	if ctx.tab == nil {
-		return b.Everyone.Eval(ctx)
-	}
 	if b.home {
 		return ctx.EveryoneHome()
 	}
@@ -221,29 +208,20 @@ func (b *BoundEveryone) Eval(ctx *Context) bool {
 // AddCondDeps implements DepsProvider by delegating to the wrapped leaf.
 func (b *BoundEveryone) AddCondDeps(d *DepSet) { d.AddKey(LocationWildcardKey) }
 
-// BoundArrival is an Arrival with its "person|event" lookup key (or
-// "|event" suffix, for Someone) built once at bind time, plus the interned
-// key and event-name ids read by the context's id-indexed event store.
+// BoundArrival is an Arrival with its interned "person|event" key and
+// event-name ids, read by the context's id-indexed event store.
 type BoundArrival struct {
 	*Arrival
-	key    string
 	keyID  uint32 // interned "person|event" (unused for Someone)
 	nameID uint32 // interned EventDepKey(Event)
 }
 
-// Eval implements Condition without rebuilding the event key: interned
-// contexts read the id-indexed store, string-keyed contexts scan the map.
+// Eval implements Condition over the interned event store.
 func (b *BoundArrival) Eval(ctx *Context) bool {
-	if ctx.tab != nil {
-		if b.Person == Someone {
-			return ctx.HasEventNameID(b.nameID)
-		}
-		return ctx.HasEventKeyID(b.keyID)
-	}
 	if b.Person == Someone {
-		return ctx.HasEventSuffix(b.key)
+		return ctx.HasEventNameID(b.nameID)
 	}
-	return ctx.HasEventKey(b.key)
+	return ctx.HasEventKeyID(b.keyID)
 }
 
 // AddCondDeps implements DepsProvider by delegating to the wrapped leaf.

@@ -172,7 +172,7 @@ func TestContextRemap(t *testing.T) {
 
 // TestCompactReclaimsExpiredEvents: an arrival event older than the TTL is
 // invisible to every reader, so a compaction epoch reclaims its ids and
-// prunes it from the Events map — otherwise event-name churn would regrow
+// prunes it from the event store — otherwise event-name churn would regrow
 // the store forever. Fresh events survive, and the readers keep agreeing
 // with the string-keyed reference (whose map keeps expired entries but
 // TTL-gates them) before and after.
@@ -199,7 +199,7 @@ func TestCompactReclaimsExpiredEvents(t *testing.T) {
 	if _, ok := tab.Lookup(EventDepKey("old-event")); ok {
 		t.Fatal("expired event's name id survived compaction (no fresh key under it)")
 	}
-	if _, ok := in.Events["alan|old-event"]; ok {
+	if _, ok := in.Clone().Events["alan|old-event"]; ok {
 		t.Fatal("expired event still in the Events map after compaction")
 	}
 	for _, probe := range []struct{ person, event string }{

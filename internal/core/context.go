@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"maps"
 	"strings"
 	"time"
 )
@@ -27,41 +27,56 @@ type resCache struct {
 	slot int32
 }
 
+// slotStore is the interned store of one variable kind: dense values indexed
+// by symbol id, with presence flags, the population (ids ever written, in
+// first-write order) and the unqualified-name resolution cache. len(pop) is
+// the resolution generation: it grows exactly when a new key appears, which
+// is the only event that can change how an unqualified name resolves.
+type slotStore[V any] struct {
+	vals []V
+	has  []bool
+	pop  []uint32
+	res  []resCache
+}
+
 // Context is the instantaneous world snapshot conditions are evaluated
 // against. The rule execution engine maintains one Context and updates it
 // from sensor events; Eval never mutates it.
 //
-// Numeric and boolean variables — and, since the presence/event interning,
-// user locations and arrival events — have two representations. The
-// string-keyed maps (Numbers, Bools, Locations, Events) are always truthful
-// and serve observability, cloning and the full-scan oracle (which runs on a
-// plain NewContext). A context built with NewInternedContext additionally keeps dense,
-// symbol-id-indexed stores: value slices with presence tracking for
-// numbers/booleans (NumberID/BoolID), location slots with reverse-index
-// counters for presence quantifiers (AtID/AnyoneAtID/EveryoneAtID and
-// friends) and keyed last-fired times with a per-event-name index for
-// arrivals (HasEventKeyID/HasEventNameID) — the evaluation hot path reads
-// those with no map lookup, no map iteration, no string comparison and no
-// allocation. Interned contexts must be written through the setter methods
-// (SetNumber/SetLocation/RecordEvent and friends) so both representations
-// stay in step.
+// Numbers, booleans, user locations and arrival events live in one store,
+// fixed when the context is made. A plain NewContext (the full-scan
+// oracle's) keeps them in the string-keyed maps below. A NewInternedContext
+// keeps them only in dense, symbol-id-indexed state, and its four maps stay
+// nil: value slices with populations for numbers/booleans (NumberID/BoolID),
+// location slots with reverse-index counters for presence quantifiers
+// (AtID/AnyoneAtID/EveryoneAtID and friends) and keyed last-fired times with
+// a per-event-name index for arrivals (HasEventKeyID/HasEventNameID). The
+// evaluation hot path reads those with no map lookup, no map iteration, no
+// string comparison and no allocation. Either kind is written through the
+// setters (SetNumber/SetLocation/RecordEvent and friends) and read through
+// the string-keyed readers (Number, At, HasEvent, ...); Clone renders either
+// as a plain context.
 type Context struct {
 	// Now is the current simulation or wall-clock time.
 	Now time.Time
 	// Numbers holds numeric sensor readings keyed by variable name,
 	// optionally location-qualified: "temperature" or
-	// "living room/temperature".
+	// "living room/temperature". Nil on an interned context.
 	Numbers map[string]float64
 	// Bools holds boolean device/sensor states: "tv/power",
-	// "entrance door/locked", "hall/dark".
+	// "entrance door/locked", "hall/dark". Nil on an interned context.
 	Bools map[string]bool
-	// Locations maps each user to the place they are currently in; absent or
-	// empty means away from home.
+	// Locations maps each user at home to the place they are in. A user
+	// absent from it (or mapped to "") is away: SetLocation(user, "")
+	// deletes the entry, as no reader tells a user set away from one never
+	// seen, and Clone renders only users at home. Nil on an interned
+	// context.
 	Locations map[string]string
 	// Users lists every registered user (needed by "everyone"/"nobody").
 	Users []string
 	// Events holds recent arrival events keyed by person + "|" + event name
-	// ("alan|home-from-work") with the time the event fired.
+	// ("alan|home-from-work") with the time the event fired. Nil on an
+	// interned context.
 	Events map[string]time.Time
 	// EventTTL is how long an arrival event stays fresh. Zero means 5
 	// minutes.
@@ -78,19 +93,9 @@ type Context struct {
 	// tab, when non-nil, activates the interned store below.
 	tab *Symtab
 
-	// Dense value arrays indexed by symbol id, with presence flags and the
-	// population (ids ever written, in first-write order). len(pop) is the
-	// resolution generation: it grows exactly when a new key appears, which
-	// is the only event that can change how an unqualified name resolves.
-	numVals []float64
-	numHas  []bool
-	numPop  []uint32
-	numRes  []resCache
-
-	boolVals []bool
-	boolHas  []bool
-	boolPop  []uint32
-	boolRes  []resCache
+	// Interned numbers and booleans.
+	nums  slotStore[float64]
+	bools slotStore[bool]
 
 	// Interned presence store: each person's location as a dense
 	// person-id-indexed slice of place slots (interned place id plus one; 0 =
@@ -129,13 +134,16 @@ func NewContext(now time.Time) *Context {
 	}
 }
 
-// NewInternedContext returns an empty context whose numeric and boolean
-// variables are additionally backed by the symbol-indexed slice store, with
-// unqualified-name resolution cached per population generation.
+// NewInternedContext returns an empty context backed by the symbol-indexed
+// store, with unqualified-name resolution cached per population generation.
+// Its Numbers, Bools, Locations and Events maps stay nil.
 func NewInternedContext(now time.Time, tab *Symtab) *Context {
-	c := NewContext(now)
-	c.tab = tab
-	return c
+	return &Context{
+		Now:       now,
+		Favorites: make(map[string][]string),
+		Held:      make(map[string]time.Time),
+		tab:       tab,
+	}
 }
 
 // Symtab returns the symbol table backing the interned store, or nil for a
@@ -147,34 +155,53 @@ func (c *Context) Symtab() *Symtab { return c.tab }
 // and observability snapshots can be cached.
 func (c *Context) Version() uint64 { return c.ver }
 
-// Clone returns a deep copy of the context. The copy is always string-keyed
-// (the dense arrays are an evaluation-path acceleration; clones serve
-// observability and tests), so it is fully independent of the original and
-// of the symbol table.
+// Clone returns a deep copy of the context as a plain string-keyed context,
+// independent of the original and of the symbol table. It renders what the
+// readers see: an interned context's maps are built from its id state, only
+// users at home appear in Locations, and only fresh arrival events in Events
+// (an expired one is invisible to every reader). Clones serve observability,
+// migration export and tests.
 func (c *Context) Clone() *Context {
 	out := NewContext(c.Now)
 	out.EventTTL = c.EventTTL
-	for k, v := range c.Numbers {
-		out.Numbers[k] = v
-	}
-	for k, v := range c.Bools {
-		out.Bools[k] = v
-	}
-	for k, v := range c.Locations {
-		out.Locations[k] = v
+	if c.tab != nil {
+		c.render(out)
+	} else {
+		maps.Copy(out.Numbers, c.Numbers)
+		maps.Copy(out.Bools, c.Bools)
+		maps.Copy(out.Locations, c.Locations)
+		for key, at := range c.Events {
+			if c.fresh(at) {
+				out.Events[key] = at
+			}
+		}
 	}
 	out.Users = append(out.Users, c.Users...)
-	for k, v := range c.Events {
-		out.Events[k] = v
-	}
 	out.Programs = append(out.Programs, c.Programs...)
 	for k, v := range c.Favorites {
 		out.Favorites[k] = append([]string(nil), v...)
 	}
-	for k, v := range c.Held {
-		out.Held[k] = v
-	}
+	maps.Copy(out.Held, c.Held)
 	return out
+}
+
+// render fills out's maps from the interned store, naming every id through
+// the symbol table.
+func (c *Context) render(out *Context) {
+	c.nums.render(c.tab, out.Numbers)
+	c.bools.render(c.tab, out.Bools)
+	for person, slot := range c.locVals {
+		if slot != 0 {
+			out.Locations[c.tab.Name(uint32(person))] = c.tab.Name(slot - 1)
+		}
+	}
+	for _, keys := range c.evByName {
+		for _, key := range keys {
+			if c.fresh(c.evTimes[key]) {
+				out.Events[c.tab.Name(key)] = c.evTimes[key]
+			}
+		}
+	}
 }
 
 // ---- compaction (epoch/remap contract) ----
@@ -182,24 +209,23 @@ func (c *Context) Clone() *Context {
 // MarkLive adds every symbol id the interned store holds to live: populated
 // number/boolean slots, present persons and their places, the registered
 // user ids, and fresh arrival keys with their event-name index ids.
-// Persons recorded as away (slot 0) are deliberately not marked — the
-// id-indexed readers treat an unknown person and an away person
-// identically, and the string-keyed Locations map stays truthful either
-// way — so unreferenced ids can be reclaimed.
+// Persons recorded as away (slot 0) are deliberately not marked — every
+// reader, Clone included, treats an unknown person and an away person
+// identically — so unreferenced ids can be reclaimed.
 //
 // Arrival events are freshness-gated: an event older than the TTL is
-// already invisible to every reader (HasEventKeyID and friends test
-// freshness), so pinning its ids would regrow the event store without bound
-// under event-name churn — the exact leak compaction exists to close.
-// Expired events are therefore pruned here, from the id store and the
-// Events map alike, before their ids go unmarked. This assumes Now does not
-// move backwards, like the rest of the engine's clock handling.
+// already invisible to every reader (HasEventKeyID and friends, and Clone,
+// test freshness), so pinning its ids would regrow the event store without
+// bound under event-name churn — the exact leak compaction exists to close.
+// Expired events are therefore pruned from the store here, before their ids
+// go unmarked. This assumes Now does not move backwards, like the rest of
+// the engine's clock handling.
 func (c *Context) MarkLive(live *IDSet) {
 	if c.tab == nil {
 		return
 	}
-	live.AddAll(c.numPop)
-	live.AddAll(c.boolPop)
+	live.AddAll(c.nums.pop)
+	live.AddAll(c.bools.pop)
 	for person, slot := range c.locVals {
 		if slot != 0 {
 			live.Add(uint32(person))
@@ -207,12 +233,11 @@ func (c *Context) MarkLive(live *IDSet) {
 		}
 	}
 	live.AddAll(c.userIDs)
-	ttl := c.eventTTL()
 	pruned := false
 	for name, keys := range c.evByName {
 		kept := keys[:0]
 		for _, key := range keys {
-			if c.Now.Sub(c.evTimes[key]) <= ttl {
+			if c.fresh(c.evTimes[key]) {
 				kept = append(kept, key)
 				live.Add(key)
 				live.Add(uint32(name))
@@ -220,7 +245,6 @@ func (c *Context) MarkLive(live *IDSet) {
 			}
 			c.evHas[key] = false
 			c.evTimes[key] = time.Time{}
-			delete(c.Events, c.tab.Name(key))
 			pruned = true
 		}
 		c.evByName[name] = kept
@@ -235,28 +259,14 @@ func (c *Context) MarkLive(live *IDSet) {
 // length) and the per-generation resolution caches are dropped (cached slots
 // reference old ids; the populations are unchanged, so the next read of each
 // name recomputes once). Every id the store holds must have been marked live
-// (MarkLive) or Remap panics on the DeadID sentinel — by contract the string
-// maps are untouched, so observability and clones see no change.
+// (MarkLive) or Remap panics on the DeadID sentinel. Names survive
+// compaction, so Clone renders the same maps before and after.
 func (c *Context) Remap(remap []uint32, newLen int) {
 	if c.tab == nil {
 		return
 	}
-	// Numbers / booleans: rebuild the dense value arrays; the populations
-	// remap in place (populated slots are live by construction).
-	numVals, numHas := make([]float64, newLen), make([]bool, newLen)
-	for i, id := range c.numPop {
-		nid := remap[id]
-		numVals[nid], numHas[nid] = c.numVals[id], true
-		c.numPop[i] = nid
-	}
-	c.numVals, c.numHas, c.numRes = numVals, numHas, nil
-	boolVals, boolHas := make([]bool, newLen), make([]bool, newLen)
-	for i, id := range c.boolPop {
-		nid := remap[id]
-		boolVals[nid], boolHas[nid] = c.boolVals[id], true
-		c.boolPop[i] = nid
-	}
-	c.boolVals, c.boolHas, c.boolRes = boolVals, boolHas, nil
+	c.nums.remap(remap, newLen)
+	c.bools.remap(remap, newLen)
 
 	// Presence: present persons move to their new ids; away persons whose
 	// ids died are dropped (semantically identical for the id readers). The
@@ -270,9 +280,7 @@ func (c *Context) Remap(remap []uint32, newLen int) {
 		}
 		np, ns := remap[person], remap[slot-1]+1
 		locVals[np] = ns
-		for int(ns-1) >= len(placeCount) {
-			placeCount = append(placeCount, 0)
-		}
+		placeCount = grow(placeCount, int(ns-1))
 		placeCount[ns-1]++
 		present++
 	}
@@ -290,9 +298,7 @@ func (c *Context) Remap(remap []uint32, newLen int) {
 			continue
 		}
 		nn := remap[name]
-		for int(nn) >= len(evByName) {
-			evByName = append(evByName, nil)
-		}
+		evByName = grow(evByName, int(nn))
 		for _, key := range keys {
 			nk := remap[key]
 			evTimes[nk], evHas[nk] = c.evTimes[key], true
@@ -305,7 +311,7 @@ func (c *Context) Remap(remap []uint32, newLen int) {
 // IDSliceLens reports the lengths of the interned store's id-indexed slices
 // (numbers, booleans, locations, arrival events) for memory observability.
 func (c *Context) IDSliceLens() (num, boolean, loc, ev int) {
-	return len(c.numVals), len(c.boolVals), len(c.locVals), len(c.evTimes)
+	return len(c.nums.vals), len(c.bools.vals), len(c.locVals), len(c.evTimes)
 }
 
 // ---- writes ----
@@ -324,16 +330,7 @@ func (c *Context) SetNumber(key string, v float64) {
 // only). First sight of an id grows the key population, invalidating every
 // cached unqualified-name resolution in this namespace.
 func (c *Context) SetNumberID(id uint32, v float64) {
-	for int(id) >= len(c.numHas) {
-		c.numHas = append(c.numHas, false)
-		c.numVals = append(c.numVals, 0)
-	}
-	if !c.numHas[id] {
-		c.numHas[id] = true
-		c.numPop = append(c.numPop, id)
-	}
-	c.numVals[id] = v
-	c.Numbers[c.tab.Name(id)] = v
+	c.nums.set(id, v)
 	c.ver++
 }
 
@@ -349,16 +346,7 @@ func (c *Context) SetBool(key string, v bool) {
 
 // SetBoolID stores a boolean state by symbol id (interned contexts only).
 func (c *Context) SetBoolID(id uint32, v bool) {
-	for int(id) >= len(c.boolHas) {
-		c.boolHas = append(c.boolHas, false)
-		c.boolVals = append(c.boolVals, false)
-	}
-	if !c.boolHas[id] {
-		c.boolHas[id] = true
-		c.boolPop = append(c.boolPop, id)
-	}
-	c.boolVals[id] = v
-	c.Bools[c.tab.Name(id)] = v
+	c.bools.set(id, v)
 	c.ver++
 }
 
@@ -372,34 +360,29 @@ func (c *Context) SetLocation(person, place string) {
 		c.SetLocationID(c.tab.Intern(person), slot)
 		return
 	}
-	c.Locations[person] = place
+	if place == "" {
+		delete(c.Locations, person)
+	} else {
+		c.Locations[person] = place
+	}
 	c.ver++
 }
 
 // SetLocationID moves a user by interned person id (interned contexts only).
 // slot is the interned place id plus one; 0 means away from home. The
-// reverse-index counters and the Locations map are kept in step.
+// reverse-index counters are kept in step.
 func (c *Context) SetLocationID(person, slot uint32) {
-	for int(person) >= len(c.locVals) {
-		c.locVals = append(c.locVals, 0)
-	}
+	c.locVals = grow(c.locVals, int(person))
 	if old := c.locVals[person]; old != 0 {
 		c.present--
 		c.placeCount[old-1]--
 	}
 	if slot != 0 {
-		for int(slot-1) >= len(c.placeCount) {
-			c.placeCount = append(c.placeCount, 0)
-		}
+		c.placeCount = grow(c.placeCount, int(slot-1))
 		c.present++
 		c.placeCount[slot-1]++
 	}
 	c.locVals[person] = slot
-	place := ""
-	if slot != 0 {
-		place = c.tab.Name(slot - 1)
-	}
-	c.Locations[c.tab.Name(person)] = place
 	c.ver++
 }
 
@@ -436,49 +419,12 @@ func (c *Context) Number(name string) (float64, bool) {
 	if c.tab != nil {
 		return c.NumberID(c.tab.Intern(name))
 	}
-	if v, ok := c.Numbers[name]; ok {
-		return v, true
-	}
-	if strings.Contains(name, "/") {
-		return 0, false
-	}
-	var keys []string
-	suffix := "/" + name
-	for k := range c.Numbers {
-		if strings.HasSuffix(k, suffix) {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return 0, false
-	}
-	sort.Strings(keys)
-	return c.Numbers[keys[0]], true
+	return resolveKey(c.Numbers, name)
 }
 
 // NumberID resolves a numeric variable by symbol id (interned contexts
-// only), with the same qualification rules as Number. The steady-state cost
-// is two slice indexes: an exact presence check, then the cached resolution
-// for the current population generation.
-func (c *Context) NumberID(id uint32) (float64, bool) {
-	if int(id) < len(c.numHas) && c.numHas[id] {
-		return c.numVals[id], true
-	}
-	gen := uint32(len(c.numPop)) + 1
-	if int(id) < len(c.numRes) {
-		if rc := c.numRes[id]; rc.gen == gen {
-			if rc.slot < 0 {
-				return 0, false
-			}
-			return c.numVals[rc.slot], true
-		}
-	}
-	slot := c.resolveSlow(id, gen, &c.numRes, c.numPop)
-	if slot < 0 {
-		return 0, false
-	}
-	return c.numVals[slot], true
-}
+// only), with the same qualification rules as Number.
+func (c *Context) NumberID(id uint32) (float64, bool) { return c.nums.get(c.tab, id) }
 
 // Bool resolves a boolean variable with the same qualification rules as
 // Number.
@@ -486,84 +432,138 @@ func (c *Context) Bool(name string) (bool, bool) {
 	if c.tab != nil {
 		return c.BoolID(c.tab.Intern(name))
 	}
-	if v, ok := c.Bools[name]; ok {
-		return v, true
+	return resolveKey(c.Bools, name)
+}
+
+// resolveKey is the string-keyed resolution behind Number and Bool: an exact
+// key wins, and an unqualified name takes the lexicographically smallest
+// location-qualified key ending in "/name".
+func resolveKey[V any](m map[string]V, name string) (V, bool) {
+	if v, ok := m[name]; ok || strings.Contains(name, "/") {
+		return v, ok
 	}
-	if strings.Contains(name, "/") {
-		return false, false
-	}
-	var keys []string
-	suffix := "/" + name
-	for k := range c.Bools {
-		if strings.HasSuffix(k, suffix) {
-			keys = append(keys, k)
+	best, found, suffix := "", false, "/"+name
+	for k := range m {
+		if strings.HasSuffix(k, suffix) && (!found || k < best) {
+			best, found = k, true
 		}
 	}
-	if len(keys) == 0 {
-		return false, false
+	var v V
+	if found {
+		v = m[best]
 	}
-	sort.Strings(keys)
-	return c.Bools[keys[0]], true
+	return v, found
 }
 
 // BoolID resolves a boolean variable by symbol id (interned contexts only).
-func (c *Context) BoolID(id uint32) (bool, bool) {
-	if int(id) < len(c.boolHas) && c.boolHas[id] {
-		return c.boolVals[id], true
+func (c *Context) BoolID(id uint32) (bool, bool) { return c.bools.get(c.tab, id) }
+
+// set stores v under id, growing the population on the id's first write.
+func (s *slotStore[V]) set(id uint32, v V) {
+	s.has, s.vals = grow(s.has, int(id)), grow(s.vals, int(id))
+	if !s.has[id] {
+		s.has[id] = true
+		s.pop = append(s.pop, id)
 	}
-	gen := uint32(len(c.boolPop)) + 1
-	if int(id) < len(c.boolRes) {
-		if rc := c.boolRes[id]; rc.gen == gen {
-			if rc.slot < 0 {
-				return false, false
-			}
-			return c.boolVals[rc.slot], true
-		}
-	}
-	slot := c.resolveSlow(id, gen, &c.boolRes, c.boolPop)
-	if slot < 0 {
-		return false, false
-	}
-	return c.boolVals[slot], true
+	s.vals[id] = v
 }
 
-// resolveSlow recomputes one unqualified-name resolution against the current
-// key population and caches it for the generation. It runs once per (name,
-// generation): qualified names never suffix-match, unqualified names take
-// the lexicographically smallest qualified entry, exactly like the
-// string-keyed scan-and-sort.
-func (c *Context) resolveSlow(id, gen uint32, cache *[]resCache, pop []uint32) int32 {
-	for int(id) >= len(*cache) {
-		*cache = append(*cache, resCache{})
+// get resolves id with the qualification rules of Number. The steady-state
+// cost is two slice indexes: an exact presence check, then the cached
+// resolution for the current population generation.
+func (s *slotStore[V]) get(tab *Symtab, id uint32) (V, bool) {
+	if int(id) < len(s.has) && s.has[id] {
+		return s.vals[id], true
 	}
-	name := c.tab.Name(id)
+	gen := uint32(len(s.pop)) + 1
+	var slot int32
+	if int(id) < len(s.res) && s.res[id].gen == gen {
+		slot = s.res[id].slot
+	} else {
+		slot = s.resolve(tab, id, gen)
+	}
+	if slot < 0 {
+		var zero V
+		return zero, false
+	}
+	return s.vals[slot], true
+}
+
+// resolve recomputes one unqualified-name resolution against the current
+// population and caches it for the generation. It runs once per (name,
+// generation): qualified names never suffix-match, unqualified names take
+// the lexicographically smallest qualified entry, exactly like resolveKey.
+func (s *slotStore[V]) resolve(tab *Symtab, id, gen uint32) int32 {
+	s.res = grow(s.res, int(id))
+	name := tab.Name(id)
 	slot := int32(-1)
 	if !strings.Contains(name, "/") {
-		slot = c.tab.minSuffixMatch(pop, "/"+name)
+		slot = tab.minSuffixMatch(s.pop, "/"+name)
 	}
-	(*cache)[id] = resCache{gen: gen, slot: slot}
+	s.res[id] = resCache{gen: gen, slot: slot}
 	return slot
+}
+
+// remap rebuilds the store under a compaction remap (every populated id is
+// live by construction), rewriting the population in place and dropping the
+// resolution cache: cached slots reference old ids, and since the
+// population is unchanged each name re-resolves once.
+func (s *slotStore[V]) remap(remap []uint32, newLen int) {
+	vals, has := make([]V, newLen), make([]bool, newLen)
+	for i, id := range s.pop {
+		nid := remap[id]
+		vals[nid], has[nid] = s.vals[id], true
+		s.pop[i] = nid
+	}
+	s.vals, s.has, s.res = vals, has, nil
+}
+
+// grow returns s extended with zero values so that index i is in range.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// render writes every populated id's value into out under its name.
+func (s *slotStore[V]) render(tab *Symtab, out map[string]V) {
+	for _, id := range s.pop {
+		out[tab.Name(id)] = s.vals[id]
+	}
 }
 
 // ---- presence / events / EPG ----
 
 // At reports whether the person is at the place. "home" matches any
-// non-empty location.
+// place.
 func (c *Context) At(person, place string) bool {
-	loc, ok := c.Locations[person]
-	if !ok || loc == "" {
-		return false
+	if c.tab != nil {
+		p, ok := c.tab.Lookup(person)
+		if !ok {
+			return false
+		}
+		if place == "home" {
+			return c.AtHomeID(p)
+		}
+		pl, ok := c.tab.Lookup(place)
+		return ok && c.AtID(p, pl)
 	}
-	if place == "home" {
-		return true
-	}
-	return loc == place
+	loc := c.Locations[person]
+	return loc != "" && (place == "home" || loc == place)
 }
 
 // AnyoneAt reports whether at least one user is at the place.
 func (c *Context) AnyoneAt(place string) bool {
-	for person := range c.Locations {
-		if c.At(person, place) {
+	if c.tab != nil {
+		if place == "home" {
+			return c.AnyoneHome()
+		}
+		id, ok := c.tab.Lookup(place)
+		return ok && c.AnyoneAtID(id)
+	}
+	for _, loc := range c.Locations {
+		if loc != "" && (place == "home" || loc == place) {
 			return true
 		}
 	}
@@ -573,6 +573,13 @@ func (c *Context) AnyoneAt(place string) bool {
 // EveryoneAt reports whether every registered user is at the place. It is
 // false when no users are registered.
 func (c *Context) EveryoneAt(place string) bool {
+	if c.tab != nil {
+		if place == "home" {
+			return c.EveryoneHome()
+		}
+		id, ok := c.tab.Lookup(place)
+		return ok && c.EveryoneAtID(id)
+	}
 	if len(c.Users) == 0 {
 		return false
 	}
@@ -616,7 +623,15 @@ func (c *Context) AnyoneHome() bool { return c.present > 0 }
 
 // EveryoneAtID reports whether every registered user is at the place (by
 // interned id). False when no users are registered.
-func (c *Context) EveryoneAtID(place uint32) bool {
+func (c *Context) EveryoneAtID(place uint32) bool { return c.everyone(place, false) }
+
+// EveryoneHome reports whether every registered user is somewhere at home.
+// False when no users are registered.
+func (c *Context) EveryoneHome() bool { return c.everyone(0, true) }
+
+// everyone reports whether every registered user is at the place, or at
+// home at all when home is set. False when no users are registered.
+func (c *Context) everyone(place uint32, home bool) bool {
 	if len(c.userIDs) == 0 {
 		return false
 	}
@@ -624,57 +639,41 @@ func (c *Context) EveryoneAtID(place uint32) bool {
 		if int(u) >= len(c.locVals) {
 			return false
 		}
-		v := c.locVals[u]
-		if v == 0 || v-1 != place {
+		if v := c.locVals[u]; v == 0 || !home && v-1 != place {
 			return false
 		}
 	}
 	return true
 }
 
-// EveryoneHome reports whether every registered user is somewhere at home.
-// False when no users are registered.
-func (c *Context) EveryoneHome() bool {
-	if len(c.userIDs) == 0 {
-		return false
+// fresh reports whether an arrival event fired at the given time is still
+// within the configured freshness window (5 minutes when EventTTL is zero).
+func (c *Context) fresh(at time.Time) bool {
+	ttl := c.EventTTL
+	if ttl <= 0 {
+		ttl = 5 * time.Minute
 	}
-	for _, u := range c.userIDs {
-		if int(u) >= len(c.locVals) || c.locVals[u] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// eventTTL returns the configured freshness window.
-func (c *Context) eventTTL() time.Duration {
-	if c.EventTTL > 0 {
-		return c.EventTTL
-	}
-	return 5 * time.Minute
+	return c.Now.Sub(at) <= ttl
 }
 
 // HasEvent reports whether the arrival event fired recently for the person
 // (or for anyone, when person is Someone).
 func (c *Context) HasEvent(person, event string) bool {
-	if person != Someone {
-		return c.HasEventKey(person + "|" + event)
+	if c.tab != nil {
+		if person == Someone {
+			name, ok := c.tab.Lookup(EventDepKey(event))
+			return ok && c.HasEventNameID(name)
+		}
+		key, ok := c.tab.Lookup(person + "|" + event)
+		return ok && c.HasEventKeyID(key)
 	}
-	return c.HasEventSuffix("|" + event)
-}
-
-// HasEventKey is HasEvent for a pre-built "person|event" key; bound arrival
-// conditions use it to test freshness without rebuilding the key.
-func (c *Context) HasEventKey(key string) bool {
-	at, ok := c.Events[key]
-	return ok && c.Now.Sub(at) <= c.eventTTL()
-}
-
-// HasEventSuffix reports whether any person's arrival event with the
-// pre-built "|event" suffix fired recently.
-func (c *Context) HasEventSuffix(suffix string) bool {
+	if person != Someone {
+		at, ok := c.Events[person+"|"+event]
+		return ok && c.fresh(at)
+	}
+	suffix := "|" + event
 	for key, at := range c.Events {
-		if strings.HasSuffix(key, suffix) && c.Now.Sub(at) <= c.eventTTL() {
+		if strings.HasSuffix(key, suffix) && c.fresh(at) {
 			return true
 		}
 	}
@@ -692,29 +691,23 @@ func (c *Context) RecordEvent(person, event string) {
 }
 
 // RecordEventID stores an arrival event by its interned "person|event" key id
-// and the event name's dependency id (interned contexts only). The Events map
-// stays truthful; steady-state re-fires of a known event allocate nothing.
+// and the event name's dependency id (interned contexts only). Steady-state
+// re-fires of a known event allocate nothing.
 func (c *Context) RecordEventID(key, name uint32) {
-	for int(key) >= len(c.evHas) {
-		c.evHas = append(c.evHas, false)
-		c.evTimes = append(c.evTimes, time.Time{})
-	}
+	c.evHas, c.evTimes = grow(c.evHas, int(key)), grow(c.evTimes, int(key))
 	if !c.evHas[key] {
 		c.evHas[key] = true
-		for int(name) >= len(c.evByName) {
-			c.evByName = append(c.evByName, nil)
-		}
+		c.evByName = grow(c.evByName, int(name))
 		c.evByName[name] = append(c.evByName[name], key)
 	}
 	c.evTimes[key] = c.Now
-	c.Events[c.tab.Name(key)] = c.Now
 	c.ver++
 }
 
 // HasEventKeyID reports whether the arrival event with the interned
 // "person|event" key id fired recently (interned contexts only).
 func (c *Context) HasEventKeyID(key uint32) bool {
-	return int(key) < len(c.evHas) && c.evHas[key] && c.Now.Sub(c.evTimes[key]) <= c.eventTTL()
+	return int(key) < len(c.evHas) && c.evHas[key] && c.fresh(c.evTimes[key])
 }
 
 // HasEventNameID reports whether any person's arrival event with the given
@@ -724,7 +717,7 @@ func (c *Context) HasEventNameID(name uint32) bool {
 		return false
 	}
 	for _, key := range c.evByName[name] {
-		if c.Now.Sub(c.evTimes[key]) <= c.eventTTL() {
+		if c.fresh(c.evTimes[key]) {
 			return true
 		}
 	}

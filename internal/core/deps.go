@@ -12,12 +12,12 @@ import (
 //
 // Namespaces keep the key spaces from colliding:
 //
-//	num/<var>      numeric sensor reading (Context.Numbers)
-//	bool/<var>     boolean device/sensor state (Context.Bools)
-//	loc/<person>   one user's location (Context.Locations)
+//	num/<var>      numeric sensor reading (Context.SetNumber)
+//	bool/<var>     boolean device/sensor state (Context.SetBool)
+//	loc/<person>   one user's location (Context.SetLocation)
 //	loc/*          any user's location (nobody/everyone/someone)
-//	event/<name>   an arrival event by canonical name (Context.Events)
-//	epg/programs   the on-air programme list (Context.Programs)
+//	event/<name>   an arrival event by canonical name (Context.RecordEvent)
+//	epg/programs   the on-air programme list (Context.SetPrograms)
 const (
 	// LocationWildcardKey is read by conditions quantifying over every
 	// user's location (nobody, everyone, "someone at ...").

@@ -48,7 +48,7 @@ func (p *ctxPair) advance(d time.Duration) {
 }
 
 // checkCond asserts the unbound condition on the plain context, the unbound
-// condition on the interned context (map reads stay truthful) and the bound
+// condition on the interned context (the string readers) and the bound
 // form on the interned context all agree.
 func (p *ctxPair) checkCond(c Condition) {
 	p.t.Helper()
@@ -177,7 +177,7 @@ func TestInternedPresenceRandom(t *testing.T) {
 }
 
 // TestInternedPresenceCounters cross-checks the reverse-index counters the
-// quantified conditions read against a recount of the Locations map after a
+// quantified conditions read against a recount of the plain Locations map after a
 // mutation stream.
 func TestInternedPresenceCounters(t *testing.T) {
 	p := newCtxPair(t)
@@ -192,7 +192,7 @@ func TestInternedPresenceCounters(t *testing.T) {
 		p.setLocation(people[rng.Intn(len(people))], place)
 
 		present := 0
-		for _, loc := range p.in.Locations {
+		for _, loc := range p.plain.Locations {
 			if loc != "" {
 				present++
 			}
@@ -202,7 +202,7 @@ func TestInternedPresenceCounters(t *testing.T) {
 		}
 		for _, pl := range places {
 			count := 0
-			for _, loc := range p.in.Locations {
+			for _, loc := range p.plain.Locations {
 				if loc == pl {
 					count++
 				}

@@ -15,7 +15,7 @@ import (
 //     byte-identical to the reference suffix-scan-and-sort, no matter how
 //     writes (population growth), reads (cache fills) and re-reads (cache
 //     hits) interleave,
-//   - the string map view of the interned store stays truthful.
+//   - the interned store renders the same string map view (Clone).
 //
 // Ops are decoded from the fuzz input: each byte triple picks an action
 // (write number / write bool / read number / read bool), a name from a
@@ -118,12 +118,13 @@ func FuzzSymtabResolve(f *testing.F) {
 				}
 			}
 		}
-		if len(in.Numbers) != len(ref.Numbers) || len(in.Bools) != len(ref.Bools) {
+		view := in.Clone()
+		if len(view.Numbers) != len(ref.Numbers) || len(view.Bools) != len(ref.Bools) {
 			t.Fatalf("map views diverged: %d/%d numbers, %d/%d bools",
-				len(in.Numbers), len(ref.Numbers), len(in.Bools), len(ref.Bools))
+				len(view.Numbers), len(ref.Numbers), len(view.Bools), len(ref.Bools))
 		}
 		for k, v := range ref.Numbers {
-			if got, ok := in.Numbers[k]; !ok || got != v {
+			if got, ok := view.Numbers[k]; !ok || got != v {
 				t.Fatalf("interned Numbers[%q] = %v,%v, want %v", k, got, ok, v)
 			}
 			if strings.Contains(k, "//") {

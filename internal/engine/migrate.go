@@ -25,7 +25,10 @@ import (
 
 // StateExport is one home engine's volatile state, JSON-serializable for the
 // migration transfer stream. Users, favorites, rules, words and priorities
-// are NOT here: they ride in the durable fleet.Store records.
+// are NOT here: they ride in the durable fleet.Store records. The maps are
+// the context's rendering (core.Context.Clone): away users and expired
+// arrival events are not exported, and read the same on the target by
+// their absence.
 type StateExport struct {
 	Now      time.Time     `json:"now"`
 	EventTTL time.Duration `json:"event_ttl,omitempty"`
@@ -62,32 +65,23 @@ func (e *Engine) SetQuiet(q bool) {
 	e.mu.Unlock()
 }
 
-// ExportState snapshots the engine's volatile state for migration. The
-// caller must have drained the home's event stream first (the fleet hub runs
-// this on the shard goroutine after a quiesce barrier).
+// ExportState snapshots the engine's volatile state for migration, rendering
+// the context's maps from its interned store. The caller must have drained
+// the home's event stream first (the fleet hub runs this on the shard
+// goroutine after a quiesce barrier).
 func (e *Engine) ExportState() *StateExport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c := e.ctx.Clone()
 	st := &StateExport{
-		Now:      c.Now,
-		EventTTL: c.EventTTL,
-		Programs: c.Programs,
-	}
-	if len(c.Numbers) > 0 {
-		st.Numbers = c.Numbers
-	}
-	if len(c.Bools) > 0 {
-		st.Bools = c.Bools
-	}
-	if len(c.Locations) > 0 {
-		st.Locations = c.Locations
-	}
-	if len(c.Events) > 0 {
-		st.Events = c.Events
-	}
-	if len(c.Held) > 0 {
-		st.Held = c.Held
+		Now:       c.Now,
+		EventTTL:  c.EventTTL,
+		Numbers:   c.Numbers,
+		Bools:     c.Bools,
+		Locations: c.Locations,
+		Events:    c.Events,
+		Held:      c.Held,
+		Programs:  c.Programs,
 	}
 	for _, f := range e.log {
 		le := LogEntry{Time: f.Time, Rule: f.Rule.ID}

@@ -161,17 +161,20 @@ func checkSharing(t *testing.T, h *Hub) {
 }
 
 // templateCount returns the live templates across the hub's shards, after
-// checking that the gauge agrees and every entry is referenced.
+// checking that the gauge agrees and every entry is referenced and filed
+// under its text or its canonical Source.
 func templateCount(t *testing.T, h *Hub) int {
 	t.Helper()
 	n := 0
 	if err := h.barrier(func(s *shard) {
+		distinct := map[*core.Template]bool{}
 		for key, tp := range s.rules.m {
-			if tp.Refs <= 0 || tp.Key != key {
+			if tp.Refs <= 0 || (templateKeys(tp)[0] != key && templateKeys(tp)[1] != key) {
 				t.Errorf("table entry %q (refs %d) is unreferenced or misfiled", key.Text, tp.Refs)
 			}
+			distinct[tp] = true
 		}
-		n += len(s.rules.m)
+		n += len(distinct)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,8 @@ func TestRuleTemplatesMatchDirectCompile(t *testing.T) {
 	}
 
 	// ImportRules compiles the exported sources, which are the canonical
-	// rule texts, not the submitted ones: two homes importing them share.
+	// rule texts, not the submitted ones. same-a's templates are filed under
+	// those too, so both importing homes share them, with no parse.
 	exported, err := h.ExportRules("same-a")
 	if err != nil {
 		t.Fatal(err)
@@ -232,12 +236,19 @@ func TestRuleTemplatesMatchDirectCompile(t *testing.T) {
 		}
 	}
 	checkAllCompiled(t, h, imported)
+	sa, _ := h.Rules("same-a")
 	ia, _ := h.Rules("imported-a")
 	ib, _ := h.Rules("imported-b")
 	for i := range ia {
-		if ia[i].Template == nil || ia[i].Template != ib[i].Template {
-			t.Errorf("imported rules %s do not share a template", ia[i].ID)
+		if ia[i].Template == nil || ia[i].Template != ib[i].Template || ia[i].Template != sa[i].Template {
+			t.Errorf("imported rules %s do not share same-a's template", ia[i].ID)
 		}
+	}
+	if n := templateCount(t, h); n != 3*len(templateRules) {
+		t.Errorf("%d templates after import, want %d", n, 3*len(templateRules))
+	}
+	if got, want := h.Metrics().Totals().CompilesShared, tot.CompilesShared+uint64(2*len(templateRules)); got != want {
+		t.Errorf("shared compiles = %d after import, want %d", got, want)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
@@ -249,6 +260,20 @@ func TestRuleTemplatesMatchDirectCompile(t *testing.T) {
 	checkSharing(t, h)
 	if n := templateCount(t, h); n != 3*len(templateRules) {
 		t.Errorf("%d templates after replay, want %d", n, 3*len(templateRules))
+	}
+	// Replay filed the templates under the canonical texts only: a home
+	// submitting the original texts now still shares them.
+	late := templateHome{"same-late", []string{"tom", "alan"}, []string{stuffy26, halfLight}}
+	seedTemplateHome(t, h, late)
+	sa, _ = h.Rules("same-a")
+	sl, _ := h.Rules(late.id)
+	for i := range sl {
+		if sl[i].Template == nil || sl[i].Template != sa[i].Template {
+			t.Errorf("%s rule %s does not share same-a's template after replay", late.id, sl[i].ID)
+		}
+	}
+	if n := templateCount(t, h); n != 3*len(templateRules) {
+		t.Errorf("%d templates after a submit onto replayed ones, want %d", n, 3*len(templateRules))
 	}
 
 	// Migration import onto another hub.
