@@ -143,21 +143,18 @@ func paperRuleDB(b *testing.B, total, sameDevice int) *registry.DB {
 		if i < sameDevice {
 			deviceName = "air conditioner"
 		}
-		rule := &core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  fmt.Sprintf("user%d", i%5),
-			Device: core.DeviceRef{Name: deviceName},
-			Action: core.Action{
+		rule := core.NewRule(fmt.Sprintf("r%d", i), fmt.Sprintf("user%d", i%5),
+			core.DeviceRef{Name: deviceName},
+			core.Action{
 				Verb: "turn-on",
 				Settings: map[string]core.Value{
 					"temperature": {IsNumber: true, Number: float64(20 + i%10)},
 				},
 			},
-			Cond: &core.And{Terms: []core.Condition{
+			&core.And{Terms: []core.Condition{
 				&core.Compare{Var: "temperature", Op: simplex.GT, Value: float64(20 + i%10)},
 				&core.Compare{Var: "humidity", Op: simplex.GT, Value: float64(50 + i%20)},
-			}},
-		}
+			}})
 		if err := db.Add(rule); err != nil {
 			b.Fatal(err)
 		}
@@ -166,19 +163,16 @@ func paperRuleDB(b *testing.B, total, sameDevice int) *registry.DB {
 }
 
 func newPaperRule() *core.Rule {
-	return &core.Rule{
-		ID:     "new",
-		Owner:  "newuser",
-		Device: core.DeviceRef{Name: "air conditioner"},
-		Action: core.Action{
+	return core.NewRule("new", "newuser",
+		core.DeviceRef{Name: "air conditioner"},
+		core.Action{
 			Verb:     "turn-on",
 			Settings: map[string]core.Value{"temperature": {IsNumber: true, Number: 19}},
 		},
-		Cond: &core.And{Terms: []core.Condition{
+		&core.And{Terms: []core.Condition{
 			&core.Compare{Var: "temperature", Op: simplex.GT, Value: 26},
 			&core.Compare{Var: "humidity", Op: simplex.GT, Value: 65},
-		}},
-	}
+		}})
 }
 
 // BenchmarkExtractSameDeviceRules is E2a: indexed extraction of the 100
@@ -543,13 +537,10 @@ func BenchmarkRegistryAdd(b *testing.B) {
 		db := registry.New()
 		rules := make([]*core.Rule, 1000)
 		for j := range rules {
-			rules[j] = &core.Rule{
-				ID:     fmt.Sprintf("r%d", j),
-				Owner:  "u",
-				Device: core.DeviceRef{Name: fmt.Sprintf("d%d", j%50)},
-				Action: core.Action{Verb: "turn-on"},
-				Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 20},
-			}
+			rules[j] = core.NewRule(fmt.Sprintf("r%d", j), "u",
+				core.DeviceRef{Name: fmt.Sprintf("d%d", j%50)},
+				core.Action{Verb: "turn-on"},
+				&core.Compare{Var: "temperature", Op: simplex.GT, Value: 20})
 		}
 		b.StartTimer()
 		for _, r := range rules {

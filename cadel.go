@@ -48,7 +48,9 @@ import (
 type (
 	// Network is the simulated LAN segment devices and the server share.
 	Network = upnp.Network
-	// Rule is a compiled CADEL rule object.
+	// Rule is a compiled CADEL rule object: its compiled template (device,
+	// action, condition, source; read-only, possibly shared with other
+	// rules) plus its own id and owner.
 	Rule = core.Rule
 	// DeviceRef identifies a rule's target device.
 	DeviceRef = core.DeviceRef

@@ -140,15 +140,14 @@ func runE2(trials int) {
 		sameDevice := 100
 		db := buildDB(total, sameDevice)
 		ref := core.DeviceRef{Name: "air conditioner"}
-		newRule := &core.Rule{
-			ID: "new", Owner: "newuser", Device: ref,
-			Action: core.Action{Verb: "turn-on",
+		newRule := core.NewRule("new", "newuser",
+			ref,
+			core.Action{Verb: "turn-on",
 				Settings: map[string]core.Value{"temperature": {IsNumber: true, Number: 19}}},
-			Cond: &core.And{Terms: []core.Condition{
+			&core.And{Terms: []core.Condition{
 				&core.Compare{Var: "temperature", Op: simplex.GT, Value: 26},
 				&core.Compare{Var: "humidity", Op: simplex.GT, Value: 65},
-			}},
-		}
+			}})
 
 		extract := sample(trials, func() {
 			if got := db.SameDevice(ref); len(got) != sameDevice {
@@ -192,17 +191,14 @@ func buildDB(total, sameDevice int) *registry.DB {
 		if i < sameDevice {
 			name = "air conditioner"
 		}
-		rule := &core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  fmt.Sprintf("user%d", i%5),
-			Device: core.DeviceRef{Name: name},
-			Action: core.Action{Verb: "turn-on",
+		rule := core.NewRule(fmt.Sprintf("r%d", i), fmt.Sprintf("user%d", i%5),
+			core.DeviceRef{Name: name},
+			core.Action{Verb: "turn-on",
 				Settings: map[string]core.Value{"temperature": {IsNumber: true, Number: float64(20 + i%10)}}},
-			Cond: &core.And{Terms: []core.Condition{
+			&core.And{Terms: []core.Condition{
 				&core.Compare{Var: "temperature", Op: simplex.GT, Value: float64(20 + i%10)},
 				&core.Compare{Var: "humidity", Op: simplex.GT, Value: float64(50 + i%20)},
-			}},
-		}
+			}})
 		if err := db.Add(rule); err != nil {
 			panic(err)
 		}

@@ -134,7 +134,7 @@ func NewEngineWorkload(name string, n int, opts ...engine.Option) (*EngineWorklo
 	if err != nil {
 		return nil, err
 	}
-	w.Engine = engine.New(db, tbl, func() time.Time { return Epoch }, nil, opts...)
+	w.Engine = engine.New(db, tbl, func() time.Time { return Epoch }, opts...)
 	switch name {
 	case "engine_evaluate", "engine_evaluate_firing":
 		SeedRoomTemp(w.Engine, n, w.Events)
@@ -163,16 +163,13 @@ func RoomTempDB(n int) (*registry.DB, error) {
 		if i > 0 {
 			v = fmt.Sprintf("room%d/temperature", i)
 		}
-		rule := &core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  "u",
-			Device: core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
-			Action: core.Action{Verb: "turn-on"},
-			Cond: &core.And{Terms: []core.Condition{
+		rule := core.NewRule(fmt.Sprintf("r%d", i), "u",
+			core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
+			core.Action{Verb: "turn-on"},
+			&core.And{Terms: []core.Condition{
 				&core.Compare{Var: v, Op: simplex.GT, Value: float64(20 + i%15)},
 				&core.Presence{Person: "tom", Place: "living room"},
-			}},
-		}
+			}})
 		if err := db.Add(rule); err != nil {
 			return nil, err
 		}
@@ -243,21 +240,26 @@ func PresenceUsers() []string {
 func PresenceDB(n int) (*registry.DB, error) {
 	db := registry.New()
 	quantified := []*core.Rule{
-		{ID: "off", Owner: "tom", Device: core.DeviceRef{Name: "fluorescent light"},
-			Action: core.Action{Verb: "turn-off"},
-			Cond:   &core.Nobody{Place: "home"}},
-		{ID: "heat", Owner: "tom", Device: core.DeviceRef{Name: "heater"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Everyone{Place: "living room"}},
-		{ID: "kettle", Owner: "alan", Device: core.DeviceRef{Name: "kettle"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Presence{Person: core.Someone, Place: "kitchen"}},
-		{ID: "lamp", Owner: "tom", Device: core.DeviceRef{Name: "floor lamp"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Presence{Person: "tom", Place: "living room"}},
-		{ID: "welcome", Owner: "alan", Device: core.DeviceRef{Name: "stereo"},
-			Action: core.Action{Verb: "play"},
-			Cond:   &core.Arrival{Person: "alan", Event: "home-from-work"}},
+		core.NewRule("off", "tom",
+			core.DeviceRef{Name: "fluorescent light"},
+			core.Action{Verb: "turn-off"},
+			&core.Nobody{Place: "home"}),
+		core.NewRule("heat", "tom",
+			core.DeviceRef{Name: "heater"},
+			core.Action{Verb: "turn-on"},
+			&core.Everyone{Place: "living room"}),
+		core.NewRule("kettle", "alan",
+			core.DeviceRef{Name: "kettle"},
+			core.Action{Verb: "turn-on"},
+			&core.Presence{Person: core.Someone, Place: "kitchen"}),
+		core.NewRule("lamp", "tom",
+			core.DeviceRef{Name: "floor lamp"},
+			core.Action{Verb: "turn-on"},
+			&core.Presence{Person: "tom", Place: "living room"}),
+		core.NewRule("welcome", "alan",
+			core.DeviceRef{Name: "stereo"},
+			core.Action{Verb: "play"},
+			&core.Arrival{Person: "alan", Event: "home-from-work"}),
 	}
 	for i, r := range quantified {
 		if i >= n {
@@ -268,13 +270,10 @@ func PresenceDB(n int) (*registry.DB, error) {
 		}
 	}
 	for i := len(quantified); i < n; i++ {
-		rule := &core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  "u",
-			Device: core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Compare{Var: fmt.Sprintf("room%d/temperature", i), Op: simplex.GT, Value: float64(20 + i%15)},
-		}
+		rule := core.NewRule(fmt.Sprintf("r%d", i), "u",
+			core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
+			core.Action{Verb: "turn-on"},
+			&core.Compare{Var: fmt.Sprintf("room%d/temperature", i), Op: simplex.GT, Value: float64(20 + i%15)})
 		if err := db.Add(rule); err != nil {
 			return nil, err
 		}
@@ -319,25 +318,19 @@ const ArbContenders = 8
 func ArbitrationDB(n int) (*registry.DB, error) {
 	db := registry.New()
 	for i := 0; i < ArbContenders && i < n; i++ {
-		rule := &core.Rule{
-			ID:     fmt.Sprintf("c%d", i),
-			Owner:  fmt.Sprintf("u%d", i),
-			Device: core.DeviceRef{Name: "stereo"},
-			Action: core.Action{Verb: "play", Settings: map[string]core.Value{"volume": {IsNumber: true, Number: float64(i)}}},
-			Cond:   core.Always{},
-		}
+		rule := core.NewRule(fmt.Sprintf("c%d", i), fmt.Sprintf("u%d", i),
+			core.DeviceRef{Name: "stereo"},
+			core.Action{Verb: "play", Settings: map[string]core.Value{"volume": {IsNumber: true, Number: float64(i)}}},
+			core.Always{})
 		if err := db.Add(rule); err != nil {
 			return nil, err
 		}
 	}
 	for i := ArbContenders; i < n; i++ {
-		rule := &core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  "u",
-			Device: core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Compare{Var: fmt.Sprintf("room%d/temperature", i), Op: simplex.GT, Value: float64(20 + i%15)},
-		}
+		rule := core.NewRule(fmt.Sprintf("r%d", i), "u",
+			core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
+			core.Action{Verb: "turn-on"},
+			&core.Compare{Var: fmt.Sprintf("room%d/temperature", i), Op: simplex.GT, Value: float64(20 + i%15)})
 		if err := db.Add(rule); err != nil {
 			return nil, err
 		}
@@ -440,13 +433,10 @@ type ChurnWorkload struct {
 // device all carry the sequence number, so nothing is shared with any other
 // churn rule.
 func churnRule(seq int) *core.Rule {
-	return &core.Rule{
-		ID:     fmt.Sprintf("churn-%d", seq),
-		Owner:  "u",
-		Device: core.DeviceRef{Name: fmt.Sprintf("churn-dev-%d", seq)},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: fmt.Sprintf("churn-room-%d/temperature", seq), Op: simplex.GT, Value: 20},
-	}
+	return core.NewRule(fmt.Sprintf("churn-%d", seq), "u",
+		core.DeviceRef{Name: fmt.Sprintf("churn-dev-%d", seq)},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: fmt.Sprintf("churn-room-%d/temperature", seq), Op: simplex.GT, Value: 20})
 }
 
 // NewChurnWorkload builds a churn workload with live rules resident and the
@@ -454,7 +444,7 @@ func churnRule(seq int) *core.Rule {
 // no-compaction baseline.
 func NewChurnWorkload(live int, opts ...engine.Option) (*ChurnWorkload, error) {
 	w := &ChurnWorkload{DB: registry.New(), live: live}
-	w.Engine = engine.New(w.DB, conflict.NewTable(), func() time.Time { return Epoch }, nil, opts...)
+	w.Engine = engine.New(w.DB, conflict.NewTable(), func() time.Time { return Epoch }, opts...)
 	for ; w.seq < live; w.seq++ {
 		if err := w.DB.Add(churnRule(w.seq)); err != nil {
 			return nil, err

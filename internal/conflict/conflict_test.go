@@ -23,12 +23,10 @@ func mkRule(id, owner, device, verb string, cond core.Condition, settings map[st
 	if cond == nil {
 		cond = core.Always{}
 	}
-	return &core.Rule{
-		ID: id, Owner: owner,
-		Device: core.DeviceRef{Name: device},
-		Action: core.Action{Verb: verb, Settings: settings},
-		Cond:   cond,
-	}
+	return core.NewRule(id, owner,
+		core.DeviceRef{Name: device},
+		core.Action{Verb: verb, Settings: settings},
+		cond)
 }
 
 func TestConsistent(t *testing.T) {

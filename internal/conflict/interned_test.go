@@ -19,13 +19,10 @@ func internedFixture(t *testing.T, owners []string) (*registry.DB, *core.Context
 	db := registry.New()
 	rules := make([]*core.Rule, len(owners))
 	for i, owner := range owners {
-		rules[i] = &core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  owner,
-			Device: core.DeviceRef{Name: "tv"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   core.Always{},
-		}
+		rules[i] = core.NewRule(fmt.Sprintf("r%d", i), owner,
+			core.DeviceRef{Name: "tv"},
+			core.Action{Verb: "turn-on"},
+			core.Always{})
 		if err := db.Add(rules[i]); err != nil {
 			t.Fatal(err)
 		}

@@ -22,12 +22,10 @@ func TestTableInvalidateAfterCompaction(t *testing.T) {
 		// actually shifts the live ids down (an identity remap would make
 		// the stale-cache check vacuous).
 		db.Symtab().Intern(fmt.Sprintf("padding-%d", i))
-		r := &core.Rule{
-			ID: fmt.Sprintf("r%d", i), Owner: owner,
-			Device: core.DeviceRef{Name: "tv"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   core.Always{},
-		}
+		r := core.NewRule(fmt.Sprintf("r%d", i), owner,
+			core.DeviceRef{Name: "tv"},
+			core.Action{Verb: "turn-on"},
+			core.Always{})
 		if err := db.Add(r); err != nil {
 			t.Fatal(err)
 		}

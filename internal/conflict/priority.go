@@ -228,15 +228,7 @@ func (t *Table) ArbitrateWinner(device core.DeviceRef, ctx *core.Context, rules 
 	t.mu.Lock()
 	do := t.deviceLocked(device, tab)
 	t.mu.Unlock()
-	users := t.applicableUsers(do, ctx)
-	best := rules[0]
-	bestRank := ownerRank(users, best.OwnerSym)
-	for _, r := range rules[1:] {
-		rk := ownerRank(users, r.OwnerSym)
-		if rk < bestRank || (rk == bestRank && r.Seq < best.Seq) {
-			best, bestRank = r, rk
-		}
-	}
+	best, _ := winner(t.applicableUsers(do, ctx), rules...)
 	return best
 }
 
@@ -286,14 +278,7 @@ func (t *Table) ArbitrateWinnerExplain(device core.DeviceRef, ctx *core.Context,
 	do := t.deviceLocked(device, tab)
 	t.mu.Unlock()
 	users, idx := t.applicableEntry(do, ctx)
-	best := rules[0]
-	bestRank := ownerRank(users, best.OwnerSym)
-	for _, r := range rules[1:] {
-		rk := ownerRank(users, r.OwnerSym)
-		if rk < bestRank || (rk == bestRank && r.Seq < best.Seq) {
-			best, bestRank = r, rk
-		}
-	}
+	best, bestRank := winner(users, rules...)
 	ex := Explain{Rank: -1}
 	if idx >= 0 {
 		ex.Ordered = true
@@ -303,6 +288,22 @@ func (t *Table) ArbitrateWinnerExplain(device core.DeviceRef, ctx *core.Context,
 		}
 	}
 	return best, ex
+}
+
+// winner is the interned arbitration order, shared by ArbitrateWinner,
+// ArbitrateWinnerExplain and Arbitrate: it returns the rule that ranks first
+// — its owner highest in the applicable order's user vector (see ownerRank),
+// then the earliest registration — and that owner's rank. Of equal rules the
+// first wins, so winner(users, b, a) returns a only when a ranks strictly
+// ahead of b: that is Arbitrate's sort comparator.
+func winner(users []uint32, rules ...*core.Rule) (*core.Rule, int) {
+	best, bestRank := rules[0], ownerRank(users, rules[0].OwnerSym)
+	for _, r := range rules[1:] {
+		if rk := ownerRank(users, r.OwnerSym); rk < bestRank || (rk == bestRank && r.Seq < best.Seq) {
+			best, bestRank = r, rk
+		}
+	}
+	return best, bestRank
 }
 
 // ownerRank returns the owner's highest-priority position in the applicable
@@ -340,11 +341,8 @@ func (t *Table) Arbitrate(device core.DeviceRef, ctx *core.Context, rules []*cor
 		out := make([]*core.Rule, len(rules))
 		copy(out, rules)
 		sort.SliceStable(out, func(i, j int) bool {
-			ri, rj := ownerRank(users, out[i].OwnerSym), ownerRank(users, out[j].OwnerSym)
-			if ri != rj {
-				return ri < rj
-			}
-			return out[i].Seq < out[j].Seq
+			first, _ := winner(users, out[j], out[i])
+			return first != out[j]
 		})
 		return out
 	}

@@ -8,6 +8,13 @@ import (
 
 func tvRef() core.DeviceRef { return core.DeviceRef{Name: "tv"} }
 
+// tvRule builds a rule on the tv with the given registration sequence number.
+func tvRule(id, owner string, seq uint64, verb string) *core.Rule {
+	r := core.NewRule(id, owner, tvRef(), core.Action{Verb: verb}, nil)
+	r.Seq = seq
+	return r
+}
+
 func arrivedCtx(person, event string) *core.Context {
 	ctx := core.NewContext(baseTime)
 	ctx.Users = []string{"tom", "alan", "emily"}
@@ -80,9 +87,9 @@ func TestArbitratePaperScenario(t *testing.T) {
 		Users:         []string{"emily", "alan", "tom"},
 	})
 
-	tomRule := &core.Rule{ID: "t", Owner: "tom", Seq: 1, Device: tvRef(), Action: core.Action{Verb: "turn-off"}}
-	alanRule := &core.Rule{ID: "a", Owner: "alan", Seq: 2, Device: tvRef(), Action: core.Action{Verb: "turn-on"}}
-	emilyRule := &core.Rule{ID: "e", Owner: "emily", Seq: 3, Device: tvRef(), Action: core.Action{Verb: "turn-on"}}
+	tomRule := tvRule("t", "tom", 1, "turn-off")
+	alanRule := tvRule("a", "alan", 2, "turn-on")
+	emilyRule := tvRule("e", "emily", 3, "turn-on")
 	rules := []*core.Rule{tomRule, alanRule, emilyRule}
 
 	// Alan just got home from work: his order applies.
@@ -110,8 +117,8 @@ func TestArbitratePaperScenario(t *testing.T) {
 func TestArbitrateUnknownOwnersRankLast(t *testing.T) {
 	tbl := NewTable()
 	tbl.Set(Order{Device: tvRef(), Users: []string{"alan"}})
-	known := &core.Rule{ID: "a", Owner: "alan", Seq: 9, Device: tvRef()}
-	unknown := &core.Rule{ID: "g", Owner: "guest", Seq: 1, Device: tvRef()}
+	known := tvRule("a", "alan", 9, "")
+	unknown := tvRule("g", "guest", 1, "")
 	got := tbl.Arbitrate(tvRef(), arrivedCtx("", ""), []*core.Rule{unknown, known})
 	if got[0].Owner != "alan" {
 		t.Errorf("winner = %s, want alan (guest not in order)", got[0].Owner)
@@ -120,7 +127,7 @@ func TestArbitrateUnknownOwnersRankLast(t *testing.T) {
 
 func TestArbitrateSingleAndEmpty(t *testing.T) {
 	tbl := NewTable()
-	one := &core.Rule{ID: "a", Owner: "x", Seq: 1, Device: tvRef()}
+	one := tvRule("a", "x", 1, "")
 	if got := tbl.Arbitrate(tvRef(), arrivedCtx("", ""), []*core.Rule{one}); len(got) != 1 {
 		t.Error("single rule should pass through")
 	}
@@ -132,8 +139,8 @@ func TestArbitrateSingleAndEmpty(t *testing.T) {
 func TestArbitrateDoesNotMutateInput(t *testing.T) {
 	tbl := NewTable()
 	tbl.Set(Order{Device: tvRef(), Users: []string{"b", "a"}})
-	r1 := &core.Rule{ID: "1", Owner: "a", Seq: 1, Device: tvRef()}
-	r2 := &core.Rule{ID: "2", Owner: "b", Seq: 2, Device: tvRef()}
+	r1 := tvRule("1", "a", 1, "")
+	r2 := tvRule("2", "b", 2, "")
 	input := []*core.Rule{r1, r2}
 	_ = tbl.Arbitrate(tvRef(), arrivedCtx("", ""), input)
 	if input[0] != r1 || input[1] != r2 {

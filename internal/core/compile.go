@@ -30,16 +30,11 @@ func NewCompiler(lex *vocab.Lexicon) *Compiler {
 
 // CompileRule compiles a parsed RuleDef into a rule object owned by owner.
 func (c *Compiler) CompileRule(def *lang.RuleDef, id, owner string) (*Rule, error) {
-	rule := &Rule{
-		ID:    id,
-		Owner: owner,
-		Device: DeviceRef{
-			Name:     def.Object.Device,
-			Location: def.Object.Location,
-		},
-		Action: Action{Verb: def.Verb},
-		Source: def.String(),
-	}
+	rule := NewRule(id, owner, DeviceRef{
+		Name:     def.Object.Device,
+		Location: def.Object.Location,
+	}, Action{Verb: def.Verb}, nil)
+	rule.Source = def.String()
 
 	settings, err := c.compileConfig(def.Config, 0)
 	if err != nil {
@@ -58,12 +53,10 @@ func (c *Compiler) CompileRule(def *lang.RuleDef, id, owner string) (*Rule, erro
 		}
 		conds = append(conds, cond)
 	}
-	switch len(conds) {
-	case 0:
-		rule.Cond = Always{}
-	case 1:
+	switch { // with no clause the rule keeps NewRule's Always{}
+	case len(conds) == 1:
 		rule.Cond = conds[0]
-	default:
+	case len(conds) > 1:
 		rule.Cond = &And{Terms: conds}
 	}
 	// A located rule ("... the air conditioner at the living room") scopes

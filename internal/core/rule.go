@@ -98,25 +98,23 @@ func (a Action) String() string {
 // Device. Source preserves the original CADEL text, which doubles as the
 // database serialization format.
 //
-// The compiled parts (Device, Action with its Settings map, Cond and
-// Source) may be shared with other rules built from the same Template, in
-// other homes too. They are read-only: only the compiler writes them, and
-// it is done (location scoping included) before a template is built from
-// its result. Everything else is the rule's own: ID, Owner, Seq and the
-// bound, per-database state from Bound on, which registration builds afresh
-// and compaction rewrites in place. The rule object itself belongs to at
-// most one database.
+// A rule is its Template plus the identity its home gives it. The compiled
+// parts (Device, Action with its Settings map, Cond and Source) are the
+// template's, reached through the embedded pointer, and may be shared with
+// other rules built from the same template, in other homes too. They are
+// read-only: only the compiler writes them, and it is done (location
+// scoping included) before the template is filed anywhere. A rule built on
+// its own (NewRule, a compile no table files) has a private template with
+// the zero TemplateKey. Everything else is the rule's own: ID, Owner, Seq
+// and the bound, per-database state from Bound on, which registration
+// builds afresh and compaction rewrites in place. The rule object itself
+// belongs to at most one database.
 type Rule struct {
-	ID     string
-	Owner  string
-	Device DeviceRef
-	Action Action
-	Cond   Condition // never nil; Always{} when the rule is unconditional
-	Source string
-	// Template is the shared compiled form this rule was built from, nil
-	// when the rule was compiled for itself alone. The table that hands out
-	// templates counts references through it.
-	Template *Template
+	// Template is the compiled form this rule was built from, never nil. The
+	// table that hands out templates counts references through it.
+	*Template
+	ID    string
+	Owner string
 	// Seq is the registration sequence number assigned by the rule
 	// database; it provides a deterministic fallback ordering.
 	Seq uint64
@@ -144,7 +142,8 @@ type Rule struct {
 // TemplateKey names one compiled rule exactly: the rule text, the owner it
 // was compiled for (the owner resolves "i" and "my") and the fingerprint of
 // the lexicon it was compiled against (vocab.Lexicon.Fingerprint), which
-// fixes how every phrase and user-defined word of the text reads.
+// fixes how every phrase and user-defined word of the text reads. The zero
+// key marks a private template, one no table files.
 type TemplateKey struct {
 	Lexicon unique.Handle[string]
 	Owner   string
@@ -152,7 +151,7 @@ type TemplateKey struct {
 }
 
 // Template is the compiled form of one rule text, shared by every rule
-// built from it (Rule.Template). Its parts are read-only (see Rule).
+// built from it. Its parts are read-only (see Rule).
 type Template struct {
 	Key TemplateKey
 	// Refs counts the live rules built from the template. The table that
@@ -160,22 +159,28 @@ type Template struct {
 	Refs   int
 	Device DeviceRef
 	Action Action
-	Cond   Condition
+	Cond   Condition // never nil; Always{} when the rule is unconditional
 	Source string
 }
 
-// NewTemplate makes a freshly compiled rule the template for key: the
-// template takes the rule's compiled parts, and the rule points at it. The
-// rule must not have been registered yet.
-func NewTemplate(key TemplateKey, r *Rule) *Template {
-	t := &Template{Key: key, Device: r.Device, Action: r.Action, Cond: r.Cond, Source: r.Source}
-	r.Template = t
-	return t
+// NewRule builds an unregistered rule with a private template holding the
+// given compiled parts; a nil cond becomes Always{}. The rule and its
+// template are allocated as one block.
+func NewRule(id, owner string, device DeviceRef, action Action, cond Condition) *Rule {
+	if cond == nil {
+		cond = Always{}
+	}
+	b := &struct {
+		rule Rule
+		tmpl Template
+	}{tmpl: Template{Device: device, Action: action, Cond: cond}}
+	b.rule = Rule{Template: &b.tmpl, ID: id, Owner: owner}
+	return &b.rule
 }
 
-// Rule builds a new, unregistered rule around the template's shared parts.
+// Rule builds a new, unregistered rule around the template.
 func (t *Template) Rule(id, owner string) *Rule {
-	return &Rule{ID: id, Owner: owner, Device: t.Device, Action: t.Action, Cond: t.Cond, Source: t.Source, Template: t}
+	return &Rule{Template: t, ID: id, Owner: owner}
 }
 
 // ReadyBound reports whether the rule's condition holds, preferring the
@@ -188,19 +193,11 @@ func (r *Rule) ReadyBound(ctx *Context) bool {
 }
 
 // Ready reports whether the rule's condition holds in the context.
-func (r *Rule) Ready(ctx *Context) bool {
-	if r.Cond == nil {
-		return true
-	}
-	return r.Cond.Eval(ctx)
-}
+func (r *Rule) Ready(ctx *Context) bool { return r.Cond.Eval(ctx) }
 
 // Vars returns the sorted, de-duplicated variables the rule's condition
 // reads.
 func (r *Rule) Vars() []string {
-	if r.Cond == nil {
-		return nil
-	}
 	vars := r.Cond.Vars(nil)
 	sort.Strings(vars)
 	out := vars[:0]
@@ -213,9 +210,5 @@ func (r *Rule) Vars() []string {
 }
 
 func (r *Rule) String() string {
-	cond := "always"
-	if r.Cond != nil {
-		cond = r.Cond.String()
-	}
-	return fmt.Sprintf("[%s owner=%s] if %s then %s %s", r.ID, r.Owner, cond, r.Action, r.Device)
+	return fmt.Sprintf("[%s owner=%s] if %s then %s %s", r.ID, r.Owner, r.Cond, r.Action, r.Device)
 }

@@ -17,13 +17,10 @@ import (
 // tempRule builds a rule "room<i>/temperature > threshold → turn on dev<i>".
 func tempRule(t *testing.T, db *registry.DB, i int, threshold float64) {
 	t.Helper()
-	r := &core.Rule{
-		ID:     fmt.Sprintf("r%d", i),
-		Owner:  "u",
-		Device: core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: fmt.Sprintf("room%d/temperature", i), Op: simplex.GT, Value: threshold},
-	}
+	r := core.NewRule(fmt.Sprintf("r%d", i), "u",
+		core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: fmt.Sprintf("room%d/temperature", i), Op: simplex.GT, Value: threshold})
 	if err := db.Add(r); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +38,7 @@ func TestDispatchOneBatchPerPass(t *testing.T) {
 	}
 	var calls int
 	var sizes []int
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil,
+	e := New(db, conflict.NewTable(), func() time.Time { return now },
 		WithBatchDispatcher(func(batch []Fired) {
 			calls++
 			sizes = append(sizes, len(batch))
@@ -96,7 +93,7 @@ func TestIngestThenTickMatchesHandleDeviceEvent(t *testing.T) {
 		for i := 0; i < k; i++ {
 			tempRule(t, db, i, 25)
 		}
-		return New(db, conflict.NewTable(), func() time.Time { return now }, nil), db
+		return New(db, conflict.NewTable(), func() time.Time { return now }), db
 	}
 	burst, _ := build()
 	sequential, _ := build()
@@ -158,7 +155,7 @@ func TestWithLogLimit(t *testing.T) {
 	db := registry.New()
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
 	tempRule(t, db, 0, 25)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil, WithLogLimit(4))
+	e := New(db, conflict.NewTable(), func() time.Time { return now }, WithLogLimit(4))
 	for i := 0; i < 40; i++ {
 		v := "30"
 		if i%2 == 1 {

@@ -27,16 +27,13 @@ import (
 // variable is a room-qualified temperature so a thermometer event at the
 // rule's room (churnEvent) actually reaches it through the device mapping.
 func uniqueRule(seq int, owner string) *core.Rule {
-	return &core.Rule{
-		ID:     fmt.Sprintf("churn-%d", seq),
-		Owner:  owner,
-		Device: core.DeviceRef{Name: fmt.Sprintf("churn-dev-%d", seq)},
-		Action: core.Action{Verb: "turn-on"},
-		Cond: &core.And{Terms: []core.Condition{
+	return core.NewRule(fmt.Sprintf("churn-%d", seq), owner,
+		core.DeviceRef{Name: fmt.Sprintf("churn-dev-%d", seq)},
+		core.Action{Verb: "turn-on"},
+		&core.And{Terms: []core.Condition{
 			&core.Compare{Var: fmt.Sprintf("churn-room-%d/temperature", seq), Op: simplex.GT, Value: 20},
 			&core.Presence{Person: "tom", Place: "living room"},
-		}},
-	}
+		}})
 }
 
 // churnEvent returns the thermometer event hitting uniqueRule(seq)'s
@@ -58,11 +55,10 @@ func TestCompactionEquivalenceScripted(t *testing.T) {
 	// A stable rule whose readiness the churn must never disturb. The
 	// variable is qualified: an unqualified "temperature" would suffix-
 	// resolve to the lexicographically smallest churn room instead.
-	if err := p.db.Add(&core.Rule{
-		ID: "stable", Owner: "alan", Device: core.DeviceRef{Name: "stereo"},
-		Action: core.Action{Verb: "play"},
-		Cond:   &core.Compare{Var: "living room/temperature", Op: simplex.GT, Value: 25},
-	}); err != nil {
+	if err := p.db.Add(core.NewRule("stable", "alan",
+		core.DeviceRef{Name: "stereo"},
+		core.Action{Verb: "play"},
+		&core.Compare{Var: "living room/temperature", Op: simplex.GT, Value: 25})); err != nil {
 		t.Fatal(err)
 	}
 	p.event(device.TypePresenceSensor, "presence sensor", "home",
@@ -153,12 +149,10 @@ func runCompactionChurnScenario(t *testing.T, p *enginePair, seed int64) {
 	// Contending rules on one device keep arbitration (and the owner-rank
 	// cache the compaction invalidates) in play throughout.
 	for i, who := range people {
-		if err := p.db.Add(&core.Rule{
-			ID: fmt.Sprintf("tv-%s", who), Owner: who,
-			Device: core.DeviceRef{Name: "tv"},
-			Action: core.Action{Verb: "turn-on", Settings: map[string]core.Value{"channel": {IsNumber: true, Number: float64(i)}}},
-			Cond:   &core.Presence{Person: who, Place: "living room"},
-		}); err != nil {
+		if err := p.db.Add(core.NewRule(fmt.Sprintf("tv-%s", who), who,
+			core.DeviceRef{Name: "tv"},
+			core.Action{Verb: "turn-on", Settings: map[string]core.Value{"channel": {IsNumber: true, Number: float64(i)}}},
+			&core.Presence{Person: who, Place: "living room"})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +213,7 @@ func runCompactionChurnScenario(t *testing.T, p *enginePair, seed int64) {
 func TestAutoCompactionWatermark(t *testing.T) {
 	db := registry.New()
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil, WithCompactFloor(64))
+	e := New(db, conflict.NewTable(), func() time.Time { return now }, WithCompactFloor(64))
 	for seq := 0; seq < 500; seq++ {
 		if err := db.Add(uniqueRule(seq, "tom")); err != nil {
 			t.Fatal(err)
@@ -244,7 +238,7 @@ func TestAutoCompactionWatermark(t *testing.T) {
 // holds no ids).
 func TestCompactSymbolsOracleModes(t *testing.T) {
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(registry.New(), conflict.NewTable(), func() time.Time { return now }, nil, WithFullScan())
+	e := New(registry.New(), conflict.NewTable(), func() time.Time { return now }, WithFullScan())
 	if _, ok := e.CompactSymbols(); ok {
 		t.Fatal("CompactSymbols succeeded on a full-scan engine")
 	}
@@ -256,11 +250,10 @@ func TestCompactSymbolsOracleModes(t *testing.T) {
 // the shared symbol table, and reports no symbol footprint.
 func TestFullScanHoldsNoIDs(t *testing.T) {
 	p := newEnginePair(t)
-	if err := p.db.Add(&core.Rule{
-		ID: "hot", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 25},
-	}); err != nil {
+	if err := p.db.Add(core.NewRule("hot", "tom",
+		core.DeviceRef{Name: "fan"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.GT, Value: 25})); err != nil {
 		t.Fatal(err)
 	}
 	p.each(func(e *Engine) { e.Tick() })
@@ -305,7 +298,7 @@ func TestChurnCompactionBounds(t *testing.T) {
 	}
 	db := registry.New()
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil)
+	e := New(db, conflict.NewTable(), func() time.Time { return now })
 	e.HandleDeviceEvent(device.TypePresenceSensor, "presence sensor", "home",
 		map[string]string{"presence-tom": "living room"})
 

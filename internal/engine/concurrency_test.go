@@ -35,22 +35,20 @@ func TestStereoHandoffTomToEmily(t *testing.T) {
 			tbl := conflict.NewTable()
 			rec := &recorder{}
 			clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
-			opts := append([]Option{WithEventTTL(30 * time.Minute)}, mode.opts...)
-			e := New(db, tbl, clock.Now, rec.dispatch, opts...)
+			opts := append([]Option{WithEventTTL(30 * time.Minute), dispatchEach(rec.dispatch)}, mode.opts...)
+			e := New(db, tbl, clock.Now, opts...)
 
 			stereo := core.DeviceRef{Name: "stereo"}
-			if err := db.Add(&core.Rule{
-				ID: "tom-stereo", Owner: "tom", Device: stereo,
-				Action: core.Action{Verb: "play", Settings: map[string]core.Value{"volume": {IsNumber: true, Number: 5}}},
-				Cond:   &core.Presence{Person: "tom", Place: "living room"},
-			}); err != nil {
+			if err := db.Add(core.NewRule("tom-stereo", "tom",
+				stereo,
+				core.Action{Verb: "play", Settings: map[string]core.Value{"volume": {IsNumber: true, Number: 5}}},
+				&core.Presence{Person: "tom", Place: "living room"})); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Add(&core.Rule{
-				ID: "emily-stereo", Owner: "emily", Device: stereo,
-				Action: core.Action{Verb: "play", Settings: map[string]core.Value{"volume": {IsNumber: true, Number: 2}}},
-				Cond:   &core.Presence{Person: "emily", Place: "living room"},
-			}); err != nil {
+			if err := db.Add(core.NewRule("emily-stereo", "emily",
+				stereo,
+				core.Action{Verb: "play", Settings: map[string]core.Value{"volume": {IsNumber: true, Number: 2}}},
+				&core.Presence{Person: "emily", Place: "living room"})); err != nil {
 				t.Fatal(err)
 			}
 			tbl.Set(conflict.Order{
@@ -101,20 +99,17 @@ func TestEngineConcurrentStimuli(t *testing.T) {
 	db := registry.New()
 	tbl := conflict.NewTable()
 	clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
-	e := New(db, tbl, clock.Now, func(core.DeviceRef, core.Action) error { return nil },
+	e := New(db, tbl, clock.Now, dispatchEach(func(core.DeviceRef, core.Action) error { return nil }),
 		WithEventTTL(time.Hour), WithOnFire(func(Fired) {}))
 
 	for i := 0; i < 50; i++ {
-		rule := &core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  fmt.Sprintf("user%d", i%3),
-			Device: core.DeviceRef{Name: fmt.Sprintf("dev%d", i%10)},
-			Action: core.Action{Verb: "turn-on"},
-			Cond: &core.Or{Terms: []core.Condition{
+		rule := core.NewRule(fmt.Sprintf("r%d", i), fmt.Sprintf("user%d", i%3),
+			core.DeviceRef{Name: fmt.Sprintf("dev%d", i%10)},
+			core.Action{Verb: "turn-on"},
+			&core.Or{Terms: []core.Condition{
 				&core.Compare{Var: "temperature", Op: simplex.GT, Value: float64(20 + i%15)},
 				&core.Presence{Person: "tom", Place: "living room"},
-			}},
-		}
+			}})
 		if err := db.Add(rule); err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +157,10 @@ func TestEngineConcurrentStimuli(t *testing.T) {
 	})
 	run(func(i int) {
 		id := fmt.Sprintf("churn%d", i)
-		if err := db.Add(&core.Rule{
-			ID: id, Owner: "tom", Device: core.DeviceRef{Name: "lamp"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 15},
-		}); err != nil {
+		if err := db.Add(core.NewRule(id, "tom",
+			core.DeviceRef{Name: "lamp"},
+			core.Action{Verb: "turn-on"},
+			&core.Compare{Var: "temperature", Op: simplex.GT, Value: 15})); err != nil {
 			t.Error(err)
 			return
 		}
@@ -196,7 +190,7 @@ func TestConcurrentRuleChurnConverges(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			db := registry.New()
 			clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
-			e := New(db, conflict.NewTable(), clock.Now, nil)
+			e := New(db, conflict.NewTable(), clock.Now)
 			const finalTemp = 25
 			var wg sync.WaitGroup
 			wg.Add(2)
@@ -214,11 +208,10 @@ func TestConcurrentRuleChurnConverges(t *testing.T) {
 							continue
 						}
 					}
-					if err := db.Add(&core.Rule{
-						ID: id, Owner: "tom", Device: core.DeviceRef{Name: fmt.Sprintf("lamp%d", rng.Intn(3))},
-						Action: core.Action{Verb: []string{"turn-on", "turn-off"}[rng.Intn(2)]},
-						Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: float64(rng.Intn(40))},
-					}); err != nil {
+					if err := db.Add(core.NewRule(id, "tom",
+						core.DeviceRef{Name: fmt.Sprintf("lamp%d", rng.Intn(3))},
+						core.Action{Verb: []string{"turn-on", "turn-off"}[rng.Intn(2)]},
+						&core.Compare{Var: "temperature", Op: simplex.GT, Value: float64(rng.Intn(40))})); err != nil {
 						t.Error(err)
 						return
 					}
@@ -238,7 +231,7 @@ func TestConcurrentRuleChurnConverges(t *testing.T) {
 			wg.Wait()
 			e.Tick()
 
-			oracle := New(db, conflict.NewTable(), clock.Now, nil, WithFullScan())
+			oracle := New(db, conflict.NewTable(), clock.Now, WithFullScan())
 			oracle.HandleDeviceEvent(device.TypeThermometer, "thermometer", "living room",
 				map[string]string{"temperature": fmt.Sprint(finalTemp)})
 			if got, want := e.Owners(), oracle.Owners(); !reflect.DeepEqual(got, want) {

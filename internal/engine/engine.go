@@ -74,10 +74,6 @@ import (
 	"repro/internal/registry"
 )
 
-// Dispatcher applies a rule action to a device. The home server wires this
-// to UPnP control; tests plug in fakes.
-type Dispatcher func(ref core.DeviceRef, action core.Action) error
-
 // BatchDispatcher applies all actions fired by one evaluation pass as a
 // single batch, recording any dispatch error in each entry's Err field in
 // place. It is invoked outside the engine lock, at most once per pass, and
@@ -142,8 +138,7 @@ type Engine struct {
 	db            *registry.DB
 	tab           *core.Symtab // shared with db; nil in full-scan mode
 	priorities    *conflict.Table
-	dispatch      Dispatcher
-	batchDispatch BatchDispatcher // when set, replaces the per-action dispatcher
+	batchDispatch BatchDispatcher // nil: fired actions are only logged
 	now           func() time.Time
 
 	fullScan bool // naive oracle: map-backed context, every rule every pass
@@ -244,9 +239,9 @@ func WithOnFire(fn func(Fired)) Option {
 }
 
 // WithBatchDispatcher routes each pass's fired actions through fn as one
-// batch instead of the per-action Dispatcher. fn must fill every entry's Err
-// before returning; the engine then appends the whole batch to its log under
-// a single lock acquisition.
+// batch; without it fired actions are logged but applied to no device. fn
+// must fill every entry's Err before returning; the engine then appends the
+// whole batch to its log under a single lock acquisition.
 func WithBatchDispatcher(fn BatchDispatcher) Option {
 	return optionFunc(func(e *Engine) { e.batchDispatch = fn })
 }
@@ -312,15 +307,14 @@ func WithFullScan() Option {
 }
 
 // New builds an engine over a rule database and priority table. now supplies
-// the (simulated or wall) clock; dispatch applies actions. Unless
+// the (simulated or wall) clock; WithBatchDispatcher applies actions. Unless
 // WithFullScan is given, the engine adopts the database's symbol table and
 // evaluates on the interned incremental hot path.
-func New(db *registry.DB, priorities *conflict.Table, now func() time.Time, dispatch Dispatcher, opts ...Option) *Engine {
+func New(db *registry.DB, priorities *conflict.Table, now func() time.Time, opts ...Option) *Engine {
 	e := &Engine{
 		ctx:          core.NewContext(now()),
 		db:           db,
 		priorities:   priorities,
-		dispatch:     dispatch,
 		now:          now,
 		compactFloor: DefaultCompactFloor,
 		allDirty:     true,
@@ -546,9 +540,9 @@ func (e *Engine) Tick() {
 
 // evaluateLocked runs one reconciliation pass. It is entered with e.mu held
 // and releases it before invoking dispatch callbacks. The pass's fired set is
-// dispatched as a single batch — one BatchDispatcher call (or one loop over
-// the per-action Dispatcher) followed by one lock re-acquisition to append
-// the whole batch to the log — never a lock round-trip per action.
+// dispatched as a single batch — one BatchDispatcher call followed by one
+// lock re-acquisition to append the whole batch to the log — never a lock
+// round-trip per action.
 func (e *Engine) evaluateLocked() {
 	if e.quiet {
 		// Migration import: run the pass for its state transitions (readiness
@@ -597,7 +591,6 @@ func (e *Engine) evaluateLocked() {
 	}
 
 	batchDispatch := e.batchDispatch
-	dispatch := e.dispatch
 	onFire := e.onFire
 	e.mu.Unlock()
 
@@ -606,10 +599,6 @@ func (e *Engine) evaluateLocked() {
 	}
 	if batchDispatch != nil {
 		batchDispatch(fired)
-	} else if dispatch != nil {
-		for i := range fired {
-			fired[i].Err = dispatch(fired[i].Rule.Device, fired[i].Rule.Action)
-		}
 	}
 
 	e.mu.Lock()

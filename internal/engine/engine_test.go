@@ -46,6 +46,16 @@ func (r *recorder) dispatch(ref core.DeviceRef, action core.Action) error {
 	return nil
 }
 
+// dispatchEach wraps a per-action dispatch function in a batch dispatcher
+// that applies a pass's fired actions one by one.
+func dispatchEach(dispatch func(core.DeviceRef, core.Action) error) Option {
+	return WithBatchDispatcher(func(batch []Fired) {
+		for i := range batch {
+			batch[i].Err = dispatch(batch[i].Rule.Device, batch[i].Rule.Action)
+		}
+	})
+}
+
 func (r *recorder) count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -67,7 +77,7 @@ func testEngine(t *testing.T) (*Engine, *registry.DB, *conflict.Table, *recorder
 	tbl := conflict.NewTable()
 	rec := &recorder{}
 	clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
-	e := New(db, tbl, clock.Now, rec.dispatch, WithEventTTL(4*time.Hour))
+	e := New(db, tbl, clock.Now, dispatchEach(rec.dispatch), WithEventTTL(4*time.Hour))
 	return e, db, tbl, rec, clock
 }
 
@@ -313,13 +323,11 @@ func TestDispatchErrorIsLogged(t *testing.T) {
 	db := registry.New()
 	clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
 	boom := func(core.DeviceRef, core.Action) error { return fmt.Errorf("device unreachable") }
-	e := New(db, conflict.NewTable(), clock.Now, boom)
-	if err := db.Add(&core.Rule{
-		ID: "r", Owner: "tom",
-		Device: core.DeviceRef{Name: "tv"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   core.Always{},
-	}); err != nil {
+	e := New(db, conflict.NewTable(), clock.Now, dispatchEach(boom))
+	if err := db.Add(core.NewRule("r", "tom",
+		core.DeviceRef{Name: "tv"},
+		core.Action{Verb: "turn-on"},
+		core.Always{})); err != nil {
 		t.Fatal(err)
 	}
 	e.Tick()
@@ -337,15 +345,15 @@ func TestOnFireCallback(t *testing.T) {
 	clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
 	var mu sync.Mutex
 	var seen []string
-	e := New(db, conflict.NewTable(), clock.Now, nil, WithOnFire(func(f Fired) {
+	e := New(db, conflict.NewTable(), clock.Now, WithOnFire(func(f Fired) {
 		mu.Lock()
 		seen = append(seen, f.Rule.ID)
 		mu.Unlock()
 	}))
-	if err := db.Add(&core.Rule{
-		ID: "r", Owner: "t", Device: core.DeviceRef{Name: "x"},
-		Action: core.Action{Verb: "turn-on"}, Cond: core.Always{},
-	}); err != nil {
+	if err := db.Add(core.NewRule("r", "t",
+		core.DeviceRef{Name: "x"},
+		core.Action{Verb: "turn-on"},
+		core.Always{})); err != nil {
 		t.Fatal(err)
 	}
 	e.Tick()
@@ -360,12 +368,11 @@ func TestEventTTLExpiry(t *testing.T) {
 	db := registry.New()
 	clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
 	rec := &recorder{}
-	e := New(db, conflict.NewTable(), clock.Now, rec.dispatch, WithEventTTL(10*time.Minute))
-	if err := db.Add(&core.Rule{
-		ID: "r", Owner: "alan", Device: core.DeviceRef{Name: "tv"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Arrival{Person: "alan", Event: "home-from-work"},
-	}); err != nil {
+	e := New(db, conflict.NewTable(), clock.Now, dispatchEach(rec.dispatch), WithEventTTL(10*time.Minute))
+	if err := db.Add(core.NewRule("r", "alan",
+		core.DeviceRef{Name: "tv"},
+		core.Action{Verb: "turn-on"},
+		&core.Arrival{Person: "alan", Event: "home-from-work"})); err != nil {
 		t.Fatal(err)
 	}
 	e.HandleDeviceEvent(device.TypePresenceSensor, "presence sensor", "home",
@@ -397,11 +404,10 @@ func TestContextSnapshotIsolation(t *testing.T) {
 func TestAppliancesStateVisibleToRules(t *testing.T) {
 	// Rules can observe appliance state ("if the tv is turned on").
 	e, db, _, rec, _ := testEngine(t)
-	if err := db.Add(&core.Rule{
-		ID: "r", Owner: "tom", Device: core.DeviceRef{Name: "stereo"},
-		Action: core.Action{Verb: "turn-off"},
-		Cond:   &core.BoolIs{Var: "tv/power", Want: true},
-	}); err != nil {
+	if err := db.Add(core.NewRule("r", "tom",
+		core.DeviceRef{Name: "stereo"},
+		core.Action{Verb: "turn-off"},
+		&core.BoolIs{Var: "tv/power", Want: true})); err != nil {
 		t.Fatal(err)
 	}
 	e.HandleDeviceEvent(device.TypeTV, "tv", "living room", map[string]string{"power": "1"})
@@ -412,11 +418,10 @@ func TestAppliancesStateVisibleToRules(t *testing.T) {
 
 func TestCompareUnknownVarNeverFires(t *testing.T) {
 	e, db, _, rec, _ := testEngine(t)
-	if err := db.Add(&core.Rule{
-		ID: "r", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "attic/radon", Op: simplex.GT, Value: 4},
-	}); err != nil {
+	if err := db.Add(core.NewRule("r", "tom",
+		core.DeviceRef{Name: "fan"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "attic/radon", Op: simplex.GT, Value: 4})); err != nil {
 		t.Fatal(err)
 	}
 	e.Tick()

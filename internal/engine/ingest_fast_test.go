@@ -95,17 +95,16 @@ func TestWireIngestCompactionInvalidatesByteCaches(t *testing.T) {
 	db := registry.New()
 	add := func(id, varName string, value float64) {
 		t.Helper()
-		if err := db.Add(&core.Rule{
-			ID: id, Owner: "u", Device: core.DeviceRef{Name: "dev-" + id},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Compare{Var: varName, Op: simplex.GT, Value: value},
-		}); err != nil {
+		if err := db.Add(core.NewRule(id, "u",
+			core.DeviceRef{Name: "dev-" + id},
+			core.Action{Verb: "turn-on"},
+			&core.Compare{Var: varName, Op: simplex.GT, Value: value})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	add("keep", "temperature", 25)
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil)
+	e := New(db, conflict.NewTable(), func() time.Time { return now })
 
 	ev := ingest.AcquireEvent()
 	t.Cleanup(ev.Release)
@@ -157,15 +156,14 @@ func TestWireIngestSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	db := registry.New()
-	if err := db.Add(&core.Rule{
-		ID: "hot", Owner: "u", Device: core.DeviceRef{Name: "fan"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 50},
-	}); err != nil {
+	if err := db.Add(core.NewRule("hot", "u",
+		core.DeviceRef{Name: "fan"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.GT, Value: 50})); err != nil {
 		t.Fatal(err)
 	}
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil)
+	e := New(db, conflict.NewTable(), func() time.Time { return now })
 
 	bodies := [][]byte{
 		[]byte(`{"deviceType":"urn:schemas-upnp-org:device:thermometer:1","name":"thermometer","location":"kitchen","vars":{"temperature":"20","humidity":"40"}}`),

@@ -66,11 +66,10 @@ func newOracleWirePair(t *testing.T) *enginePair {
 // on the interned side diverges the fired logs.
 func TestInternedSuffixInvalidationMidStream(t *testing.T) {
 	p := newEnginePair(t)
-	if err := p.db.Add(&core.Rule{
-		ID: "hot", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 25},
-	}); err != nil {
+	if err := p.db.Add(core.NewRule("hot", "tom",
+		core.DeviceRef{Name: "fan"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.GT, Value: 25})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,17 +118,15 @@ func TestInternedSteadyStateZeroAlloc(t *testing.T) {
 		if i > 0 {
 			v = fmt.Sprintf("room%d/temperature", i)
 		}
-		if err := db.Add(&core.Rule{
-			ID: fmt.Sprintf("r%d", i), Owner: "u",
-			Device: core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Compare{Var: v, Op: simplex.GT, Value: 50},
-		}); err != nil {
+		if err := db.Add(core.NewRule(fmt.Sprintf("r%d", i), "u",
+			core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
+			core.Action{Verb: "turn-on"},
+			&core.Compare{Var: v, Op: simplex.GT, Value: 50})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil)
+	e := New(db, conflict.NewTable(), func() time.Time { return now })
 	events := []map[string]string{
 		{"temperature": "20"},
 		{"temperature": "21"},
@@ -156,11 +153,10 @@ func TestInternedSteadyStateZeroAlloc(t *testing.T) {
 func TestMalformedPresenceVarIgnored(t *testing.T) {
 	t.Run("vs-fullscan", func(t *testing.T) {
 		p := newEnginePair(t)
-		if err := p.db.Add(&core.Rule{
-			ID: "off", Owner: "tom", Device: core.DeviceRef{Name: "fluorescent light"},
-			Action: core.Action{Verb: "turn-off"},
-			Cond:   &core.Nobody{Place: "home"},
-		}); err != nil {
+		if err := p.db.Add(core.NewRule("off", "tom",
+			core.DeviceRef{Name: "fluorescent light"},
+			core.Action{Verb: "turn-off"},
+			&core.Nobody{Place: "home"})); err != nil {
 			t.Fatal(err)
 		}
 		p.each(func(e *Engine) { e.SetUsers([]string{"tom"}) })
@@ -185,7 +181,7 @@ func TestMalformedPresenceVarIgnored(t *testing.T) {
 func TestSnapshotCaching(t *testing.T) {
 	db := registry.New()
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil)
+	e := New(db, conflict.NewTable(), func() time.Time { return now })
 	e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "hall", map[string]string{"temperature": "21"})
 
 	s1 := e.Snapshot()
@@ -238,7 +234,7 @@ func TestSnapshotCaching(t *testing.T) {
 func TestInternedIngestCacheAcrossSignatures(t *testing.T) {
 	db := registry.New()
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil)
+	e := New(db, conflict.NewTable(), func() time.Time { return now })
 	e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "kitchen", map[string]string{"temperature": "20"})
 	e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "hall", map[string]string{"temperature": "25"})
 	e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "kitchen", map[string]string{"temperature": "21"})

@@ -46,9 +46,9 @@ func newEnginePairOpts(t *testing.T, incOpts, oracleOpts []Option) *enginePair {
 		tbl:   conflict.NewTable(),
 		clock: &fakeClock{now: time.Date(2005, 3, 7, 8, 0, 0, 0, time.UTC)},
 	}
-	p.inc = New(p.db, p.tbl, p.clock.Now, nil,
+	p.inc = New(p.db, p.tbl, p.clock.Now,
 		append([]Option{WithEventTTL(30 * time.Minute)}, incOpts...)...)
-	p.full = New(p.db, p.tbl, p.clock.Now, nil,
+	p.full = New(p.db, p.tbl, p.clock.Now,
 		append([]Option{WithEventTTL(30 * time.Minute)}, oracleOpts...)...)
 	return p
 }
@@ -111,40 +111,47 @@ func TestOracleEquivalenceScripted(t *testing.T) {
 // runScriptedScenario drives the paper's scripted scenario over a pair.
 func runScriptedScenario(t *testing.T, p *enginePair) {
 	rules := []*core.Rule{
-		{ID: "ac", Owner: "tom", Device: core.DeviceRef{Name: "air conditioner"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond: &core.And{Terms: []core.Condition{
+		core.NewRule("ac", "tom",
+			core.DeviceRef{Name: "air conditioner"},
+			core.Action{Verb: "turn-on"},
+			&core.And{Terms: []core.Condition{
 				&core.Compare{Var: "temperature", Op: simplex.GT, Value: 28},
 				&core.Compare{Var: "humidity", Op: simplex.GT, Value: 60},
-			}}},
-		{ID: "lamp", Owner: "tom", Device: core.DeviceRef{Name: "floor lamp"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond: &core.And{Terms: []core.Condition{
+			}}),
+		core.NewRule("lamp", "tom",
+			core.DeviceRef{Name: "floor lamp"},
+			core.Action{Verb: "turn-on"},
+			&core.And{Terms: []core.Condition{
 				&core.TimeWindow{FromMin: 22 * 60, ToMin: 6 * 60, Weekday: -1},
 				&core.Presence{Person: "tom", Place: "living room"},
-			}}},
-		{ID: "tv-alan", Owner: "alan", Device: core.DeviceRef{Name: "tv"},
-			Action: core.Action{Verb: "turn-on", Settings: map[string]core.Value{"channel": {IsNumber: true, Number: 1}}},
-			Cond: &core.And{Terms: []core.Condition{
+			}}),
+		core.NewRule("tv-alan", "alan",
+			core.DeviceRef{Name: "tv"},
+			core.Action{Verb: "turn-on", Settings: map[string]core.Value{"channel": {IsNumber: true, Number: 1}}},
+			&core.And{Terms: []core.Condition{
 				&core.Presence{Person: "alan", Place: "living room"},
 				&core.OnAir{Keyword: "baseball game"},
-			}}},
-		{ID: "tv-emily", Owner: "emily", Device: core.DeviceRef{Name: "tv"},
-			Action: core.Action{Verb: "turn-on", Settings: map[string]core.Value{"channel": {IsNumber: true, Number: 3}}},
-			Cond: &core.And{Terms: []core.Condition{
+			}}),
+		core.NewRule("tv-emily", "emily",
+			core.DeviceRef{Name: "tv"},
+			core.Action{Verb: "turn-on", Settings: map[string]core.Value{"channel": {IsNumber: true, Number: 3}}},
+			&core.And{Terms: []core.Condition{
 				&core.Presence{Person: "emily", Place: "living room"},
 				&core.OnAir{Category: "movie", FavoriteOf: "emily"},
-			}}},
-		{ID: "alarm", Owner: "tom", Device: core.DeviceRef{Name: "alarm"},
-			Action: core.Action{Verb: "turn-on"},
-			Cond: &core.Duration{Key: "door-open-1h", Seconds: 3600,
-				Inner: &core.BoolIs{Var: "entrance door/locked", Want: false}}},
-		{ID: "off", Owner: "tom", Device: core.DeviceRef{Name: "fluorescent light"},
-			Action: core.Action{Verb: "turn-off"},
-			Cond:   &core.Nobody{Place: "home"}},
-		{ID: "welcome", Owner: "alan", Device: core.DeviceRef{Name: "stereo"},
-			Action: core.Action{Verb: "play"},
-			Cond:   &core.Arrival{Person: "alan", Event: "home-from-work"}},
+			}}),
+		core.NewRule("alarm", "tom",
+			core.DeviceRef{Name: "alarm"},
+			core.Action{Verb: "turn-on"},
+			&core.Duration{Key: "door-open-1h", Seconds: 3600,
+				Inner: &core.BoolIs{Var: "entrance door/locked", Want: false}}),
+		core.NewRule("off", "tom",
+			core.DeviceRef{Name: "fluorescent light"},
+			core.Action{Verb: "turn-off"},
+			&core.Nobody{Place: "home"}),
+		core.NewRule("welcome", "alan",
+			core.DeviceRef{Name: "stereo"},
+			core.Action{Verb: "play"},
+			&core.Arrival{Person: "alan", Event: "home-from-work"}),
 	}
 	for _, r := range rules {
 		if err := p.db.Add(r); err != nil {
@@ -250,14 +257,11 @@ func runRandomScenario(t *testing.T, p *enginePair, seed int64) {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		r := &core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  people[rng.Intn(len(people))],
-			Device: core.DeviceRef{Name: devices[rng.Intn(len(devices))]},
-			Action: core.Action{Verb: "turn-on",
+		r := core.NewRule(fmt.Sprintf("r%d", i), people[rng.Intn(len(people))],
+			core.DeviceRef{Name: devices[rng.Intn(len(devices))]},
+			core.Action{Verb: "turn-on",
 				Settings: map[string]core.Value{"channel": {IsNumber: true, Number: float64(i)}}},
-			Cond: randCond(i),
-		}
+			randCond(i))
 		if err := p.db.Add(r); err != nil {
 			t.Fatal(err)
 		}
@@ -321,20 +325,19 @@ func TestOracleEquivalenceRuleChurn(t *testing.T) {
 // runChurnScenario adds, removes and re-registers rules mid-stream over a
 // pair.
 func runChurnScenario(t *testing.T, p *enginePair) {
-	if err := p.db.Add(&core.Rule{
-		ID: "a", Owner: "tom", Device: core.DeviceRef{Name: "tv"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 20},
-	}); err != nil {
+	if err := p.db.Add(core.NewRule("a", "tom",
+		core.DeviceRef{Name: "tv"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.GT, Value: 20})); err != nil {
 		t.Fatal(err)
 	}
 	p.event(device.TypeThermometer, "thermometer", "living room", map[string]string{"temperature": "25"})
 
 	// An always-true rule registered later must fire once on the next pass.
-	if err := p.db.Add(&core.Rule{
-		ID: "b", Owner: "alan", Device: core.DeviceRef{Name: "stereo"},
-		Action: core.Action{Verb: "play"}, Cond: core.Always{},
-	}); err != nil {
+	if err := p.db.Add(core.NewRule("b", "alan",
+		core.DeviceRef{Name: "stereo"},
+		core.Action{Verb: "play"},
+		core.Always{})); err != nil {
 		t.Fatal(err)
 	}
 	p.each(func(e *Engine) { e.Tick() })
@@ -350,11 +353,10 @@ func runChurnScenario(t *testing.T, p *enginePair) {
 	}
 
 	// A replacement rule for the same device takes over.
-	if err := p.db.Add(&core.Rule{
-		ID: "c", Owner: "emily", Device: core.DeviceRef{Name: "tv"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 10},
-	}); err != nil {
+	if err := p.db.Add(core.NewRule("c", "emily",
+		core.DeviceRef{Name: "tv"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.GT, Value: 10})); err != nil {
 		t.Fatal(err)
 	}
 	p.each(func(e *Engine) { e.Tick() })
@@ -368,11 +370,10 @@ func runChurnScenario(t *testing.T, p *enginePair) {
 	if err := p.db.Remove("c"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.db.Add(&core.Rule{
-		ID: "c", Owner: "emily", Device: core.DeviceRef{Name: "lamp"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.LT, Value: 100},
-	}); err != nil {
+	if err := p.db.Add(core.NewRule("c", "emily",
+		core.DeviceRef{Name: "lamp"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.LT, Value: 100})); err != nil {
 		t.Fatal(err)
 	}
 	p.each(func(e *Engine) { e.Tick() })

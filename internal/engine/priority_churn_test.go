@@ -35,20 +35,16 @@ func TestPriorityChurnScripted(t *testing.T) {
 func runPriorityChurnScripted(t *testing.T, p *enginePair) {
 	owners := []string{"tom", "alan", "emily"}
 	for i, owner := range owners {
-		if err := p.db.Add(&core.Rule{
-			ID: fmt.Sprintf("tv-%s", owner), Owner: owner,
-			Device: core.DeviceRef{Name: "tv"},
-			Action: core.Action{Verb: "turn-on", Settings: map[string]core.Value{"channel": {IsNumber: true, Number: float64(i)}}},
-			Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 20},
-		}); err != nil {
+		if err := p.db.Add(core.NewRule(fmt.Sprintf("tv-%s", owner), owner,
+			core.DeviceRef{Name: "tv"},
+			core.Action{Verb: "turn-on", Settings: map[string]core.Value{"channel": {IsNumber: true, Number: float64(i)}}},
+			&core.Compare{Var: "temperature", Op: simplex.GT, Value: 20})); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.db.Add(&core.Rule{
-			ID: fmt.Sprintf("stereo-%s", owner), Owner: owner,
-			Device: core.DeviceRef{Name: "stereo"},
-			Action: core.Action{Verb: "play"},
-			Cond:   &core.Presence{Person: owner, Place: "living room"},
-		}); err != nil {
+		if err := p.db.Add(core.NewRule(fmt.Sprintf("stereo-%s", owner), owner,
+			core.DeviceRef{Name: "stereo"},
+			core.Action{Verb: "play"},
+			&core.Presence{Person: owner, Place: "living room"})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,13 +146,10 @@ func runPriorityChurnRandom(t *testing.T, p *enginePair, seed int64) {
 		if i%3 == 0 {
 			cond = &core.Presence{Person: people[rng.Intn(len(people))], Place: rooms[rng.Intn(len(rooms))]}
 		}
-		if err := p.db.Add(&core.Rule{
-			ID:     fmt.Sprintf("r%d", i),
-			Owner:  people[rng.Intn(len(people))],
-			Device: core.DeviceRef{Name: devices[rng.Intn(len(devices))]},
-			Action: core.Action{Verb: "turn-on", Settings: map[string]core.Value{"level": {IsNumber: true, Number: float64(i)}}},
-			Cond:   cond,
-		}); err != nil {
+		if err := p.db.Add(core.NewRule(fmt.Sprintf("r%d", i), people[rng.Intn(len(people))],
+			core.DeviceRef{Name: devices[rng.Intn(len(devices))]},
+			core.Action{Verb: "turn-on", Settings: map[string]core.Value{"level": {IsNumber: true, Number: float64(i)}}},
+			cond)); err != nil {
 			t.Fatal(err)
 		}
 	}

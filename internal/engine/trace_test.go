@@ -89,10 +89,10 @@ func TestTraceRecordTruncation(t *testing.T) {
 		t.Fatal("truncated flag not set")
 	}
 	d := r.decs[0]
-	winner := &core.Rule{ID: "w", Owner: "u0"}
+	winner := core.NewRule("w", "u0", core.DeviceRef{}, core.Action{}, nil)
 	list := []*core.Rule{winner}
 	for i := 0; i < traceMaxLosers+5; i++ {
-		list = append(list, &core.Rule{ID: fmt.Sprintf("l%d", i), Owner: "u"})
+		list = append(list, core.NewRule(fmt.Sprintf("l%d", i), "u", core.DeviceRef{}, core.Action{}, nil))
 	}
 	d.setOutcome(winner, conflict.Explain{Rank: -1}, list)
 	if len(d.losers) != traceMaxLosers {
@@ -108,7 +108,7 @@ func TestTraceSnapshotHandoff(t *testing.T) {
 	tbl := conflict.NewTable()
 	rec := &recorder{}
 	clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
-	e := New(db, tbl, clock.Now, rec.dispatch,
+	e := New(db, tbl, clock.Now, dispatchEach(rec.dispatch),
 		WithEventTTL(4*time.Hour), WithTrace(NewTraceRing(16)))
 
 	alanRule := compileRule(t,
@@ -207,15 +207,14 @@ func TestTraceSnapshotHandoff(t *testing.T) {
 // that triggered the pass and the candidate rules re-checked.
 func TestTraceDirtyAndCandidates(t *testing.T) {
 	db := registry.New()
-	if err := db.Add(&core.Rule{
-		ID: "hot", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 25},
-	}); err != nil {
+	if err := db.Add(core.NewRule("hot", "tom",
+		core.DeviceRef{Name: "fan"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.GT, Value: 25})); err != nil {
 		t.Fatal(err)
 	}
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil, WithTrace(NewTraceRing(4)))
+	e := New(db, conflict.NewTable(), func() time.Time { return now }, WithTrace(NewTraceRing(4)))
 	e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "kitchen",
 		map[string]string{"temperature": "30"})
 
@@ -268,19 +267,17 @@ func TestTraceSteadyStateZeroAlloc(t *testing.T) {
 		if i > 0 {
 			v = fmt.Sprintf("room%d/temperature", i)
 		}
-		if err := db.Add(&core.Rule{
-			ID: fmt.Sprintf("r%d", i), Owner: "u",
-			Device: core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
-			Action: core.Action{Verb: "turn-on"},
-			Cond:   &core.Compare{Var: v, Op: simplex.GT, Value: 50},
-		}); err != nil {
+		if err := db.Add(core.NewRule(fmt.Sprintf("r%d", i), "u",
+			core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
+			core.Action{Verb: "turn-on"},
+			&core.Compare{Var: v, Op: simplex.GT, Value: 50})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
 	m := obs.New(1)
 	const ringCap = 8
-	e := New(db, conflict.NewTable(), func() time.Time { return now }, nil,
+	e := New(db, conflict.NewTable(), func() time.Time { return now },
 		WithMetrics(&m.Shard(0).Engine), WithTrace(NewTraceRing(ringCap)))
 	events := []map[string]string{
 		{"temperature": "20"},

@@ -85,7 +85,7 @@ func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMe
 		fn := c.onFire
 		engineOpts = append(engineOpts, engine.WithOnFire(func(f engine.Fired) { fn(id, f) }))
 	}
-	h.engine = engine.New(h.db, h.priorities, c.now, nil, engineOpts...)
+	h.engine = engine.New(h.db, h.priorities, c.now, engineOpts...)
 	return h
 }
 

@@ -41,14 +41,12 @@ func templateKeys(tp *core.Template) [2]core.TemplateKey {
 
 // hold counts a registered rule's reference to its template, entering the
 // template into the table with its first rule, under each of its keys that
-// is free. A template built while an equal one was compiled and registered
-// first under the same text stays private to its rules.
+// is free. A private template (the zero key) is never filed, and a template
+// built while an equal one was compiled and registered first under the same
+// text stays private to its rules.
 func (t *ruleTable) hold(r *core.Rule) {
 	tp := r.Template
-	if tp == nil {
-		return
-	}
-	if tp.Refs == 0 && t.m[tp.Key] == nil {
+	if tp.Refs == 0 && tp.Key != (core.TemplateKey{}) && t.m[tp.Key] == nil {
 		for _, key := range templateKeys(tp) {
 			if t.m[key] == nil {
 				t.m[key] = tp
@@ -63,9 +61,6 @@ func (t *ruleTable) hold(r *core.Rule) {
 // one, from every key it is filed under.
 func (t *ruleTable) release(r *core.Rule) {
 	tp := r.Template
-	if tp == nil {
-		return
-	}
 	tp.Refs--
 	if tp.Refs == 0 && t.m[tp.Key] == tp {
 		for _, key := range templateKeys(tp) {
@@ -83,10 +78,12 @@ func (t *ruleTable) release(r *core.Rule) {
 // shard holds a template for under the home's current lexicon fingerprint
 // takes no parse and no compile. Otherwise the source is parsed and
 // compiled. A rule whose canonical Source the shard holds a template for is
-// rebuilt around that template; any other becomes a template (entering the
-// table once the rule is registered). Neither happens if the lexicon changed
-// during the compile — a shared lexicon can change under a home. newID names
-// the rule; it is called only once the source is known to be a rule.
+// rebuilt around that template; any other's template, private from the
+// compiler, takes the key (entering the table once the rule is registered).
+// Neither happens if the lexicon changed during the compile — a shared
+// lexicon can change under a home — and the rule keeps its template private
+// (the zero key). newID names the rule; it is called only once the source is
+// known to be a rule.
 func (h *Home) compile(source, owner string, newID func() string) (*core.Rule, lang.Command, error) {
 	fp, version := h.lex.Fingerprint()
 	key := core.TemplateKey{Lexicon: fp, Owner: owner, Text: source}
@@ -111,7 +108,7 @@ func (h *Home) compile(source, owner string, newID func() string) (*core.Rule, l
 		if tp := h.rules.m[canon]; tp != nil {
 			rule = tp.Rule(rule.ID, owner)
 		} else {
-			core.NewTemplate(key, rule)
+			rule.Template.Key = key
 		}
 	}
 	h.rules.sm.RuleCompilesCompiled.Inc()

@@ -82,10 +82,14 @@ func seedTemplateHome(t *testing.T, h *Hub, home templateHome) {
 	}
 }
 
-// checkCompiled fails unless rule's compiled parts deep-equal a direct
-// lang.Parse and CompileRule of src on the home's lexicon as it is now.
+// checkCompiled fails unless rule has a template and its compiled parts,
+// compared field by field, deep-equal a direct lang.Parse and CompileRule of
+// src on the home's lexicon as it is now.
 func checkCompiled(t *testing.T, h *Hub, home, src string, rule *core.Rule) {
 	t.Helper()
+	if rule.Template == nil {
+		t.Fatalf("%s: rule %s for %q has no template", home, rule.ID, src)
+	}
 	var want *core.Rule
 	err := h.do(home, func(hm *Home) error {
 		cmd, err := lang.Parse(src, hm.lex)

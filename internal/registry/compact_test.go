@@ -9,13 +9,10 @@ import (
 )
 
 func uniqueVarRule(i int) *core.Rule {
-	return &core.Rule{
-		ID:     fmt.Sprintf("u%d", i),
-		Owner:  "tom",
-		Device: core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: fmt.Sprintf("room%d/temperature", i), Op: simplex.GT, Value: 20},
-	}
+	return core.NewRule(fmt.Sprintf("u%d", i), "tom",
+		core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: fmt.Sprintf("room%d/temperature", i), Op: simplex.GT, Value: 20})
 }
 
 // TestCompactSymtab pins the database side of a compaction epoch: the

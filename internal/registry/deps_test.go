@@ -26,19 +26,17 @@ func byDep(db *DB, key string) []*core.Rule {
 
 func TestByDepIndexMaintenance(t *testing.T) {
 	db := New()
-	temp := &core.Rule{
-		ID: "temp", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 28},
-	}
-	pres := &core.Rule{
-		ID: "pres", Owner: "tom", Device: core.DeviceRef{Name: "lamp"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond: &core.And{Terms: []core.Condition{
+	temp := core.NewRule("temp", "tom",
+		core.DeviceRef{Name: "fan"},
+		core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.GT, Value: 28})
+	pres := core.NewRule("pres", "tom",
+		core.DeviceRef{Name: "lamp"},
+		core.Action{Verb: "turn-on"},
+		&core.And{Terms: []core.Condition{
 			&core.Presence{Person: "tom", Place: "hall"},
 			&core.TimeWindow{FromMin: 0, ToMin: 6 * 60, Weekday: -1},
-		}},
-	}
+		}})
 	for _, r := range []*core.Rule{temp, pres} {
 		if err := db.Add(r); err != nil {
 			t.Fatal(err)

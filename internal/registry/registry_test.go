@@ -14,14 +14,10 @@ import (
 )
 
 func simpleRule(id, owner, device string) *core.Rule {
-	return &core.Rule{
-		ID:     id,
-		Owner:  owner,
-		Device: core.DeviceRef{Name: device},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.Compare{Var: "temperature", Op: simplex.GT, Value: 28},
-		Source: "if temperature is higher than 28 degrees, turn on the " + device,
-	}
+	r := core.NewRule(id, owner, core.DeviceRef{Name: device}, core.Action{Verb: "turn-on"},
+		&core.Compare{Var: "temperature", Op: simplex.GT, Value: 28})
+	r.Source = "if temperature is higher than 28 degrees, turn on the " + device
+	return r
 }
 
 func TestAddGetRemove(t *testing.T) {
@@ -59,7 +55,7 @@ func TestAddValidation(t *testing.T) {
 	if err := db.Add(nil); err == nil {
 		t.Error("nil rule should fail")
 	}
-	if err := db.Add(&core.Rule{}); err == nil {
+	if err := db.Add(core.NewRule("", "", core.DeviceRef{}, core.Action{}, nil)); err == nil {
 		t.Error("empty id should fail")
 	}
 }
@@ -130,11 +126,10 @@ func TestByOwnerAndByDep(t *testing.T) {
 	db := New()
 	r1 := simpleRule("r1", "tom", "tv")
 	r2 := simpleRule("r2", "alan", "tv")
-	r3 := &core.Rule{
-		ID: "r3", Owner: "tom", Device: core.DeviceRef{Name: "light"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond:   &core.BoolIs{Var: "hall/dark", Want: true},
-	}
+	r3 := core.NewRule("r3", "tom",
+		core.DeviceRef{Name: "light"},
+		core.Action{Verb: "turn-on"},
+		&core.BoolIs{Var: "hall/dark", Want: true})
 	for _, r := range []*core.Rule{r1, r2, r3} {
 		if err := db.Add(r); err != nil {
 			t.Fatal(err)
@@ -354,14 +349,13 @@ func TestByDepIDIndex(t *testing.T) {
 	if tab == nil {
 		t.Fatal("Symtab is nil")
 	}
-	r := &core.Rule{
-		ID: "r1", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
-		Action: core.Action{Verb: "turn-on"},
-		Cond: &core.And{Terms: []core.Condition{
+	r := core.NewRule("r1", "tom",
+		core.DeviceRef{Name: "fan"},
+		core.Action{Verb: "turn-on"},
+		&core.And{Terms: []core.Condition{
 			&core.Compare{Var: "temperature", Op: simplex.GT, Value: 25},
 			&core.BoolIs{Var: "tv/power", Want: true},
-		}},
-	}
+		}})
 	if err := db.Add(r); err != nil {
 		t.Fatal(err)
 	}
