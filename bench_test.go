@@ -311,12 +311,12 @@ func BenchmarkDNF(b *testing.B) {
 
 // ---- language front end ----
 
-func benchLexicon(b *testing.B) *vocab.Lexicon {
-	b.Helper()
+func benchLexicon(tb testing.TB) *vocab.Lexicon {
+	tb.Helper()
 	lex := vocab.Default()
 	if err := lex.DefineCondWord("hot and stuffy",
 		"humidity is higher than 60 percent and temperature is higher than 28 degrees", "tom"); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return lex
 }
@@ -324,34 +324,51 @@ func benchLexicon(b *testing.B) *vocab.Lexicon {
 const benchRuleSrc = "If humidity is higher than 80 percent and temperature is higher than " +
 	"28 degrees, turn on the air conditioner with 25 degrees of temperature setting."
 
-// BenchmarkParseRule measures the CADEL parser on the paper's example rule 1.
-func BenchmarkParseRule(b *testing.B) {
-	lex := benchLexicon(b)
+// runLoop times body, the loop body a benchmark shares with the alloc
+// ceiling test that gates it.
+func runLoop(b *testing.B, body func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		body()
+	}
+}
+
+// parseRuleLoop returns the loop body of BenchmarkParseRule: parse the
+// paper's example rule 1.
+func parseRuleLoop(tb testing.TB) func() {
+	lex := benchLexicon(tb)
+	return func() {
 		if _, err := lang.Parse(benchRuleSrc, lex); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseRule measures the CADEL parser on the paper's example rule 1.
+func BenchmarkParseRule(b *testing.B) { runLoop(b, parseRuleLoop(b)) }
+
+// compileRuleLoop returns the loop body of BenchmarkCompileRule: compile a
+// parsed rule that uses a user-defined condition word.
+func compileRuleLoop(tb testing.TB) func() {
+	lex := benchLexicon(tb)
+	cmd, err := lang.Parse("If hot and stuffy, turn on the air conditioner "+
+		"with 25 degrees of temperature setting.", lex)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	def := cmd.(*lang.RuleDef)
+	compiler := core.NewCompiler(lex)
+	return func() {
+		if _, err := compiler.CompileRule(def, "r", "tom"); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCompileRule measures AST-to-rule-object compilation, including
 // user-word expansion.
-func BenchmarkCompileRule(b *testing.B) {
-	lex := benchLexicon(b)
-	cmd, err := lang.Parse("If hot and stuffy, turn on the air conditioner "+
-		"with 25 degrees of temperature setting.", lex)
-	if err != nil {
-		b.Fatal(err)
-	}
-	def := cmd.(*lang.RuleDef)
-	compiler := core.NewCompiler(lex)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compiler.CompileRule(def, "r", "tom"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkCompileRule(b *testing.B) { runLoop(b, compileRuleLoop(b)) }
 
 // ---- execution engine ----
 
@@ -376,8 +393,9 @@ func benchmarkEngineWorkload(b *testing.B, name string, n int, opts ...engine.Op
 // rules, for a single-key change (the paper's Example Rule 1 shape: the
 // incremental evaluator re-checks only the one affected rule via the
 // dependency index; the full scan walks all n). The acceptance targets are
-// 0 allocs/op and ≥ 2x over the full scan at 10k rules on the interned path;
-// cmd/corebench records the same sweep in BENCH_core.json.
+// 0 allocs/op and ≥ 2x over the full scan at 10k rules on the interned path.
+// CI records this sweep, with PresenceEval, Arbitrate and RuleChurn, in
+// BENCH_core.txt.
 func BenchmarkEngineEvaluate(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("incremental-%d", n), func(b *testing.B) {
@@ -490,6 +508,39 @@ func benchmarkRuleChurn(b *testing.B, live int, opts ...engine.Option) {
 // map-post path's 0-alloc gate is TestPostEventSyncZeroAlloc in
 // internal/fleet. Only rule registration is timed here.
 
+// fleetSubmitCases are the rows of BenchmarkFleetSubmit.
+var fleetSubmitCases = []struct {
+	name   string
+	shards int
+	unique bool
+}{
+	{"shards=1", 1, false},
+	{"shards=4", 4, false},
+	{"unique-text", 1, true},
+}
+
+// fleetSubmitLoop builds a hub of 1000 homes over shards and returns the
+// loop body of BenchmarkFleetSubmit: submit one rule to the next home,
+// round-robin. The body is safe for concurrent use.
+func fleetSubmitLoop(tb testing.TB, shards int, unique bool) func() {
+	hub, ids, err := benchwork.BuildHub(1000, shards)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = hub.Close() })
+	var idx atomic.Uint64
+	return func() {
+		i := idx.Add(1)
+		src := "If humidity is higher than 60 percent, turn on the fan."
+		if unique {
+			src = "If humidity is higher than " + strconv.FormatUint(i, 10) + " percent, turn on the fan."
+		}
+		if _, err := hub.Submit(ids[i%uint64(len(ids))], src, "u"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFleetSubmit measures rule registration throughput across a
 // sharded hub (consistency + conflict check + store-less registration),
 // round-robin over 1000 homes. The homes share one vocabulary, so in the
@@ -497,33 +548,13 @@ func benchmarkRuleChurn(b *testing.B, live int, opts ...engine.Option) {
 // template; the unique-text row writes a new threshold each time and pays
 // parse and compile on every write.
 func BenchmarkFleetSubmit(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-		unique bool
-	}{
-		{"shards=1", 1, false},
-		{"shards=4", 4, false},
-		{"unique-text", 1, true},
-	} {
+	for _, tc := range fleetSubmitCases {
 		b.Run(tc.name, func(b *testing.B) {
-			hub, ids, err := benchwork.BuildHub(1000, tc.shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { _ = hub.Close() })
-			var idx atomic.Uint64
+			body := fleetSubmitLoop(b, tc.shards, tc.unique)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					i := idx.Add(1)
-					src := "If humidity is higher than 60 percent, turn on the fan."
-					if tc.unique {
-						src = "If humidity is higher than " + strconv.FormatUint(i, 10) + " percent, turn on the fan."
-					}
-					if _, err := hub.Submit(ids[i%uint64(len(ids))], src, "u"); err != nil {
-						b.Fatal(err)
-					}
+					body()
 				}
 			})
 		})

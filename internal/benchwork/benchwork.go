@@ -1,7 +1,7 @@
-// Package benchwork holds the benchmark workload builders shared by the
-// root package's `go test -bench` benchmarks and the cmd/corebench JSON
-// emitter, so BENCH_core.json measures exactly the same rule sets and event
-// streams the in-repo benchmarks do.
+// Package benchwork holds the workload builders of the root package's
+// engine and fleet benchmarks, and of the allocation tests that gate the
+// same loops, so a test and its benchmark measure the same rule sets and
+// event streams.
 //
 // Three engine workloads reproduce the paper's example-rule shapes:
 //
@@ -24,7 +24,6 @@ package benchwork
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/conflict"
@@ -38,36 +37,14 @@ import (
 	"repro/internal/simplex"
 )
 
-// RunMeta is the run environment block BENCH_core.json embeds, so a perf
-// trajectory across commits can tell a regression from a machine or
-// toolchain change.
-type RunMeta struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// NewRunMeta captures the current process's run environment.
-func NewRunMeta() RunMeta {
-	return RunMeta{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
 // Epoch is the fixed simulation instant every benchmark clock reports.
 var Epoch = time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
 
 // EngineWorkload is one engine benchmark wired up end to end: a seeded,
 // steady-state engine plus the event stream and the device identity to
-// replay it under. Both the root package's benchmarks and cmd/corebench
-// consume workloads through this, so the timed loops are byte-for-byte the
-// same measurement.
+// replay it under. The root package's benchmarks and allocation tests
+// consume workloads through this, so the timed and the counted loops are
+// byte-for-byte the same.
 type EngineWorkload struct {
 	Engine *engine.Engine
 	Events []map[string]string

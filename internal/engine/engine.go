@@ -562,7 +562,7 @@ func (e *Engine) evaluateLocked() {
 	e.passes++
 	// Metrics: histograms are sampled every 32nd pass (two extra clock
 	// reads and four atomic adds, amortized under a nanosecond per pass) so
-	// the instrumented steady state stays within the CI overhead gate.
+	// the instrumented steady state stays within TestObsOverheadGate's 5 %.
 	var t0 time.Time
 	sampled := e.em != nil && e.passes&31 == 0
 	if sampled {

@@ -14,8 +14,9 @@ import (
 // kept its own firing-trace ring of 64 records instead of sharing its
 // shard's, about 8 KiB more; one that compiled its rule for itself instead
 // of sharing its shard's template, about 0.7 KiB more. Measured on
-// linux/amd64 with Go 1.24: 5.7 KiB idle, 6.3 KiB loaded.
-const perHomeHeapCeiling = 15 << 9 // 7.5 KiB
+// linux/amd64 with Go 1.24: 5.4 KiB idle, 6.0 KiB loaded; the ceiling is
+// the loaded figure plus about 1 KiB.
+const perHomeHeapCeiling = 7 << 10 // 7 KiB
 
 // loadedPasses is how many evaluation passes each home of the loaded
 // variant runs before the measurement: more than a 64-record per-home ring

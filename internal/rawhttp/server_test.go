@@ -34,7 +34,7 @@ func testClock() func() time.Time { return func() time.Time { return testEpoch }
 const hotRule = "If temperature is higher than 28 degrees, turn on the air conditioner " +
 	"with 25 degrees of temperature setting."
 
-func newHub(t *testing.T, opts ...fleet.HubOption) *fleet.Hub {
+func newHub(t testing.TB, opts ...fleet.HubOption) *fleet.Hub {
 	t.Helper()
 	h, err := fleet.NewHub(append([]fleet.HubOption{
 		fleet.WithClock(testClock()), fleet.WithShards(1),
@@ -46,7 +46,7 @@ func newHub(t *testing.T, opts ...fleet.HubOption) *fleet.Hub {
 	return h
 }
 
-func seedHome(t *testing.T, h *fleet.Hub, homes ...string) {
+func seedHome(t testing.TB, h *fleet.Hub, homes ...string) {
 	t.Helper()
 	for _, home := range homes {
 		if err := h.RegisterUser(home, "tom"); err != nil {
@@ -614,86 +614,74 @@ func (c *rawClient) roundTrip(n int) bool {
 	return true
 }
 
-// TestRawRequestZeroAlloc is the tentpole's acceptance gate: the
+// rawRequestServer serves home "h" (tom and the hot rule) of a one-shard
+// hub through the raw front end with metrics on, and returns its address.
+func rawRequestServer(tb testing.TB) string {
+	hub := newHub(tb)
+	seedHome(tb, hub, "h")
+	sink := fleet.NewEventSink(hub, ingest.Limits{Rate: 1e9, Burst: 1e9})
+	raw := rawhttp.NewServer(sink, rawhttp.WithMetrics(obs.New(1)))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go raw.Serve(ln)
+	tb.Cleanup(func() { _ = raw.Close() })
+	return ln.Addr().String()
+}
+
+// rawRequestLoop dials addr, warms the pools, buffers, interned home and map
+// sizes, and returns the loop body of BenchmarkRawServerRequest: depth sync
+// events pipelined in one write, and their responses. A sync event's ack
+// waits for evaluation, so the pooled event is back in the pool before the
+// next request — fully deterministic reuse.
+func rawRequestLoop(tb testing.TB, addr string, depth int) func() {
+	c := newRawClient(tb, addr, "h", true)
+	for i := 0; i < 100; i++ {
+		if !c.roundTrip(depth) {
+			tb.Fatal("warmup round trip failed")
+		}
+	}
+	return func() {
+		if !c.roundTrip(depth) {
+			tb.Fatal("round trip failed")
+		}
+	}
+}
+
+// TestRawRequestZeroAlloc is the raw transport's allocation gate: the
 // steady-state raw request path — parse, route, admit, body, decode, post,
-// evaluate, respond — performs zero heap allocations per event, measured
-// across the whole process (client included).
+// evaluate, respond — performs zero heap allocations per event, one request
+// per write and 16 pipelined, measured across the whole process (client
+// included).
 func TestRawRequestZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
-	hub := newHub(t)
-	seedHome(t, hub, "h")
-	m := obs.New(1)
-	sink := fleet.NewEventSink(hub, ingest.Limits{Rate: 1e9, Burst: 1e9})
-	raw := rawhttp.NewServer(sink, rawhttp.WithMetrics(m))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go raw.Serve(ln)
-	t.Cleanup(func() { _ = raw.Close() })
-
-	// Sync events: the ack waits for evaluation, so the pooled event is
-	// back in the pool before the next request — fully deterministic reuse.
-	c := newRawClient(t, ln.Addr().String(), "h", true)
-	for i := 0; i < 100; i++ { // warm pools, buffers, interned home, map sizes
-		if !c.roundTrip(1) {
-			t.Fatal("warmup round trip failed")
+	addr := rawRequestServer(t)
+	for _, depth := range []int{1, 16} {
+		if n := testing.AllocsPerRun(300, rawRequestLoop(t, addr, depth)); n != 0 {
+			t.Fatalf("raw request path allocates %v per round trip of %d requests, want 0", n, depth)
 		}
-	}
-	if n := testing.AllocsPerRun(300, func() {
-		if !c.roundTrip(1) {
-			t.Fatal("round trip failed")
-		}
-	}); n != 0 {
-		t.Fatalf("raw request path allocates %v/op, want 0", n)
 	}
 }
 
 // BenchmarkRawServerRequest measures the raw transport end to end over
-// loopback TCP with the zero-alloc client. Sync mode pins deterministic
-// event-pool reuse (the allocs/op=0 CI gate reads these rows); pipelined
-// batches 16 requests per write to show the batched-flush path.
+// loopback TCP with the zero-alloc client, one request per write (sync) and
+// 16 per write (pipelined16, the batched-flush path). TestRawRequestZeroAlloc
+// holds both loops at 0 allocs.
 func BenchmarkRawServerRequest(b *testing.B) {
-	hub, err := fleet.NewHub(fleet.WithClock(testClock()), fleet.WithShards(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer hub.Close()
-	if err := hub.RegisterUser("h", "tom"); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := hub.Submit("h", hotRule, "tom"); err != nil {
-		b.Fatal(err)
-	}
-	m := obs.New(1)
-	sink := fleet.NewEventSink(hub, ingest.Limits{Rate: 1e9, Burst: 1e9})
-	raw := rawhttp.NewServer(sink, rawhttp.WithMetrics(m))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go raw.Serve(ln)
-	defer raw.Close()
-
+	addr := rawRequestServer(b)
 	for _, bench := range []struct {
 		name  string
 		depth int
 	}{{"sync", 1}, {"pipelined16", 16}} {
 		b.Run(bench.name, func(b *testing.B) {
-			c := newRawClient(b, ln.Addr().String(), "h", true)
-			for i := 0; i < 32; i++ {
-				if !c.roundTrip(bench.depth) {
-					b.Fatal("warmup failed")
-				}
-			}
+			body := rawRequestLoop(b, addr, bench.depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += bench.depth {
-				if !c.roundTrip(bench.depth) {
-					b.Fatal("round trip failed")
-				}
+				body()
 			}
 		})
 	}
