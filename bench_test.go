@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/benchwork"
 	"repro/internal/conflict"
 	"repro/internal/core"
@@ -559,6 +560,32 @@ func BenchmarkFleetSubmit(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkHomeHeap reports the live heap of one idle home in B/home: the
+// hub benchwork.BuildHub seeds, whose homes each hold one user and one
+// rule, the home shape of the bench module's wire workloads. The hub-wide
+// state (the shared built-in lexicon, the shard's trace ring and compiled
+// rule) is built before the count or divided among homeHeapHomes homes.
+// internal/fleet's TestPerHomeHeapCeiling gates the same figure.
+func BenchmarkHomeHeap(b *testing.B) {
+	const homeHeapHomes = 1024
+	warm, _, err := benchwork.BuildHub(1, 1) // builds the process-wide base lexicon
+	if err != nil {
+		b.Fatal(err)
+	}
+	_ = warm.Close()
+	var perHome float64
+	for i := 0; i < b.N; i++ {
+		before := alloctest.LiveHeap()
+		hub, _, err := benchwork.BuildHub(homeHeapHomes, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		perHome = float64(alloctest.LiveHeap()-before) / homeHeapHomes
+		_ = hub.Close()
+	}
+	b.ReportMetric(perHome, "B/home")
 }
 
 // BenchmarkRegistryAdd measures rule insertion with index maintenance.

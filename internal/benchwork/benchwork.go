@@ -3,23 +3,26 @@
 // same loops, so a test and its benchmark measure the same rule sets and
 // event streams.
 //
-// Three engine workloads reproduce the paper's example-rule shapes:
+// Three engine workload families, named as NewEngineWorkload takes them,
+// reproduce the paper's example-rule shapes:
 //
-//   - RoomTempDB — Example Rule 1: rule 0 reads the unqualified
-//     "temperature" (the full-scan oracle's map-backed context resolves it
-//     with a suffix scan over every populated key), every other rule its
-//     own room's qualified temperature; a single-key sensor event touches
-//     exactly one rule.
-//   - PresenceDB — Example Rules 2/3: quantified presence conditions
+//   - engine_evaluate(_firing) — Example Rule 1: rule 0 reads the
+//     unqualified "temperature" (the full-scan oracle's map-backed context
+//     resolves it with a suffix scan over every populated key), every other
+//     rule its own room's qualified temperature; a single-key sensor event
+//     touches exactly one rule.
+//   - presence_eval — Example Rules 2/3: quantified presence conditions
 //     (nobody / everyone / someone-at / per-person presence / arrival) over
 //     a populated home; presence churn re-evaluates the quantified rules
 //     every pass.
-//   - ArbitrationDB — the Fig. 1 hand-off shape: several owners' rules
-//     contending for one device under a contextual priority order whose
-//     context is dirtied by presence churn, so every pass re-arbitrates.
+//   - arbitrate(_handoff) — the Fig. 1 hand-off shape: several owners'
+//     rules contending for one device under a contextual priority order
+//     whose context is dirtied by presence churn, so every pass
+//     re-arbitrates.
 //
-// The fleet workload (BuildHub) seeds one user and one temperature rule per
-// home.
+// NewChurnWorkload churns uniquely named rules through one home, and
+// BuildHub seeds a hub whose homes each hold one user and one temperature
+// rule, the home shape of the bench module's wire workloads.
 package benchwork
 
 import (
@@ -37,8 +40,8 @@ import (
 	"repro/internal/simplex"
 )
 
-// Epoch is the fixed simulation instant every benchmark clock reports.
-var Epoch = time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
+// epoch is the fixed simulation instant every benchmark clock reports.
+var epoch = time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
 
 // EngineWorkload is one engine benchmark wired up end to end: a seeded,
 // steady-state engine plus the event stream and the device identity to
@@ -46,26 +49,25 @@ var Epoch = time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
 // consume workloads through this, so the timed and the counted loops are
 // byte-for-byte the same.
 type EngineWorkload struct {
-	Engine *engine.Engine
+	engine *engine.Engine
 	Events []map[string]string
-	// DeviceType/DeviceName/DeviceLocation identify the sensor the events
-	// arrive from.
-	DeviceType, DeviceName, DeviceLocation string
+	// devType/devName/devLoc identify the sensor the events arrive from.
+	devType, devName, devLoc string
 }
 
 // Replay feeds the i-th event of the stream — the timed-loop body.
 func (w *EngineWorkload) Replay(i int) {
-	w.Engine.HandleDeviceEvent(w.DeviceType, w.DeviceName, w.DeviceLocation, w.Events[i%len(w.Events)])
+	w.engine.HandleDeviceEvent(w.devType, w.devName, w.devLoc, w.Events[i%len(w.Events)])
 }
 
-// TraceCap is the capacity of the firing-trace ring a benchmark engine
+// traceCap is the capacity of the firing-trace ring a benchmark engine
 // runs with. The engine is the ring's only user: the one-engine case of a
 // hub shard's shared ring.
-const TraceCap = 16
+const traceCap = 16
 
 // NewEngineWorkload builds the named workload at n rules, seeded to steady
 // state. Engines are fully instrumented by default — metrics into a private
-// obs registry plus a private TraceCap-slot firing-trace ring — so every
+// obs registry plus a private traceCap-slot firing-trace ring — so every
 // benchmark measures the production configuration; pass
 // engine.WithMetrics(nil) / engine.WithTrace(nil) to strip either back off
 // (the overhead gate's baseline). Names:
@@ -78,9 +80,9 @@ const TraceCap = 16
 func NewEngineWorkload(name string, n int, opts ...engine.Option) (*EngineWorkload, error) {
 	opts = append([]engine.Option{
 		engine.WithMetrics(&obs.New(1).Shard(0).Engine),
-		engine.WithTrace(engine.NewTraceRing(TraceCap)),
+		engine.WithTrace(engine.NewTraceRing(traceCap)),
 	}, opts...)
-	w := &EngineWorkload{DeviceType: device.TypePresenceSensor, DeviceName: "presence sensor", DeviceLocation: "home"}
+	w := &EngineWorkload{devType: device.TypePresenceSensor, devName: "presence sensor", devLoc: "home"}
 	var (
 		db  *registry.DB
 		err error
@@ -88,41 +90,41 @@ func NewEngineWorkload(name string, n int, opts ...engine.Option) (*EngineWorklo
 	tbl := conflict.NewTable()
 	switch name {
 	case "engine_evaluate", "engine_evaluate_firing":
-		db, err = RoomTempDB(n)
-		w.Events = TempEvents()
+		db, err = roomTempDB(n)
+		w.Events = tempEvents()
 		if name == "engine_evaluate_firing" {
-			w.Events = FiringTempEvents()
+			w.Events = firingTempEvents()
 		}
-		w.DeviceType, w.DeviceName, w.DeviceLocation = device.TypeThermometer, "thermometer", "room0"
+		w.devType, w.devName, w.devLoc = device.TypeThermometer, "thermometer", "room0"
 	case "presence_eval":
-		db, err = PresenceDB(n)
-		w.Events = PresenceEvents()
+		db, err = presenceDB(n)
+		w.Events = presenceEvents()
 	case "arbitrate":
-		db, err = ArbitrationDB(n)
-		tbl = ArbitrationTable()
-		w.Events = ArbitrationEvents()
+		db, err = arbitrationDB(n)
+		tbl = arbitrationTable()
+		w.Events = arbitrationEvents()
 	case "arbitrate_handoff":
-		db, err = ArbitrationDB(n)
-		tbl = HandoffTable()
-		w.Events = HandoffEvents()
+		db, err = arbitrationDB(n)
+		tbl = handoffTable()
+		w.Events = handoffEvents()
 	default:
 		return nil, fmt.Errorf("benchwork: unknown workload %q", name)
 	}
 	if err != nil {
 		return nil, err
 	}
-	w.Engine = engine.New(db, tbl, func() time.Time { return Epoch }, opts...)
+	w.engine = engine.New(db, tbl, func() time.Time { return epoch }, opts...)
 	switch name {
 	case "engine_evaluate", "engine_evaluate_firing":
-		SeedRoomTemp(w.Engine, n, w.Events)
+		seedRoomTemp(w.engine, n, w.Events)
 	case "presence_eval":
-		SeedPresence(w.Engine, w.Events)
+		seedPresence(w.engine, w.Events)
 	default:
-		SeedArbitration(w.Engine, w.Events)
+		seedArbitration(w.engine, w.Events)
 	}
 	// Cycle the trace ring so every slot's slices reach steady-state capacity
 	// before the timed (and allocation-gated) loop starts.
-	for i := 0; i < 2*TraceCap+4; i++ {
+	for i := 0; i < 2*traceCap+4; i++ {
 		w.Replay(i)
 	}
 	return w, nil
@@ -130,10 +132,10 @@ func NewEngineWorkload(name string, n int, opts ...engine.Option) (*EngineWorklo
 
 // ---- Example Rule 1: single-key temperature workload ----
 
-// RoomTempDB builds n rules: rule 0 reads the unqualified "temperature",
+// roomTempDB builds n rules: rule 0 reads the unqualified "temperature",
 // rule i > 0 its own room's qualified key, all additionally gated on Tom
 // being in the living room.
-func RoomTempDB(n int) (*registry.DB, error) {
+func roomTempDB(n int) (*registry.DB, error) {
 	db := registry.New()
 	for i := 0; i < n; i++ {
 		v := "temperature"
@@ -154,11 +156,11 @@ func RoomTempDB(n int) (*registry.DB, error) {
 	return db, nil
 }
 
-// SeedRoomTemp brings an engine over a RoomTempDB to steady state: Tom in
+// seedRoomTemp brings an engine over a roomTempDB to steady state: Tom in
 // the living room, every room's sensor key populated once (coalesced into a
 // single pass), then the event stream replayed once to warm the ingest
 // caches and the readiness diff.
-func SeedRoomTemp(e *engine.Engine, n int, events []map[string]string) {
+func seedRoomTemp(e *engine.Engine, n int, events []map[string]string) {
 	e.HandleDeviceEvent(device.TypePresenceSensor, "presence sensor", "home",
 		map[string]string{"presence-tom": "living room"})
 	low := map[string]string{"temperature": "10"}
@@ -173,10 +175,10 @@ func SeedRoomTemp(e *engine.Engine, n int, events []map[string]string) {
 	}
 }
 
-// TempEvents returns the below-threshold value stream: room0's temperature
+// tempEvents returns the below-threshold value stream: room0's temperature
 // cycling under every rule's threshold, so no readiness flips and the
 // benchmark isolates pure evaluation cost.
-func TempEvents() []map[string]string {
+func tempEvents() []map[string]string {
 	events := make([]map[string]string, 10)
 	for i := range events {
 		events[i] = map[string]string{"temperature": fmt.Sprintf("%d", 10+i)}
@@ -184,9 +186,9 @@ func TempEvents() []map[string]string {
 	return events
 }
 
-// FiringTempEvents returns the threshold-crossing stream: every event flips
+// firingTempEvents returns the threshold-crossing stream: every event flips
 // rule 0's readiness, so each pass re-arbitrates and fires.
-func FiringTempEvents() []map[string]string {
+func firingTempEvents() []map[string]string {
 	return []map[string]string{
 		{"temperature": "40"},
 		{"temperature": "10"},
@@ -195,26 +197,26 @@ func FiringTempEvents() []map[string]string {
 
 // ---- Example Rules 2/3: quantified presence workload ----
 
-// PresenceUserCount is how many users PresenceDB registers: large enough
+// presenceUserCount is how many users presenceDB registers: large enough
 // that the full-scan oracle's per-eval map iteration over every location is
 // visible next to the interned counters.
-const PresenceUserCount = 32
+const presenceUserCount = 32
 
-// PresenceUsers returns the registered users: tom, alan, emily plus
+// presenceUsers returns the registered users: tom, alan, emily plus
 // background residents.
-func PresenceUsers() []string {
+func presenceUsers() []string {
 	users := []string{"tom", "alan", "emily"}
-	for i := len(users); i < PresenceUserCount; i++ {
+	for i := len(users); i < presenceUserCount; i++ {
 		users = append(users, fmt.Sprintf("u%d", i))
 	}
 	return users
 }
 
-// PresenceDB builds n rules, the first five quantified over presence —
+// presenceDB builds n rules, the first five quantified over presence —
 // nobody-at-home (Example Rule 2's shape), everyone-at, someone-at,
 // per-person presence, and an arrival (Example Rule 3's shape) — the rest
 // the qualified-temperature fillers that scale the database.
-func PresenceDB(n int) (*registry.DB, error) {
+func presenceDB(n int) (*registry.DB, error) {
 	db := registry.New()
 	quantified := []*core.Rule{
 		core.NewRule("off", "tom",
@@ -258,13 +260,13 @@ func PresenceDB(n int) (*registry.DB, error) {
 	return db, nil
 }
 
-// SeedPresence brings an engine over a PresenceDB to steady state: the users
+// seedPresence brings an engine over a presenceDB to steady state: the users
 // registered, Alan settled in the living room (so nobody-at-home stays
 // false), Tom in the hall, then the event stream replayed once to warm the
-// ingest caches. The PresenceEvents churn keeps every quantified condition's
+// ingest caches. The presenceEvents churn keeps every quantified condition's
 // truth stable, so the timed loop measures pure quantified re-evaluation.
-func SeedPresence(e *engine.Engine, events []map[string]string) {
-	e.SetUsers(PresenceUsers())
+func seedPresence(e *engine.Engine, events []map[string]string) {
+	e.SetUsers(presenceUsers())
 	e.HandleDeviceEvent(device.TypePresenceSensor, "presence sensor", "home",
 		map[string]string{"presence-alan": "living room"})
 	e.HandleDeviceEvent(device.TypePresenceSensor, "presence sensor", "home",
@@ -274,10 +276,10 @@ func SeedPresence(e *engine.Engine, events []map[string]string) {
 	}
 }
 
-// PresenceEvents returns the presence-churn stream: Tom moving between the
+// presenceEvents returns the presence-churn stream: Tom moving between the
 // hall and the study. Every event dirties loc/tom and the location wildcard,
 // re-evaluating all quantified rules, without flipping any readiness.
-func PresenceEvents() []map[string]string {
+func presenceEvents() []map[string]string {
 	return []map[string]string{
 		{"presence-tom": "hall"},
 		{"presence-tom": "study"},
@@ -286,15 +288,15 @@ func PresenceEvents() []map[string]string {
 
 // ---- arbitration workload: contending owners on one device ----
 
-// ArbContenders is how many owners contend for the stereo in ArbitrationDB.
-const ArbContenders = 8
+// arbContenders is how many owners contend for the stereo in arbitrationDB.
+const arbContenders = 8
 
-// ArbitrationDB builds n rules: ArbContenders unconditional rules from
+// arbitrationDB builds n rules: arbContenders unconditional rules from
 // distinct owners all targeting the stereo, plus qualified-temperature
 // fillers that scale the database.
-func ArbitrationDB(n int) (*registry.DB, error) {
+func arbitrationDB(n int) (*registry.DB, error) {
 	db := registry.New()
-	for i := 0; i < ArbContenders && i < n; i++ {
+	for i := 0; i < arbContenders && i < n; i++ {
 		rule := core.NewRule(fmt.Sprintf("c%d", i), fmt.Sprintf("u%d", i),
 			core.DeviceRef{Name: "stereo"},
 			core.Action{Verb: "play", Settings: map[string]core.Value{"volume": {IsNumber: true, Number: float64(i)}}},
@@ -303,7 +305,7 @@ func ArbitrationDB(n int) (*registry.DB, error) {
 			return nil, err
 		}
 	}
-	for i := ArbContenders; i < n; i++ {
+	for i := arbContenders; i < n; i++ {
 		rule := core.NewRule(fmt.Sprintf("r%d", i), "u",
 			core.DeviceRef{Name: fmt.Sprintf("dev%d", i)},
 			core.Action{Verb: "turn-on"},
@@ -315,12 +317,12 @@ func ArbitrationDB(n int) (*registry.DB, error) {
 	return db, nil
 }
 
-// ArbitrationTable returns the stereo's priority orders: a default order and
+// arbitrationTable returns the stereo's priority orders: a default order and
 // a contextual one that applies while nobody is in the bedroom. Both rank u0
 // highest, so the steady-state churn re-arbitrates without a hand-off.
-func ArbitrationTable() *conflict.Table {
+func arbitrationTable() *conflict.Table {
 	tbl := conflict.NewTable()
-	users := make([]string, ArbContenders)
+	users := make([]string, arbContenders)
 	for i := range users {
 		users[i] = fmt.Sprintf("u%d", i)
 	}
@@ -338,13 +340,13 @@ func ArbitrationTable() *conflict.Table {
 	return tbl
 }
 
-// HandoffTable is ArbitrationTable with the contextual order led by u1
-// instead of u0, so flipping the bedroom's occupancy (HandoffEvents) flips
+// handoffTable is arbitrationTable with the contextual order led by u1
+// instead of u0, so flipping the bedroom's occupancy (handoffEvents) flips
 // the applicable order and hands the stereo between u1 and u0 every pass —
 // the paper's Fig. 1 stereo hand-off shape.
-func HandoffTable() *conflict.Table {
-	tbl := ArbitrationTable()
-	users := make([]string, ArbContenders)
+func handoffTable() *conflict.Table {
+	tbl := arbitrationTable()
+	users := make([]string, arbContenders)
 	for i := range users {
 		users[i] = fmt.Sprintf("u%d", i)
 	}
@@ -358,11 +360,11 @@ func HandoffTable() *conflict.Table {
 	return tbl
 }
 
-// SeedArbitration brings an engine over an ArbitrationDB to steady state:
+// seedArbitration brings an engine over an arbitrationDB to steady state:
 // Emily present (her churn drives the contextual order's dependency), one
 // pass to register and fire the initial winner, then the event stream
 // replayed once to warm the caches.
-func SeedArbitration(e *engine.Engine, events []map[string]string) {
+func seedArbitration(e *engine.Engine, events []map[string]string) {
 	e.HandleDeviceEvent(device.TypePresenceSensor, "presence sensor", "home",
 		map[string]string{"presence-emily": "hall"})
 	for _, ev := range events {
@@ -370,21 +372,21 @@ func SeedArbitration(e *engine.Engine, events []map[string]string) {
 	}
 }
 
-// ArbitrationEvents returns the arbitration-churn stream: Emily moving
+// arbitrationEvents returns the arbitration-churn stream: Emily moving
 // between hall and study. Every event dirties the location wildcard the
 // contextual order depends on, so every pass re-arbitrates the stereo's
 // contenders — and the winner never changes, so nothing fires.
-func ArbitrationEvents() []map[string]string {
+func arbitrationEvents() []map[string]string {
 	return []map[string]string{
 		{"presence-emily": "hall"},
 		{"presence-emily": "study"},
 	}
 }
 
-// HandoffEvents returns the hand-off stream: Alan toggling between the
+// handoffEvents returns the hand-off stream: Alan toggling between the
 // bedroom and away flips the contextual order's applicability, so every
 // pass's arbitration picks a different winner and fires.
-func HandoffEvents() []map[string]string {
+func handoffEvents() []map[string]string {
 	return []map[string]string{
 		{"presence-alan": "bedroom"},
 		{"presence-alan": ""},
@@ -400,8 +402,8 @@ func HandoffEvents() []map[string]string {
 // compaction reclaims the retired ids; BenchmarkRuleChurn measures it with
 // the default watermark against a compaction-disabled baseline.
 type ChurnWorkload struct {
-	DB     *registry.DB
-	Engine *engine.Engine
+	db     *registry.DB
+	engine *engine.Engine
 	live   int
 	seq    int
 }
@@ -420,46 +422,46 @@ func churnRule(seq int) *core.Rule {
 // engine at a pass boundary. Pass engine.WithCompactFloor(0) to measure the
 // no-compaction baseline.
 func NewChurnWorkload(live int, opts ...engine.Option) (*ChurnWorkload, error) {
-	w := &ChurnWorkload{DB: registry.New(), live: live}
-	w.Engine = engine.New(w.DB, conflict.NewTable(), func() time.Time { return Epoch }, opts...)
+	w := &ChurnWorkload{db: registry.New(), live: live}
+	w.engine = engine.New(w.db, conflict.NewTable(), func() time.Time { return epoch }, opts...)
 	for ; w.seq < live; w.seq++ {
-		if err := w.DB.Add(churnRule(w.seq)); err != nil {
+		if err := w.db.Add(churnRule(w.seq)); err != nil {
 			return nil, err
 		}
 	}
-	w.Engine.Tick()
+	w.engine.Tick()
 	return w, nil
 }
 
 // Step runs one churn op: add the next unique-named rule, remove the oldest,
 // and run the evaluation pass whose boundary hosts the compaction watermark.
 func (w *ChurnWorkload) Step() error {
-	if err := w.DB.Add(churnRule(w.seq)); err != nil {
+	if err := w.db.Add(churnRule(w.seq)); err != nil {
 		return err
 	}
-	if err := w.DB.Remove(fmt.Sprintf("churn-%d", w.seq-w.live)); err != nil {
+	if err := w.db.Remove(fmt.Sprintf("churn-%d", w.seq-w.live)); err != nil {
 		return err
 	}
 	w.seq++
-	w.Engine.Tick()
+	w.engine.Tick()
 	return nil
 }
 
 // Symbols returns the current symtab length — the quantity compaction
 // bounds.
-func (w *ChurnWorkload) Symbols() int { return w.Engine.SymbolStats().Symbols }
+func (w *ChurnWorkload) Symbols() int { return w.engine.SymbolStats().Symbols }
 
 // ---- fleet workload ----
 
-// FleetRule is the one rule every benchmark home registers.
-const FleetRule = "If temperature is higher than 28 degrees, turn on the air conditioner."
+// fleetRule is the one rule every benchmark home registers.
+const fleetRule = "If temperature is higher than 28 degrees, turn on the air conditioner."
 
 // BuildHub seeds a hub with the standard fleet workload: homes each holding
 // one user and one temperature rule.
 func BuildHub(homes, shards int) (*fleet.Hub, []string, error) {
 	hub, err := fleet.NewHub(
 		fleet.WithShards(shards),
-		fleet.WithClock(func() time.Time { return Epoch }),
+		fleet.WithClock(func() time.Time { return epoch }),
 		fleet.WithLogLimit(64),
 	)
 	if err != nil {
@@ -472,7 +474,7 @@ func BuildHub(homes, shards int) (*fleet.Hub, []string, error) {
 			_ = hub.Close()
 			return nil, nil, err
 		}
-		if _, err := hub.Submit(ids[i], FleetRule, "u"); err != nil {
+		if _, err := hub.Submit(ids[i], fleetRule, "u"); err != nil {
 			_ = hub.Close()
 			return nil, nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/simplex"
@@ -285,7 +286,7 @@ func TestTermFeasibleZeroAlloc(t *testing.T) {
 	if ok, err := c.TermFeasible(term); err != nil || ok {
 		t.Fatalf("evening and night overlap: %v, %v", ok, err)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n, _ := alloctest.PerCall(200, func() {
 		_, _ = c.TermFeasible(term[:6])
 		_, _ = c.TermFeasible(term)
 	}); n != 0 {

@@ -84,10 +84,12 @@ type Context struct {
 	// Programs lists the programmes currently on air.
 	Programs []Program
 	// Favorites maps a user to their registered favourite keywords, used by
-	// "my favorite movie is on air".
+	// "my favorite movie is on air". An interned context makes it on the
+	// first SetFavorites.
 	Favorites map[string][]string
 	// Held maps a duration-condition key to the time its inner condition
-	// most recently became true. Maintained by the engine.
+	// most recently became true. Maintained by the engine; an interned
+	// context makes it on the first MarkHeld.
 	Held map[string]time.Time
 
 	// tab, when non-nil, activates the interned store below.
@@ -136,14 +138,10 @@ func NewContext(now time.Time) *Context {
 
 // NewInternedContext returns an empty context backed by the symbol-indexed
 // store, with unqualified-name resolution cached per population generation.
-// Its Numbers, Bools, Locations and Events maps stay nil.
+// Its Numbers, Bools, Locations and Events maps stay nil, and Favorites and
+// Held stay nil until their first write.
 func NewInternedContext(now time.Time, tab *Symtab) *Context {
-	return &Context{
-		Now:       now,
-		Favorites: make(map[string][]string),
-		Held:      make(map[string]time.Time),
-		tab:       tab,
-	}
+	return &Context{Now: now, tab: tab}
 }
 
 // Symtab returns the symbol table backing the interned store, or nil for a
@@ -400,6 +398,9 @@ func (c *Context) SetUsers(users []string) {
 
 // SetFavorites replaces one user's favourite keywords.
 func (c *Context) SetFavorites(user string, keywords []string) {
+	if c.Favorites == nil {
+		c.Favorites = make(map[string][]string)
+	}
 	c.Favorites[user] = append([]string(nil), keywords...)
 	c.ver++
 }
@@ -779,6 +780,9 @@ func (c *Context) HeldSince(key string) (time.Time, bool) {
 // current time, unless already marked.
 func (c *Context) MarkHeld(key string) {
 	if _, ok := c.Held[key]; !ok {
+		if c.Held == nil {
+			c.Held = make(map[string]time.Time)
+		}
 		c.Held[key] = c.Now
 		c.ver++
 	}

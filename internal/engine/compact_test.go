@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -293,7 +294,7 @@ func TestFullScanHoldsNoIDs(t *testing.T) {
 // of the live symbol count — "runs for years under rule churn" as a test.
 func TestChurnCompactionBounds(t *testing.T) {
 	total, window := 100_000, 1_000
-	if testing.Short() || raceEnabled {
+	if testing.Short() || alloctest.Race {
 		total = 20_000 // race instrumentation makes the full sweep slow; the bound is identical
 	}
 	db := registry.New()

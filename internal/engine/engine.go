@@ -179,8 +179,8 @@ type Engine struct {
 	// the same signature reuses the ids without building a string. Every
 	// event reaches the ingest path as an ingest.Event of byte slices, so the
 	// caches are keyed by signature byte strings (see appendSig) and
-	// consulted with the allocation-free m[string(b)] lookup form. Dropped on
-	// symbol compaction.
+	// consulted with the allocation-free m[string(b)] lookup form. Each map
+	// is made on its first write and dropped on symbol compaction.
 	varCacheB   map[string]*cachedVar
 	arrCacheB   map[string]arrIDs // "person|event" → interned ids
 	placeSlot   map[string]uint32 // place name → interned place id + 1
@@ -331,9 +331,6 @@ func New(db *registry.DB, priorities *conflict.Table, now func() time.Time, opts
 	ictx := core.NewInternedContext(e.ctx.Now, e.tab)
 	ictx.EventTTL = e.ctx.EventTTL
 	e.ctx = ictx
-	e.varCacheB = make(map[string]*cachedVar)
-	e.arrCacheB = make(map[string]arrIDs)
-	e.placeSlot = make(map[string]uint32)
 	e.programsDep = e.tab.Intern(core.ProgramsDepKey)
 	if e.tr != nil {
 		e.traceID = e.tr.attach()

@@ -131,6 +131,9 @@ func (e *Engine) buildVarCacheLocked(sig []byte) *cachedVar {
 			}
 		}
 	}
+	if e.varCacheB == nil {
+		e.varCacheB = make(map[string]*cachedVar)
+	}
 	e.varCacheB[string(sig)] = cv
 	return cv
 }
@@ -159,6 +162,9 @@ func (e *Engine) applySpecialBytesLocked(cv *cachedVar, name, value []byte) {
 				key:  e.tab.Intern(string(arrKey)),
 				name: e.tab.Intern(core.EventDepKey(string(event))),
 			}
+			if e.arrCacheB == nil {
+				e.arrCacheB = make(map[string]arrIDs)
+			}
 			e.arrCacheB[string(arrKey)] = ids
 		}
 		e.ctx.Now = e.now()
@@ -182,6 +188,9 @@ func (e *Engine) placeSlotLocked(place []byte) uint32 {
 	}
 	name := string(place)
 	slot := e.tab.Intern(name) + 1
+	if e.placeSlot == nil {
+		e.placeSlot = make(map[string]uint32)
+	}
 	e.placeSlot[name] = slot
 	return slot
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -152,7 +153,7 @@ func TestWireIngestCompactionInvalidatesByteCaches(t *testing.T) {
 // budget to the wire path: decode plus IngestEvent plus Tick on a warm
 // signature must not allocate.
 func TestWireIngestSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	db := registry.New()
@@ -179,7 +180,7 @@ func TestWireIngestSteadyStateZeroAlloc(t *testing.T) {
 		e.Tick()
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(300, func() {
+	allocs, _ := alloctest.PerCall(300, func() {
 		b := bodies[i%2]
 		i++
 		if err := ev.Decode(b); err != nil {
@@ -189,6 +190,6 @@ func TestWireIngestSteadyStateZeroAlloc(t *testing.T) {
 		e.Tick()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state wire ingest allocated %.1f allocs/op, want 0", allocs)
+		t.Fatalf("steady-state wire ingest allocated %v allocs/op, want 0", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -109,7 +110,7 @@ func TestInternedSuffixInvalidationMidStream(t *testing.T) {
 // steady-state single-key sensor event — warm ingest cache, no readiness
 // flip, no arbitration — must evaluate with zero heap allocations.
 func TestInternedSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	db := registry.New()
@@ -138,7 +139,7 @@ func TestInternedSteadyStateZeroAlloc(t *testing.T) {
 		e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "room0", ev)
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs, _ := alloctest.PerCall(200, func() {
 		e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "room0", events[i%2])
 		i++
 	})

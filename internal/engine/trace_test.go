@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -258,7 +259,7 @@ func TestTraceEquivalenceVsOracle(t *testing.T) {
 // TestTraceSteadyStateZeroAlloc: after the ring has cycled, a steady-state
 // firing pass with metrics and tracing enabled must not allocate.
 func TestTraceSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	db := registry.New()
@@ -292,7 +293,7 @@ func TestTraceSteadyStateZeroAlloc(t *testing.T) {
 		e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "room0", events[i%2])
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs, _ := alloctest.PerCall(200, func() {
 		e.HandleDeviceEvent(device.TypeThermometer, "thermometer", "room0", events[i%2])
 		i++
 	})

@@ -36,7 +36,7 @@ type Home struct {
 	pending    bool       // queued in the shard's pending list (shard.flush)
 
 	users     []string
-	favorites map[string][]string
+	favorites map[string][]string // made on the first SetFavorites
 	// words tracks the definitions THIS home made, in definition order. The
 	// lexicon cannot be consulted for this: it also holds the built-in
 	// entries, and a custom LexiconFactory may share one lexicon across
@@ -64,7 +64,6 @@ func newHome(id string, c *config, batch engine.BatchDispatcher, sm *obs.ShardMe
 		db:         registry.New(),
 		priorities: conflict.NewTable(),
 		rules:      rules,
-		favorites:  make(map[string][]string),
 		authorize:  c.authorize,
 	}
 	engineOpts := []engine.Option{
@@ -132,6 +131,9 @@ func (h *Home) isUser(name string) bool {
 // SetFavorites registers a user's favourite keywords.
 func (h *Home) SetFavorites(user string, keywords []string) {
 	user = vocab.Normalize(user)
+	if h.favorites == nil {
+		h.favorites = make(map[string][]string)
+	}
 	h.favorites[user] = append([]string(nil), keywords...)
 	h.engine.SetFavorites(user, keywords)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/engine"
@@ -350,7 +351,7 @@ func TestHubAuthorizer(t *testing.T) {
 // map and acks through a pooled waiter, and the shard ingests and evaluates
 // it on warm caches — nothing per event on either goroutine.
 func TestPostEventSyncZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	h := newTestHub(t, WithShards(1))
@@ -368,12 +369,12 @@ func TestPostEventSyncZeroAlloc(t *testing.T) {
 	}
 	temps := [2]string{"20", "21"}
 	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
+	allocs, _ := alloctest.PerCall(500, func() {
 		post(temps[i%2])
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state PostEventSync allocated %.1f allocs/op, want 0", allocs)
+		t.Fatalf("steady-state PostEventSync allocated %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -5,18 +5,21 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/vocab"
 )
 
 // perHomeHeapCeiling bounds the live heap of a home with one user and one
 // rule, idle or after loadedPasses traced passes. A home that copied the
-// built-in lexicon instead of sharing it would cost over 60 KiB; one that
-// kept its own firing-trace ring of 64 records instead of sharing its
+// built-in lexicon instead of sharing it would cost about 9 KiB more; one
+// that kept its own firing-trace ring of 64 records instead of sharing its
 // shard's, about 8 KiB more; one that compiled its rule for itself instead
 // of sharing its shard's template, about 0.7 KiB more. Measured on
-// linux/amd64 with Go 1.24: 5.4 KiB idle, 6.0 KiB loaded; the ceiling is
-// the loaded figure plus about 1 KiB.
-const perHomeHeapCeiling = 7 << 10 // 7 KiB
+// linux/amd64 with Go 1.24: 3.2 KiB idle, 3.8 KiB loaded, with the
+// lexicon overlay one slice element, the registry indexed by symbol id and
+// the per-home maps made on first use; the ceiling is the loaded figure
+// plus about 1 KiB.
+const perHomeHeapCeiling = 5 << 10 // 5 KiB
 
 // loadedPasses is how many evaluation passes each home of the loaded
 // variant runs before the measurement: more than a 64-record per-home ring
@@ -38,7 +41,7 @@ func checkPerHomeHeap(t *testing.T, passes int) {
 	const homes = 1024
 	h := newTestHub(t, WithShards(1))
 	_ = vocab.Default() // build the shared base outside the measurement
-	before := liveHeap()
+	before := alloctest.LiveHeap()
 	ids := make([]string, homes)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("home-%04d", i)
@@ -66,7 +69,7 @@ func checkPerHomeHeap(t *testing.T, passes int) {
 			t.Fatalf("loaded home has no trace records (err %v)", err)
 		}
 	}
-	perHome := (liveHeap() - before) / homes
+	perHome := (alloctest.LiveHeap() - before) / homes
 	runtime.KeepAlive(h)
 	t.Logf("live heap per home after %d passes: %.1f KiB", passes, float64(perHome)/1024)
 	if perHome > perHomeHeapCeiling {
@@ -86,11 +89,4 @@ func minPasses(t *testing.T, h *Hub) uint64 {
 		t.Fatal(err)
 	}
 	return least
-}
-
-func liveHeap() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
 }

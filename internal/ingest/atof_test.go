@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 func TestParseFloatMatchesStrconv(t *testing.T) {
@@ -72,16 +74,16 @@ func TestParseFloatRandomized(t *testing.T) {
 }
 
 func TestParseFloatFastZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("allocation accounting is skewed under the race detector")
 	}
 	b := []byte("21.5")
-	allocs := testing.AllocsPerRun(300, func() {
+	allocs, _ := alloctest.PerCall(300, func() {
 		if _, ok := ParseFloat(b); !ok {
 			t.Fatal("parse failed")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("fast-path ParseFloat allocated %.1f allocs/op, want 0", allocs)
+		t.Fatalf("fast-path ParseFloat allocated %v allocs/op, want 0", allocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/obs"
 )
 
@@ -313,21 +314,21 @@ func decodeLoop(tb testing.TB) func() {
 // TestDecodeZeroAlloc holds the steady-state decode at 0 allocs, bare and
 // with the ingest metrics recording (BenchmarkDecodeEvent's loop).
 func TestDecodeZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("allocation accounting is skewed under the race detector")
 	}
 	ev := AcquireEvent()
 	defer ev.Release()
-	allocs := testing.AllocsPerRun(300, func() {
+	allocs, _ := alloctest.PerCall(300, func() {
 		if err := ev.Decode(benchBody); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state decode allocated %.1f allocs/op, want 0", allocs)
+		t.Fatalf("steady-state decode allocated %v allocs/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(300, decodeLoop(t)); allocs != 0 {
-		t.Fatalf("instrumented steady-state decode allocated %.1f allocs/op, want 0", allocs)
+	if allocs, _ := alloctest.PerCall(300, decodeLoop(t)); allocs != 0 {
+		t.Fatalf("instrumented steady-state decode allocated %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -3,6 +3,8 @@ package ingest
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 // TestFillReusesEvent fills one event with a large map-shaped event, then
@@ -53,14 +55,14 @@ func TestFillReusesEvent(t *testing.T) {
 		fill(s)
 	}
 
-	if !raceEnabled { // race instrumentation allocates
-		allocs := testing.AllocsPerRun(100, func() {
+	if !alloctest.Race { // race instrumentation allocates
+		allocs, _ := alloctest.PerCall(100, func() {
 			ev.Fill(large.deviceType, large.name, large.location, large.vars)
 			ev.Fill(small.deviceType, small.name, small.location, small.vars)
 			ev.Fill(empty.deviceType, empty.name, empty.location, empty.vars)
 		})
 		if allocs != 0 {
-			t.Fatalf("refilling a warm event allocated %.1f allocs/op, want 0", allocs)
+			t.Fatalf("refilling a warm event allocated %v allocs/op, want 0", allocs)
 		}
 	}
 

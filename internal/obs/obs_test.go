@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 // Every sample must land in a bucket whose bound brackets it, and bucket
@@ -60,7 +62,7 @@ func TestHistogramCountSumQuantile(t *testing.T) {
 func TestWritesAreAllocationFree(t *testing.T) {
 	m := New(2)
 	sh := m.Shard(0)
-	if n := testing.AllocsPerRun(200, func() {
+	if n, _ := alloctest.PerCall(200, func() {
 		sh.Engine.Passes.Inc()
 		sh.Engine.RulesChecked.Add(3)
 		sh.Engine.PassNs.Observe(420)

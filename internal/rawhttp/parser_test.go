@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 // parseCase is one request head and its expected outcome. wantStatus 0
@@ -223,13 +225,13 @@ func TestMatchEventRoute(t *testing.T) {
 }
 
 func TestParseRequestZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	in := []byte("POST /fleet/homes/h1/events HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\nConnection: keep-alive\r\n\r\nhello")
 	bad := []byte("POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: nope\r\n\r\n")
 	var req Request
-	if n := testing.AllocsPerRun(200, func() {
+	if n, _ := alloctest.PerCall(200, func() {
 		if _, err := ParseRequest(in, &req); err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/ingest"
@@ -655,12 +656,12 @@ func rawRequestLoop(tb testing.TB, addr string, depth int) func() {
 // per write and 16 pipelined, measured across the whole process (client
 // included).
 func TestRawRequestZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	addr := rawRequestServer(t)
 	for _, depth := range []int{1, 16} {
-		if n := testing.AllocsPerRun(300, rawRequestLoop(t, addr, depth)); n != 0 {
+		if n, _ := alloctest.PerCall(300, rawRequestLoop(t, addr, depth)); n != 0 {
 			t.Fatalf("raw request path allocates %v per round trip of %d requests, want 0", n, depth)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -28,17 +27,21 @@ var (
 )
 
 // DB is a concurrency-safe, indexed rule database. Every DB owns a symbol
-// table: Add interns the rule's dependency keys, binds the condition tree
-// (core.Bind) and maintains the id-keyed dependency index the engine's
-// interned hot path reads. A rule object therefore belongs to at most one DB
-// at a time.
+// table: Add interns the rule's id and dependency keys, binds the condition
+// tree (core.Bind) and maintains the id-indexed dependency index the
+// engine's interned hot path reads. A rule object therefore belongs to at
+// most one DB at a time.
+//
+// Rules are indexed by symbol id, not by string: syms holds, for every id
+// of the symbol table, the rule whose ID is that symbol and the rules whose
+// dependency set holds it. Get looks the rule ID up in the symbol table and
+// indexes syms; ByDepID indexes it directly. The device-name index (byName)
+// is the one map, the paper's indexed extraction for conflict checks.
 type DB struct {
 	mu       sync.RWMutex
 	tab      *core.Symtab
-	rules    map[string]*core.Rule
-	byName   map[string][]*core.Rule // device name → rules
-	byOwner  map[string][]*core.Rule
-	byDepID  map[uint32][]*core.Rule // interned dependency key → rules
+	syms     []symRules              // symbol id → rules; up to the symtab length at the last Add
+	byName   map[string][]*core.Rule // device name → rules; made on first Add
 	timeDep  []*core.Rule            // rules whose readiness can change with time alone
 	gen      uint64                  // bumped on every Add/Remove
 	seq      uint64
@@ -55,15 +58,15 @@ type DB struct {
 	retired uint64
 }
 
+// symRules is the index entry of one symbol id.
+type symRules struct {
+	rule *core.Rule   // the live rule whose ID is this symbol
+	deps []*core.Rule // the live rules whose dependency set holds this symbol
+}
+
 // New returns an empty database with a fresh symbol table.
 func New() *DB {
-	return &DB{
-		tab:     core.NewSymtab(),
-		rules:   make(map[string]*core.Rule),
-		byName:  make(map[string][]*core.Rule),
-		byOwner: make(map[string][]*core.Rule),
-		byDepID: make(map[uint32][]*core.Rule),
-	}
+	return &DB{tab: core.NewSymtab()}
 }
 
 // Symtab returns the database's symbol table. The engine evaluating this
@@ -79,7 +82,7 @@ func (db *DB) Add(r *core.Rule) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.rules[r.ID]; ok {
+	if db.get(r.ID) != nil {
 		return fmt.Errorf("%w: %q", ErrDuplicateID, r.ID)
 	}
 	db.seq++
@@ -89,14 +92,19 @@ func (db *DB) Add(r *core.Rule) error {
 	r.IDSym = db.tab.Intern(r.ID) + 1
 	r.OwnerSym = db.tab.Intern(r.Owner) + 1
 	r.DeviceSym = db.tab.Intern(r.Device.Key()) + 1
-	db.rules[r.ID] = r
-	db.byName[r.Device.Name] = append(db.byName[r.Device.Name], r)
-	db.byOwner[r.Owner] = append(db.byOwner[r.Owner], r)
 	deps := core.CondDeps(r.Cond)
 	r.DepIDs = deps.IDsIn(db.tab)
-	for _, id := range r.DepIDs {
-		db.byDepID[id] = append(db.byDepID[id], r)
+	if n := db.tab.Len(); n > len(db.syms) {
+		db.syms = slices.Grow(db.syms, n-len(db.syms))[:n]
 	}
+	db.syms[r.IDSym-1].rule = r
+	for _, id := range r.DepIDs {
+		db.syms[id].deps = append(db.syms[id].deps, r)
+	}
+	if db.byName == nil {
+		db.byName = make(map[string][]*core.Rule)
+	}
+	db.byName[r.Device.Name] = append(db.byName[r.Device.Name], r)
 	if deps.Time {
 		db.timeDep = append(db.timeDep, r)
 	}
@@ -109,21 +117,23 @@ func (db *DB) Add(r *core.Rule) error {
 func (db *DB) Remove(id string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	r, ok := db.rules[id]
-	if !ok {
+	r := db.get(id)
+	if r == nil {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	delete(db.rules, id)
-	// Emptied index entries are deleted, not left as empty slices: a home
-	// churning uniquely-named rules would otherwise grow every string-keyed
-	// index map without bound (the map-key twin of the symtab id leak).
-	setOrDelete(db.byName, r.Device.Name, removeRule(db.byName[r.Device.Name], id))
-	setOrDelete(db.byOwner, r.Owner, removeRule(db.byOwner[r.Owner], id))
-	deps := core.CondDeps(r.Cond)
+	db.syms[r.IDSym-1].rule = nil
 	for _, depID := range r.DepIDs {
-		setOrDelete(db.byDepID, depID, removeRule(db.byDepID[depID], id))
+		db.syms[depID].deps = removeRule(db.syms[depID].deps, id)
 	}
-	if deps.Time {
+	// An emptied device-name entry is deleted, not left as an empty slice:
+	// a home churning uniquely-named devices would otherwise grow the map
+	// without bound (the map-key twin of the symtab id leak).
+	if list := removeRule(db.byName[r.Device.Name], id); len(list) > 0 {
+		db.byName[r.Device.Name] = list
+	} else {
+		delete(db.byName, r.Device.Name)
+	}
+	if core.CondDeps(r.Cond).Time {
 		db.timeDep = removeRule(db.timeDep, id)
 	}
 	if i, found := db.seqIndex(r.Seq); found {
@@ -147,16 +157,17 @@ func (db *DB) seqIndex(seq uint64) (int, bool) {
 	})
 }
 
-// setOrDelete stores a (possibly shrunk) index list back, dropping the map
-// entry entirely once the list is empty.
-func setOrDelete[K comparable](m map[K][]*core.Rule, key K, list []*core.Rule) {
-	if len(list) == 0 {
-		delete(m, key)
-		return
+// get returns the live rule with the given id, or nil; the caller holds mu.
+func (db *DB) get(id string) *core.Rule {
+	sym, ok := db.tab.Lookup(id)
+	if !ok || int(sym) >= len(db.syms) {
+		return nil
 	}
-	m[key] = list
+	return db.syms[sym].rule
 }
 
+// removeRule returns list without the rule of the given id, in a new
+// backing array, so a slice handed out before stays as it was.
 func removeRule(list []*core.Rule, id string) []*core.Rule {
 	for i, r := range list {
 		if r.ID == id {
@@ -170,15 +181,15 @@ func removeRule(list []*core.Rule, id string) []*core.Rule {
 func (db *DB) Get(id string) (*core.Rule, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	r, ok := db.rules[id]
-	return r, ok
+	r := db.get(id)
+	return r, r != nil
 }
 
 // Len returns the number of registered rules.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.rules)
+	return len(db.inserted)
 }
 
 // All returns every rule in insertion order.
@@ -238,9 +249,12 @@ func (db *DB) SameDeviceScan(ref core.DeviceRef) []*core.Rule {
 func (db *DB) ByOwner(owner string) []*core.Rule {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]*core.Rule, len(db.byOwner[owner]))
-	copy(out, db.byOwner[owner])
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	out := []*core.Rule{}
+	for _, r := range db.inserted {
+		if r.Owner == owner {
+			out = append(out, r)
+		}
+	}
 	return out
 }
 
@@ -254,7 +268,10 @@ func (db *DB) ByOwner(owner string) []*core.Rule {
 func (db *DB) ByDepID(id uint32) []*core.Rule {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.byDepID[id]
+	if int(id) >= len(db.syms) {
+		return nil
+	}
+	return db.syms[id].deps
 }
 
 // TimeDependent returns the rules whose readiness can change with the
@@ -303,8 +320,8 @@ type CompactResult struct {
 //     dependency ids, bound condition tree), then mark — typically the
 //     engine marking its context's populated slots — adds the rest;
 //  2. the symtab compacts, renumbering live ids densely;
-//  3. every rule is rewritten through the remap table and the id-keyed
-//     dependency index is rebuilt;
+//  3. every rule is rewritten through the remap table and the id-indexed
+//     rule and dependency index is rebuilt;
 //  4. remapped hands the remap table to the caller so it can rewrite its own
 //     id-indexed state (context slices, engine reconciliation state) before
 //     anything can evaluate again.
@@ -330,14 +347,15 @@ func (db *DB) CompactSymtab(ifGen uint64, mark func(live *core.IDSet), remapped 
 	res := CompactResult{Before: db.tab.Len()}
 	remap, epoch := db.tab.Compact(live)
 	res.After, res.Epoch = db.tab.Len(), epoch
-	byDepID := make(map[uint32][]*core.Rule, len(db.byDepID))
+	syms := make([]symRules, res.After)
 	for _, r := range db.inserted {
 		r.RemapIDs(remap)
+		syms[r.IDSym-1].rule = r
 		for _, dep := range r.DepIDs {
-			byDepID[dep] = append(byDepID[dep], r)
+			syms[dep].deps = append(syms[dep].deps, r)
 		}
 	}
-	db.byDepID = byDepID
+	db.syms = syms
 	if remapped != nil {
 		remapped(remap)
 	}

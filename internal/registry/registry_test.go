@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -292,18 +293,24 @@ func TestImportBadData(t *testing.T) {
 	}
 }
 
-// TestQuickRandomOps runs random add/remove sequences and checks that the
-// indexes stay consistent with the ground-truth map.
+// TestQuickRandomOps runs random add/remove sequences over rules with
+// varied owners, devices and dependency keys, and checks every index
+// against ground truth: the device counts of the live set, and Get, ByOwner
+// and ByDepID against plain scans of All(), both before and after a
+// CompactSymtab renumbers the ids.
 func TestQuickRandomOps(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	f := func() bool {
 		db := New()
 		alive := make(map[string]string) // id → device
+		var removed []string
 		for op := 0; op < 60; op++ {
 			if r.Intn(3) > 0 || len(alive) == 0 {
 				id := fmt.Sprintf("r%d", op)
 				device := fmt.Sprintf("dev%d", r.Intn(4))
-				if err := db.Add(simpleRule(id, "u", device)); err != nil {
+				rule := core.NewRule(id, fmt.Sprintf("u%d", r.Intn(3)), core.DeviceRef{Name: device},
+					core.Action{Verb: "turn-on"}, randomCond(r))
+				if err := db.Add(rule); err != nil {
 					return false
 				}
 				alive[id] = device
@@ -313,6 +320,7 @@ func TestQuickRandomOps(t *testing.T) {
 						return false
 					}
 					delete(alive, id)
+					removed = append(removed, id)
 					break
 				}
 			}
@@ -332,11 +340,84 @@ func TestQuickRandomOps(t *testing.T) {
 				return false
 			}
 		}
+		if err := checkIndexesAgainstScan(db, removed); err != nil {
+			t.Log(err)
+			return false
+		}
+		if _, ok := db.CompactSymtab(db.Generation(), nil, nil); !ok {
+			return false
+		}
+		if err := checkIndexesAgainstScan(db, removed); err != nil {
+			t.Log("after CompactSymtab:", err)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// randomCond returns a condition over one or two of a few shared keys, so
+// dependency lists overlap between rules.
+func randomCond(r *rand.Rand) core.Condition {
+	atom := func() core.Condition {
+		if r.Intn(2) == 0 {
+			return &core.Compare{Var: fmt.Sprintf("room%d/temperature", r.Intn(3)), Op: simplex.GT, Value: 28}
+		}
+		return &core.BoolIs{Var: fmt.Sprintf("lamp%d/power", r.Intn(3)), Want: true}
+	}
+	if r.Intn(2) == 0 {
+		return atom()
+	}
+	return &core.And{Terms: []core.Condition{atom(), atom()}}
+}
+
+// checkIndexesAgainstScan compares Get, ByOwner and ByDepID with linear
+// scans of All(). Every symbol id is probed, so a rule filed under a
+// symbol that names no rule (a dependency key, an owner) would show.
+func checkIndexesAgainstScan(db *DB, removed []string) error {
+	all := db.All()
+	for _, rule := range all {
+		if got, ok := db.Get(rule.ID); !ok || got != rule {
+			return fmt.Errorf("Get(%q) = %v, %v; want the live rule", rule.ID, got, ok)
+		}
+	}
+	for _, id := range removed {
+		if _, ok := db.Get(id); ok {
+			return fmt.Errorf("Get(%q) found a removed rule", id)
+		}
+	}
+	tab := db.Symtab()
+	for id := 0; id < tab.Len(); id++ {
+		name := tab.Name(uint32(id))
+		if got, ok := db.Get(name); ok != slices.ContainsFunc(all, func(r *core.Rule) bool { return r.ID == name }) {
+			return fmt.Errorf("Get(%q) = %v, %v disagrees with All()", name, got, ok)
+		}
+	}
+	for _, owner := range []string{"u0", "u1", "u2", "nobody"} {
+		var want []*core.Rule
+		for _, rule := range all {
+			if rule.Owner == owner {
+				want = append(want, rule)
+			}
+		}
+		if got := db.ByOwner(owner); !slices.Equal(got, want) {
+			return fmt.Errorf("ByOwner(%q) = %v, want %v", owner, got, want)
+		}
+	}
+	for id := uint32(0); id <= uint32(tab.Len()); id++ {
+		var want []*core.Rule
+		for _, rule := range all {
+			if slices.Contains(rule.DepIDs, id) {
+				want = append(want, rule)
+			}
+		}
+		if got := db.ByDepID(id); !slices.Equal(got, want) {
+			return fmt.Errorf("ByDepID(%d) = %v, want %v", id, got, want)
+		}
+	}
+	return nil
 }
 
 // TestByDepIDIndex pins the interned dependency index: Add interns and binds

@@ -2,13 +2,17 @@ package vocab
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 // allKinds lists every defined kind, for exhaustive comparisons.
@@ -17,9 +21,89 @@ var allKinds = []Kind{
 	KindDevice, KindEvent, KindCondWord, KindConfWord, KindPeriodName, KindWeekday,
 }
 
+// naiveLexicon is the reference the lexicons are checked against: every
+// entry in one plain slice in insertion order, and every query a linear
+// scan of it.
+type naiveLexicon []Entry
+
+func (n naiveLexicon) index(kind Kind, phrase string) int {
+	phrase = Normalize(phrase)
+	return slices.IndexFunc(n, func(e Entry) bool { return e.Kind == kind && e.Phrase == phrase })
+}
+
+func (n *naiveLexicon) add(e Entry) error {
+	e.Phrase = Normalize(e.Phrase)
+	if e.Canon == "" {
+		e.Canon = e.Phrase
+	}
+	if n.index(e.Kind, e.Phrase) >= 0 {
+		return ErrDuplicate
+	}
+	*n = append(*n, e)
+	return nil
+}
+
+func (n *naiveLexicon) remove(kind Kind, phrase string) error {
+	i := n.index(kind, phrase)
+	if i < 0 {
+		return ErrNotFound
+	}
+	*n = slices.Delete(*n, i, i+1)
+	return nil
+}
+
+func (n naiveLexicon) lookup(kind Kind, phrase string) (Entry, bool) {
+	if i := n.index(kind, phrase); i >= 0 {
+		return n[i], true
+	}
+	return Entry{}, false
+}
+
+// matchLongest keeps the first of the longest matches: the earliest added.
+func (n naiveLexicon) matchLongest(tokens []string, kinds []Kind) (Entry, int, bool) {
+	best, bestLen := Entry{}, 0
+	for _, e := range n {
+		toks := strings.Fields(e.Phrase)
+		if len(kinds) > 0 && !slices.Contains(kinds, e.Kind) || len(toks) > len(tokens) {
+			continue
+		}
+		if slices.Equal(toks, tokens[:len(toks)]) && len(toks) > bestLen {
+			best, bestLen = e, len(toks)
+		}
+	}
+	return best, bestLen, bestLen > 0
+}
+
+func (n naiveLexicon) entries(kind Kind) []Entry {
+	out := []Entry{}
+	for _, e := range n {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.Phrase, b.Phrase) })
+	return out
+}
+
+func (n naiveLexicon) marshalJSON() ([]byte, error) {
+	doc := lexiconJSON{Entries: slices.Clone(n)}
+	slices.SortFunc(doc.Entries, func(a, b Entry) int {
+		if a.Kind != b.Kind {
+			return int(a.Kind) - int(b.Kind)
+		}
+		return strings.Compare(a.Phrase, b.Phrase)
+	})
+	return json.Marshal(doc)
+}
+
 // TestLayeredMatchesFlatOracle runs seeded random operation sequences against
-// a Default lexicon (shared base + overlay) and against a flat lexicon holding
-// the same default entries in the same order, comparing every result.
+// a Default lexicon (shared base + overlay), a flat lexicon holding the same
+// default entries in the same order, and the naive reference, comparing
+// every result. After every Add and Remove it also compares JSON and checks
+// the fingerprint: while the Default lexicon shares its base, it equals that
+// of a fresh Default lexicon given the reference's overlay entries in
+// insertion order; once the base was copied, it equals no fresh Default
+// lexicon's; and it never equals the flat lexicon's.
 func TestLayeredMatchesFlatOracle(t *testing.T) {
 	var baseEntries []Entry
 	for _, k := range allKinds {
@@ -39,6 +123,14 @@ func TestLayeredMatchesFlatOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			layered, flat := Default(), buildDefault()
+			// The reference starts with the built-in entries in the base's
+			// order. Among the phrases of one head word and length that is
+			// their insertion order, the only order a query depends on.
+			naive := naiveLexicon{}
+			for _, p := range *layered.base {
+				naive = append(naive, p.Entry)
+			}
+			baseLen := len(naive) // naive[:baseLen] are built-in entries
 			randPhrase := func() (Kind, string) {
 				if rng.Intn(2) == 0 {
 					e := baseEntries[rng.Intn(len(baseEntries))]
@@ -59,7 +151,9 @@ func TestLayeredMatchesFlatOracle(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						e.Meta = map[string]string{MetaOwner: "tom", MetaSource: fmt.Sprint(step)}
 					}
-					checkErr(t, step, what, layered.Add(e), flat.Add(e))
+					err := layered.Add(e)
+					checkErr(t, step, what, err, flat.Add(e))
+					checkErr(t, step, what, err, naive.add(e))
 				case op < 5:
 					what = "Remove"
 					// Keep the base shared for most of the run: base
@@ -69,13 +163,20 @@ func TestLayeredMatchesFlatOracle(t *testing.T) {
 							kind, ph = randPhrase()
 						}
 					}
-					checkErr(t, step, what, layered.Remove(kind, ph), flat.Remove(kind, ph))
+					if i := naive.index(kind, ph); i >= 0 && i < baseLen {
+						baseLen--
+					}
+					err := layered.Remove(kind, ph)
+					checkErr(t, step, what, err, flat.Remove(kind, ph))
+					checkErr(t, step, what, err, naive.remove(kind, ph))
 				case op < 6:
 					what = "Lookup"
 					le, lok := layered.Lookup(kind, ph)
 					fe, fok := flat.Lookup(kind, ph)
-					if lok != fok || !reflect.DeepEqual(le, fe) {
-						t.Fatalf("step %d Lookup(%v, %q) = %+v/%v, flat %+v/%v", step, kind, ph, le, lok, fe, fok)
+					ne, nok := naive.lookup(kind, ph)
+					if lok != fok || lok != nok || !reflect.DeepEqual(le, fe) || !reflect.DeepEqual(le, ne) {
+						t.Fatalf("step %d Lookup(%v, %q) = %+v/%v, flat %+v/%v, naive %+v/%v",
+							step, kind, ph, le, lok, fe, fok, ne, nok)
 					}
 				case op < 8:
 					what = "MatchLongest"
@@ -92,18 +193,24 @@ func TestLayeredMatchesFlatOracle(t *testing.T) {
 					}
 					le, ln, lok := layered.MatchLongest(toks, kinds...)
 					fe, fn, fok := flat.MatchLongest(toks, kinds...)
-					if lok != fok || ln != fn || !reflect.DeepEqual(le, fe) {
-						t.Fatalf("step %d MatchLongest(%q, %v) = %+v/%d/%v, flat %+v/%d/%v",
-							step, toks, kinds, le, ln, lok, fe, fn, fok)
+					ne, nn, nok := naive.matchLongest(toks, kinds)
+					if lok != fok || ln != fn || !reflect.DeepEqual(le, fe) ||
+						lok != nok || ln != nn || !reflect.DeepEqual(le, ne) {
+						t.Fatalf("step %d MatchLongest(%q, %v) = %+v/%d/%v, flat %+v/%d/%v, naive %+v/%d/%v",
+							step, toks, kinds, le, ln, lok, fe, fn, fok, ne, nn, nok)
 					}
 				default:
 					what = "Entries"
-					if got, want := layered.Entries(kind), flat.Entries(kind); !reflect.DeepEqual(got, want) {
+					got := layered.Entries(kind)
+					if want := flat.Entries(kind); !reflect.DeepEqual(got, want) {
 						t.Fatalf("step %d Entries(%v) differ:\n got %+v\nwant %+v", step, kind, got, want)
+					}
+					if want := naive.entries(kind); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d Entries(%v) differ from naive:\n got %+v\nwant %+v", step, kind, got, want)
 					}
 				}
 				if what != "Add" && what != "Remove" {
-					continue // reads leave both lexicons as they were
+					continue // reads leave the lexicons as they were
 				}
 				lj, err := layered.MarshalJSON()
 				if err != nil {
@@ -113,9 +220,32 @@ func TestLayeredMatchesFlatOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(lj, fj) {
-					t.Fatalf("step %d after %s(%v, %q): JSON differs from flat oracle", step, what, kind, ph)
+				nj, err := naive.marshalJSON()
+				if err != nil {
+					t.Fatal(err)
 				}
+				if !bytes.Equal(lj, fj) || !bytes.Equal(lj, nj) {
+					t.Fatalf("step %d after %s(%v, %q): JSON differs from the flat or naive oracle", step, what, kind, ph)
+				}
+				lfp, _ := layered.Fingerprint()
+				if ffp, _ := flat.Fingerprint(); lfp == ffp {
+					t.Fatalf("step %d after %s(%v, %q): fingerprint equals the flat lexicon's", step, what, kind, ph)
+				}
+				replay := Default()
+				if layered.base != nil {
+					for _, e := range naive[baseLen:] {
+						if err := replay.Add(e); err != nil {
+							t.Fatalf("step %d: replaying the overlay: %v", step, err)
+						}
+					}
+				}
+				if rfp, _ := replay.Fingerprint(); (lfp == rfp) != (layered.base != nil) {
+					t.Fatalf("step %d after %s(%v, %q): fingerprint equals the replayed overlay's = %v, base shared = %v",
+						step, what, kind, ph, lfp == rfp, layered.base != nil)
+				}
+			}
+			if layered.base != nil {
+				t.Error("no Remove copied the base: the copy-on-write path went untested")
 			}
 		})
 	}
@@ -138,7 +268,7 @@ func TestDefaultSharesOneBase(t *testing.T) {
 	if a.base == nil || a.base != b.base {
 		t.Fatal("Default lexicons do not share one base")
 	}
-	if a.own.byKind != nil {
+	if len(a.own) != 0 {
 		t.Error("a fresh Default lexicon should have an empty overlay")
 	}
 }
@@ -246,7 +376,7 @@ func TestMatchLongestZeroAlloc(t *testing.T) {
 	}
 	stateToks := strings.Fields("got home from work today")
 	wordToks := strings.Fields("hot and stuffy now")
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs, _ := alloctest.PerCall(200, func() {
 		if _, n, ok := l.MatchLongest(stateToks, KindState, KindCondWord); !ok || n != 4 {
 			t.Fatal("multi-word base phrase not matched")
 		}
@@ -255,6 +385,6 @@ func TestMatchLongestZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("MatchLongest allocates %.1f times per run, want 0", allocs)
+		t.Errorf("MatchLongest allocates %v times per run, want 0", allocs)
 	}
 }

@@ -18,12 +18,19 @@
 // other lexicon sees the removal. Entry.Meta maps may be shared with every
 // other lexicon and must be treated as read-only.
 //
+// Each layer is one slice of entries ordered by first token, then longest
+// first, then insertion order: the order MatchLongest breaks ties by and
+// Fingerprint lists. Lookup, MatchLongest and Remove binary-search it by
+// first token, so a home that adds one person holds one slice element, not
+// a map per kind.
+//
 // Fingerprint names a lexicon's content exactly, so that callers can share
 // work derived from it (compiled rules) between lexicons that would answer
 // every query alike.
 package vocab
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -147,11 +154,9 @@ type Lexicon struct {
 // soloIDs numbers lexicons that copied their base.
 var soloIDs atomic.Uint64
 
-// table is one layer of phrases. Its maps are created on first add.
-type table struct {
-	byKind    map[Kind]map[string]Entry
-	firstWord map[string][]item // by first token; longest first, then insertion order
-}
+// table is one layer of phrases, ordered by first token, then longest
+// first, then insertion order.
+type table []item
 
 // item is an entry with its phrase pre-split into tokens for matching.
 type item struct {
@@ -222,22 +227,36 @@ func (l *Lexicon) MustAdd(e Entry) {
 	}
 }
 
+// add inserts p after every item that sorts before it or level with it,
+// keeping insertion order among equals.
 func (t *table) add(p item) {
-	if t.byKind == nil {
-		t.byKind = make(map[Kind]map[string]Entry)
-		t.firstWord = make(map[string][]item)
+	i := sort.Search(len(*t), func(i int) bool { return order((*t)[i], p) > 0 })
+	*t = slices.Insert(*t, i, p)
+}
+
+// order compares two items' positions in a table: by first token, then
+// longest first.
+func order(a, b item) int {
+	return cmp.Or(strings.Compare(a.toks[0], b.toks[0]), cmp.Compare(len(b.toks), len(a.toks)))
+}
+
+// run returns the bounds of the items whose first token is head.
+func (t table) run(head string) (lo, hi int) {
+	lo = sort.Search(len(t), func(i int) bool { return t[i].toks[0] >= head })
+	hi = lo + sort.Search(len(t)-lo, func(i int) bool { return t[lo+i].toks[0] != head })
+	return lo, hi
+}
+
+// find returns the index of a normalized phrase of the given kind, or -1.
+func (t table) find(kind Kind, phrase string) int {
+	head, _, _ := strings.Cut(phrase, " ")
+	lo, hi := t.run(head)
+	for i := lo; i < hi; i++ {
+		if t[i].Kind == kind && t[i].Phrase == phrase {
+			return i
+		}
 	}
-	km := t.byKind[p.Kind]
-	if km == nil {
-		km = make(map[string]Entry)
-		t.byKind[p.Kind] = km
-	}
-	km[p.Phrase] = p.Entry
-	// Insert after every phrase at least as long, keeping insertion order
-	// among equal lengths.
-	list := t.firstWord[p.toks[0]]
-	i := sort.Search(len(list), func(i int) bool { return len(list[i].toks) < len(p.toks) })
-	t.firstWord[p.toks[0]] = slices.Insert(list, i, p)
+	return -1
 }
 
 // Remove deletes a phrase of the given kind. Removing a base phrase copies
@@ -249,14 +268,12 @@ func (l *Lexicon) Remove(kind Kind, phrase string) error {
 	if _, ok := l.lookup(kind, phrase); !ok {
 		return fmt.Errorf("%w: %q (%v)", ErrNotFound, phrase, kind)
 	}
-	if _, ok := l.own.byKind[kind][phrase]; !ok {
+	i := l.own.find(kind, phrase)
+	if i < 0 {
 		l.flatten()
+		i = l.own.find(kind, phrase)
 	}
-	delete(l.own.byKind[kind], phrase)
-	head := strings.Fields(phrase)[0]
-	l.own.firstWord[head] = slices.DeleteFunc(l.own.firstWord[head], func(p item) bool {
-		return p.Kind == kind && p.Phrase == phrase
-	})
+	l.own = slices.Delete(l.own, i, i+1)
 	l.changed()
 	return nil
 }
@@ -264,14 +281,8 @@ func (l *Lexicon) Remove(kind Kind, phrase string) error {
 // flatten merges the base under the overlay into one private table. Base
 // entries keep their precedence over overlay entries of equal length.
 func (l *Lexicon) flatten() {
-	var t table
-	for _, src := range l.layers() {
-		for _, list := range src.firstWord {
-			for _, p := range list {
-				t.add(p)
-			}
-		}
-	}
+	t := slices.Concat(*l.base, l.own)
+	slices.SortStableFunc(t, order)
 	l.base, l.own = nil, t
 	l.solo = soloIDs.Add(1)
 }
@@ -295,12 +306,14 @@ func (l *Lexicon) Lookup(kind Kind, phrase string) (Entry, bool) {
 // lookup finds a normalized phrase in either layer; the caller holds mu.
 func (l *Lexicon) lookup(kind Kind, phrase string) (Entry, bool) {
 	if l.base != nil {
-		if e, ok := l.base.byKind[kind][phrase]; ok {
-			return e, true
+		if i := l.base.find(kind, phrase); i >= 0 {
+			return (*l.base)[i].Entry, true
 		}
 	}
-	e, ok := l.own.byKind[kind][phrase]
-	return e, ok
+	if i := l.own.find(kind, phrase); i >= 0 {
+		return l.own[i].Entry, true
+	}
+	return Entry{}, false
 }
 
 // kindSet is a bitmask of kinds. Kinds outside [0, 16) have no bit and never
@@ -344,10 +357,10 @@ func (l *Lexicon) MatchLongest(tokens []string, kinds ...Kind) (Entry, int, bool
 
 // match returns the first (longest, then earliest) item of the kind set
 // that prefixes tokens, or nil. all disables the kind filter.
-func (t *table) match(tokens []string, set kindSet, all bool) *item {
-	list := t.firstWord[tokens[0]]
-	for i := range list {
-		p := &list[i]
+func (t table) match(tokens []string, set kindSet, all bool) *item {
+	lo, hi := t.run(tokens[0])
+	for i := lo; i < hi; i++ {
+		p := &t[i]
 		if (!all && set&kindBit(p.Kind) == 0) || len(p.toks) > len(tokens) {
 			continue
 		}
@@ -405,38 +418,29 @@ func (l *Lexicon) listing() string {
 	} else {
 		b = append(b, "flat\n"...)
 	}
-	heads := make([]string, 0, len(l.own.firstWord))
-	for head, list := range l.own.firstWord {
-		if len(list) > 0 {
-			heads = append(heads, head)
-		}
-	}
-	slices.Sort(heads)
 	var keys []string
-	for _, head := range heads {
-		for _, p := range l.own.firstWord[head] {
-			b = strconv.AppendInt(b, int64(p.Kind), 10)
-			b = append(b, ' ')
-			b = strconv.AppendQuote(b, p.Phrase)
-			b = append(b, ' ')
-			b = strconv.AppendQuote(b, p.Canon)
-			if p.Meta != nil { // an empty map and none read alike but dump apart
-				keys = keys[:0]
-				for k := range p.Meta {
-					keys = append(keys, k)
-				}
-				slices.Sort(keys)
-				b = append(b, " {"...)
-				for _, k := range keys {
-					b = append(b, ' ')
-					b = strconv.AppendQuote(b, k)
-					b = append(b, '=')
-					b = strconv.AppendQuote(b, p.Meta[k])
-				}
-				b = append(b, '}')
+	for _, p := range l.own {
+		b = strconv.AppendInt(b, int64(p.Kind), 10)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, p.Phrase)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, p.Canon)
+		if p.Meta != nil { // an empty map and none read alike but dump apart
+			keys = keys[:0]
+			for k := range p.Meta {
+				keys = append(keys, k)
 			}
-			b = append(b, '\n')
+			slices.Sort(keys)
+			b = append(b, " {"...)
+			for _, k := range keys {
+				b = append(b, ' ')
+				b = strconv.AppendQuote(b, k)
+				b = append(b, '=')
+				b = strconv.AppendQuote(b, p.Meta[k])
+			}
+			b = append(b, '}')
 		}
+		b = append(b, '\n')
 	}
 	return string(b)
 }
@@ -447,11 +451,13 @@ func (l *Lexicon) Entries(kind Kind) []Entry {
 	defer l.mu.RUnlock()
 	out := []Entry{}
 	for _, t := range l.layers() {
-		for _, e := range t.byKind[kind] {
-			out = append(out, e)
+		for _, p := range *t {
+			if p.Kind == kind {
+				out = append(out, p.Entry)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Phrase < out[j].Phrase })
+	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.Phrase, b.Phrase) })
 	return out
 }
 
@@ -486,15 +492,12 @@ func (l *Lexicon) MarshalJSON() ([]byte, error) {
 	defer l.mu.RUnlock()
 	var doc lexiconJSON
 	for _, t := range l.layers() {
-		for _, km := range t.byKind {
-			for _, e := range km {
-				doc.Entries = append(doc.Entries, e)
-			}
+		for _, p := range *t {
+			doc.Entries = append(doc.Entries, p.Entry)
 		}
 	}
-	sort.Slice(doc.Entries, func(i, j int) bool {
-		a, b := doc.Entries[i], doc.Entries[j]
-		return a.Kind < b.Kind || (a.Kind == b.Kind && a.Phrase < b.Phrase)
+	slices.SortFunc(doc.Entries, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), strings.Compare(a.Phrase, b.Phrase))
 	})
 	return json.Marshal(doc)
 }
@@ -507,7 +510,7 @@ func (l *Lexicon) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	l.mu.Lock()
-	l.base, l.own, l.solo = nil, table{}, 0
+	l.base, l.own, l.solo = nil, nil, 0
 	l.changed()
 	l.mu.Unlock()
 	for _, e := range doc.Entries {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 func TestNormalize(t *testing.T) {
@@ -213,7 +215,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if _, ok := restored.Lookup(KindCondWord, "hot and stuffy"); !ok {
 		t.Error("user word lost in round trip")
 	}
-	// Matching still works (firstWord index rebuilt).
+	// Matching still works (the sorted slice keeps its order).
 	if _, n, ok := restored.MatchLongest(strings.Fields("hot and stuffy today"), KindCondWord); !ok || n != 3 {
 		t.Error("MatchLongest broken after round trip")
 	}
@@ -265,7 +267,7 @@ func FuzzNormalize(f *testing.F) {
 
 func TestNormalizeNormalizedDoesNotAllocate(t *testing.T) {
 	for _, s := range []string{"temperature", "living room", "hot and stuffy"} {
-		if n := testing.AllocsPerRun(100, func() { _ = Normalize(s) }); n != 0 {
+		if n, _ := alloctest.PerCall(100, func() { _ = Normalize(s) }); n != 0 {
 			t.Errorf("Normalize(%q): %v allocs, want 0", s, n)
 		}
 	}

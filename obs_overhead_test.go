@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/benchwork"
 	"repro/internal/engine"
 )
@@ -59,7 +60,7 @@ func timeReplays(w *benchwork.EngineWorkload, iters int) time.Duration {
 // bare pass time (min-of-7 interleaved samples, three attempts before
 // declaring a regression).
 func TestObsOverheadGate(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("race instrumentation allocates and skews timing")
 	}
 	if testing.Short() {
@@ -81,7 +82,7 @@ func TestObsOverheadGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws[k] = w
-		if allocs, _ := allocsPerCall(300, replayRound(w)); allocs != 0 {
+		if allocs, _ := alloctest.PerCall(300, replayRound(w)); allocs != 0 {
 			t.Fatalf("%s steady-state round allocated %v times, want 0", c.name, allocs)
 		}
 	}

@@ -12,53 +12,14 @@ package cadel
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/benchwork"
 )
 
-// allocsPerCall calls f once to warm it up, then runs times more, and
-// returns the mean heap allocations and bytes per measured call from the
-// MemStats deltas, as testing.AllocsPerRun counts them. Unlike AllocsPerRun
-// it does not round the mean down, so an allocation every 32nd call still
-// reads above 0. That needs a quiet runtime: a collection first clears the
-// set-up's garbage, so no cycle (which empties the sync.Pools) starts in a
-// loop that allocates nothing, and a yield lets the runtime's own clean-up
-// after that collection run before the count starts.
-func allocsPerCall(runs int, f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	runtime.Gosched()
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
-var allocSink *[64]byte
-
-// TestAllocsPerCall checks the measuring helper itself: a gate that reads 0
-// because nothing was counted must not pass.
-func TestAllocsPerCall(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	if allocs, bytes := allocsPerCall(100, func() { allocSink = new([64]byte) }); allocs != 1 || bytes < 64 {
-		t.Errorf("one 64 B allocation per call reads %v allocs and %v B, want 1 and at least 64", allocs, bytes)
-	}
-	if allocs, bytes := allocsPerCall(100, func() {}); allocs != 0 || bytes != 0 {
-		t.Errorf("an empty call reads %v allocs and %v B, want 0 and 0", allocs, bytes)
-	}
-}
-
 // replayRound returns a call that replays w's whole event stream once, so
-// the warm-up call of allocsPerCall sizes the pooled ingest event for every
+// the warm-up call of alloctest.PerCall sizes the pooled ingest event for every
 // event shape the stream holds.
 func replayRound(w *benchwork.EngineWorkload) func() {
 	return func() {
@@ -70,7 +31,7 @@ func replayRound(w *benchwork.EngineWorkload) func() {
 
 func assertZeroAlloc(t *testing.T, workload string) {
 	t.Helper()
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	for _, n := range []int{100, 1000, 10000} {
@@ -78,7 +39,7 @@ func assertZeroAlloc(t *testing.T, workload string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs, _ := allocsPerCall(300, replayRound(w)); allocs != 0 {
+		if allocs, _ := alloctest.PerCall(300, replayRound(w)); allocs != 0 {
 			t.Errorf("steady-state %s round at %d rules allocated %v times, want 0", workload, n, allocs)
 		}
 	}
@@ -102,12 +63,12 @@ func TestArbitrationChurnZeroAlloc(t *testing.T) { assertZeroAlloc(t, "arbitrate
 // pays both (43). Each hub loop makes 200 writes round-robin over 1000 homes
 // of a new hub, so each write meets a nearly empty home.
 func TestRuleWriteAllocCeilings(t *testing.T) {
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	check := func(name string, body func(), maxAllocs, maxBytes float64) {
 		t.Helper()
-		allocs, bytes := allocsPerCall(200, body)
+		allocs, bytes := alloctest.PerCall(200, body)
 		t.Logf("%s: %.2f allocs, %.0f B per call", name, allocs, bytes)
 		if math.Floor(allocs) > maxAllocs {
 			t.Errorf("%s allocates %.2f times per call, ceiling %v", name, allocs, maxAllocs)
