@@ -313,7 +313,8 @@ func (s *Server) RulesByOwner(owner string) []*Rule {
 func (s *Server) ExportRules() ([]byte, error) { return s.hub.ExportRules(HomeID) }
 
 // ImportRules loads rules exported by ExportRules, recompiling their CADEL
-// sources against this server's lexicon.
+// sources against this server's lexicon. Each rule runs Submit's checks, so
+// its owner must be a registered user.
 func (s *Server) ImportRules(data []byte) (int, error) {
 	return s.hub.ImportRules(HomeID, data)
 }

@@ -49,7 +49,7 @@ var (
 	ErrNoHome = errors.New("fleet: home does not exist")
 	// ErrStoreDegraded marks a write refused (or abandoned) because the
 	// durable store backend is unreachable: the hub fails the write closed —
-	// in-memory state rolls back and the HTTP layer answers 503 with a
+	// it applies nothing to memory and the HTTP layer answers 503 with a
 	// Retry-After — while reads keep serving from memory. Wrap it in a
 	// DegradedError to carry the retry hint.
 	ErrStoreDegraded = errors.New("fleet: store degraded")
@@ -253,7 +253,7 @@ type Result struct {
 	// Rule is the registered rule object; nil for word definitions.
 	Rule *core.Rule
 	// DefinedWord is the new word for CondDef/ConfDef commands; WordKind
-	// and WordSource carry what the word stands for (used by persistence).
+	// and WordSource carry what the word stands for.
 	DefinedWord string
 	WordKind    vocab.Kind
 	WordSource  string

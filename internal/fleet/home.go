@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/conflict"
 	"repro/internal/core"
@@ -49,7 +50,7 @@ type Home struct {
 
 // wordDef is one user-defined word registered by this home.
 type wordDef struct {
-	kind   vocab.Kind
+	kind   RecordKind // RecordCondWord or RecordConfWord
 	name   string
 	source string
 	owner  string
@@ -94,26 +95,36 @@ func (h *Home) ID() string { return h.id }
 // Lexicon returns the home's lexicon (concurrency-safe on its own).
 func (h *Home) Lexicon() *vocab.Lexicon { return h.lex }
 
-// RegisterUser adds a home user with optional favourite keywords.
-func (h *Home) RegisterUser(name string, favorites ...string) error {
+// ---- writes: check, then apply ----
+// A hub write runs in three steps on the home's shard (Hub.commit): check
+// reads the home, changes nothing (but the rule-id counter, see
+// checkSubmit) and builds the write's Record; the hub
+// appends the record to its store; applyRecord then changes the home. A
+// write whose check or append fails leaves the home as it was, so memory
+// never holds what a restart would not rehydrate, and nothing needs undoing.
+// Replay and migration import apply their records through applyRecord too
+// (replayRecord).
+
+// compiled is what a write's check compiled for its record, so that apply
+// does not compile it again: a rule record's rule, a priority record's
+// order. Replay and migration import pass the zero value, and applyRecord
+// compiles the record's text.
+type compiled struct {
+	rule  *core.Rule
+	order *conflict.Order
+}
+
+// checkUser checks a new user (optionally with favourite keywords) and
+// returns its record.
+func (h *Home) checkUser(name string, favorites []string) (Record, error) {
 	name = vocab.Normalize(name)
 	if name == "" {
-		return errors.New("fleet: empty user name")
+		return Record{}, errors.New("fleet: empty user name")
 	}
 	if h.isUser(name) {
-		return fmt.Errorf("%w: %q (person)", vocab.ErrDuplicate, name)
+		return Record{}, fmt.Errorf("%w: %q (person)", vocab.ErrDuplicate, name)
 	}
-	// A LexiconFactory may hand several homes one lexicon, where another home
-	// may have added the person already; per-home duplicates are caught above.
-	if err := h.lex.Add(vocab.Entry{Phrase: name, Kind: vocab.KindPerson}); err != nil && !errors.Is(err, vocab.ErrDuplicate) {
-		return err
-	}
-	h.users = append(h.users, name)
-	h.engine.SetUsers(append([]string(nil), h.users...))
-	if len(favorites) > 0 {
-		h.SetFavorites(name, favorites)
-	}
-	return nil
+	return Record{Home: h.id, Kind: RecordUser, User: name, Favorites: favorites}, nil
 }
 
 // Users returns the registered users.
@@ -128,9 +139,8 @@ func (h *Home) isUser(name string) bool {
 	return false
 }
 
-// SetFavorites registers a user's favourite keywords.
-func (h *Home) SetFavorites(user string, keywords []string) {
-	user = vocab.Normalize(user)
+// setFavorites registers a user's favourite keywords.
+func (h *Home) setFavorites(user string, keywords []string) {
 	if h.favorites == nil {
 		h.favorites = make(map[string][]string)
 	}
@@ -138,64 +148,74 @@ func (h *Home) SetFavorites(user string, keywords []string) {
 	h.engine.SetFavorites(user, keywords)
 }
 
-// Submit parses and registers one CADEL command for the owner: a rule
+// checkSubmit parses and checks one CADEL command for the owner: a rule
 // definition, a condition-word definition or a configuration-word
-// definition. Rule submissions run the consistency check (inconsistent rules
-// are rejected with ErrInconsistent) and the conflict check (conflicting
-// rules are registered and reported so the user can set a priority order).
-// A rule text the shard compiled before for the same owner and vocabulary
-// is not parsed again (see ruleTable); every check still runs.
-func (h *Home) Submit(source, owner string) (*Result, error) {
+// definition. It returns the command's record and the Result the hub
+// reports once the record is applied. A rule runs the authorization,
+// consistency (ErrInconsistent) and conflict checks; a conflicting rule
+// passes, and its conflicts are reported so the user can set a priority
+// order. A rule text the shard compiled before for the same owner and
+// vocabulary is not parsed again (see ruleTable); every check still runs.
+// A rule gets id, or, when id is empty, a new one: the rule-id counter is
+// the one thing a check advances, and an id a failed write drew is not
+// reused, as an id a rejected rule drew never was.
+func (h *Home) checkSubmit(source, owner, id string) (Record, *Result, error) {
 	owner = vocab.Normalize(owner)
 	if !h.isUser(owner) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownUser, owner)
+		return Record{}, nil, fmt.Errorf("%w: %q", ErrUnknownUser, owner)
 	}
-	rule, cmd, err := h.compile(source, owner, func() string { return h.nextRuleID(owner) })
+	rule, cmd, err := h.compile(source, owner, func() string {
+		if id != "" {
+			return id
+		}
+		return h.nextRuleID(owner)
+	})
 	if err != nil {
-		return nil, err
+		return Record{}, nil, err
 	}
 	if rule != nil {
-		return h.submitRule(rule)
+		conflicts, err := h.checkRule(rule)
+		if err != nil {
+			return Record{}, nil, err
+		}
+		rec := Record{Home: h.id, Kind: RecordRule, ID: rule.ID, Owner: rule.Owner, Source: rule.Source}
+		return rec, &Result{Rule: rule, Conflicts: conflicts}, nil
 	}
 	switch c := cmd.(type) {
 	case *lang.CondDef:
-		exprSource := c.Expr.String()
-		// Validate the definition compiles before registering the word.
+		// The definition must compile before the word is registered.
 		if _, err := h.compiler.CompileCondExpr(c.Expr, owner); err != nil {
-			return nil, err
+			return Record{}, nil, err
 		}
-		if err := h.lex.DefineCondWord(c.Name, exprSource, owner); err != nil {
-			return nil, err
-		}
-		h.words = append(h.words, wordDef{vocab.KindCondWord, vocab.Normalize(c.Name), exprSource, owner})
-		return &Result{
-			DefinedWord: vocab.Normalize(c.Name),
-			WordKind:    vocab.KindCondWord,
-			WordSource:  exprSource,
-		}, nil
+		return h.checkWord(RecordCondWord, c.Name, c.Expr.String(), owner)
 	case *lang.ConfDef:
 		parts := make([]string, len(c.Confs))
 		for i, item := range c.Confs {
 			parts[i] = item.String()
 		}
-		confSource := joinAnd(parts)
-		if err := h.lex.DefineConfWord(c.Name, confSource, owner); err != nil {
-			return nil, err
-		}
-		h.words = append(h.words, wordDef{vocab.KindConfWord, vocab.Normalize(c.Name), confSource, owner})
-		return &Result{
-			DefinedWord: vocab.Normalize(c.Name),
-			WordKind:    vocab.KindConfWord,
-			WordSource:  confSource,
-		}, nil
+		return h.checkWord(RecordConfWord, c.Name, strings.Join(parts, " and "), owner)
 	default:
-		return nil, fmt.Errorf("fleet: unsupported command %T", cmd)
+		return Record{}, nil, fmt.Errorf("fleet: unsupported command %T", cmd)
 	}
 }
 
-// submitRule runs a submitted rule's authorization, consistency and conflict
-// checks and registers it.
-func (h *Home) submitRule(rule *core.Rule) (*Result, error) {
+// checkWord runs the duplicate-word check on a word definition.
+func (h *Home) checkWord(kind RecordKind, name, source, owner string) (Record, *Result, error) {
+	name = vocab.Normalize(name)
+	vk := vocab.KindCondWord
+	if kind == RecordConfWord {
+		vk = vocab.KindConfWord
+	}
+	if _, dup := h.lex.Lookup(vk, name); dup {
+		return Record{}, nil, fmt.Errorf("%w: %q (%v)", vocab.ErrDuplicate, name, vk)
+	}
+	return Record{Home: h.id, Kind: kind, Word: name, Owner: owner, Source: source},
+		&Result{DefinedWord: name, WordKind: vk, WordSource: source}, nil
+}
+
+// checkRule runs a compiled rule's authorization, consistency and conflict
+// checks and returns the existing rules it can conflict with.
+func (h *Home) checkRule(rule *core.Rule) ([]Conflict, error) {
 	if h.authorize != nil && !h.authorize(h.id, rule.Owner, rule.Device, rule.Action.Verb) {
 		return nil, fmt.Errorf("%w: %s on %s by %s", ErrForbidden, rule.Action.Verb, rule.Device, rule.Owner)
 	}
@@ -206,25 +226,27 @@ func (h *Home) submitRule(rule *core.Rule) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrInconsistent, rule.Cond)
 	}
-	candidates := h.db.SameDevice(rule.Device)
-	conflicts, err := h.checker.FindConflicts(rule, candidates)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.addRule(rule); err != nil {
-		return nil, err
-	}
-	h.engine.Tick()
-	return &Result{Rule: rule, Conflicts: conflicts}, nil
+	return h.checker.FindConflicts(rule, h.db.SameDevice(rule.Device))
 }
 
-// addRule registers a compiled rule and counts its template reference.
-func (h *Home) addRule(rule *core.Rule) error {
-	if err := h.db.Add(rule); err != nil {
-		return err
+// checkImport checks one rule of an ExportRules document as checkSubmit
+// checks a submitted rule, under its exported id, which must be new to the
+// home.
+func (h *Home) checkImport(r registry.Record) (Record, *Result, error) {
+	if r.ID == "" {
+		return Record{}, nil, errors.New("fleet: imported rule without id")
 	}
-	h.rules.hold(rule)
-	return nil
+	if _, dup := h.db.Get(r.ID); dup {
+		return Record{}, nil, fmt.Errorf("fleet: import: %w: %q", registry.ErrDuplicateID, r.ID)
+	}
+	rec, res, err := h.checkSubmit(r.Source, r.Owner, r.ID)
+	if err == nil && res.Rule == nil {
+		err = fmt.Errorf("fleet: %q is not a rule", r.Source)
+	}
+	if err != nil {
+		return Record{}, nil, fmt.Errorf("fleet: import %q: %w", r.ID, err)
+	}
+	return rec, res, nil
 }
 
 // nextRuleID generates an unused "<owner>-<n>" rule id. Replayed rules keep
@@ -239,17 +261,6 @@ func (h *Home) nextRuleID(owner string) string {
 	}
 }
 
-func joinAnd(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " and "
-		}
-		out += p
-	}
-	return out
-}
-
 // compileSource recompiles one stored rule source against the home's lexicon.
 func (h *Home) compileSource(source, id, owner string) (*core.Rule, error) {
 	rule, _, err := h.compile(source, owner, func() string { return id })
@@ -259,22 +270,35 @@ func (h *Home) compileSource(source, id, owner string) (*core.Rule, error) {
 	return rule, err
 }
 
-// restoreRule re-registers a persisted rule under its original id, skipping
-// the consistency and conflict checks that ran at original submission.
-func (h *Home) restoreRule(id, owner, source string) error {
-	rule, err := h.compileSource(source, id, owner)
-	if err != nil {
+// restoreRule registers a journaled rule under its id: the rule check
+// compiled for a live write, or, when rule is nil (replay, migration
+// import), the record's source compiled again. The rule's checks ran before
+// its record was journaled, so none runs here, and neither does an engine
+// pass (see applyRecord).
+func (h *Home) restoreRule(rec Record, rule *core.Rule) error {
+	if rule == nil {
+		var err error
+		if rule, err = h.compileSource(rec.Source, rec.ID, rec.Owner); err != nil {
+			return err
+		}
+	}
+	if err := h.db.Add(rule); err != nil {
 		return err
 	}
-	if err := h.addRule(rule); err != nil {
-		return err
-	}
-	h.engine.Tick()
+	h.rules.hold(rule)
 	return nil
 }
 
-// RemoveRule deletes a rule by id.
-func (h *Home) RemoveRule(id string) error {
+// checkRemove checks that a rule exists and returns its removal record.
+func (h *Home) checkRemove(id string) (Record, error) {
+	if _, ok := h.db.Get(id); !ok {
+		return Record{}, fmt.Errorf("%w: %q", registry.ErrNotFound, id)
+	}
+	return Record{Home: h.id, Kind: RecordRemove, ID: id}, nil
+}
+
+// removeRule deletes a rule by id.
+func (h *Home) removeRule(id string) error {
 	rule, _ := h.db.Get(id)
 	if err := h.db.Remove(id); err != nil {
 		return err
@@ -302,43 +326,103 @@ func (h *Home) RulesByOwner(owner string) []*core.Rule {
 // ExportRules serializes the rule database (Sect. 4.3(iv)).
 func (h *Home) ExportRules() ([]byte, error) { return h.db.Export() }
 
-// ImportRules loads rules exported by ExportRules, recompiling their CADEL
-// sources against this home's lexicon. It returns how many rules were added
-// and their serialized records (for persistence).
-func (h *Home) ImportRules(data []byte) (int, []registry.Record, error) {
-	n, err := h.db.Import(data, h.compileSource)
-	all := h.db.All()
-	for _, r := range all[len(all)-n:] {
-		h.rules.hold(r)
+// checkPriority checks a priority order for a device, users listed highest
+// first, optionally attached to a context written in CADEL condition
+// syntax, and returns its record. An empty context makes it the device's
+// default order (Sect. 3.2, Fig. 7). It returns the record and the order,
+// its context compiled.
+func (h *Home) checkPriority(ref core.DeviceRef, users []string, contextSource string) (Record, *conflict.Order, error) {
+	rec := Record{Home: h.id, Kind: RecordPriority, Device: &ref, Users: users, Context: contextSource}
+	order, err := h.priorityOrder(rec)
+	if err != nil {
+		return Record{}, nil, err
 	}
-	if n > 0 {
-		h.engine.Tick()
-	}
-	recs := h.db.Records()
-	return n, recs[len(recs)-n:], err
+	return rec, &order, nil
 }
 
-// SetPriority records a priority order for a device: users listed highest
-// first, optionally attached to a context written in CADEL condition syntax.
-// An empty context makes it the device's default order (Sect. 3.2, Fig. 7).
-func (h *Home) SetPriority(ref core.DeviceRef, users []string, contextSource string) error {
-	order := conflict.Order{Device: ref, ContextSource: contextSource}
-	for _, u := range users {
+// priorityOrder builds a priority record's order, compiling its context.
+func (h *Home) priorityOrder(rec Record) (conflict.Order, error) {
+	if rec.Device == nil {
+		return conflict.Order{}, errors.New("fleet: priority record without device")
+	}
+	order := conflict.Order{Device: *rec.Device, ContextSource: rec.Context}
+	for _, u := range rec.Users {
 		order.Users = append(order.Users, vocab.Normalize(u))
 	}
-	if contextSource != "" {
-		expr, err := lang.ParseCondExpr(contextSource, h.lex)
+	if rec.Context != "" {
+		expr, err := lang.ParseCondExpr(rec.Context, h.lex)
 		if err != nil {
-			return fmt.Errorf("fleet: priority context: %w", err)
+			return conflict.Order{}, fmt.Errorf("fleet: priority context: %w", err)
 		}
-		cond, err := h.compiler.CompileCondExpr(expr, "")
-		if err != nil {
-			return fmt.Errorf("fleet: priority context: %w", err)
+		if order.Context, err = h.compiler.CompileCondExpr(expr, ""); err != nil {
+			return conflict.Order{}, fmt.Errorf("fleet: priority context: %w", err)
 		}
-		order.Context = cond
 	}
-	h.priorities.Set(order)
-	h.engine.Tick()
+	return order, nil
+}
+
+// applyRecord applies one journaled record to the home: a live write's,
+// once the hub's store holds it, with what its check compiled, or a
+// replayed or migrated one. It runs no engine pass: a live write runs one
+// once it is applied (Hub.Submit, SetPriority, ImportRules once for the
+// whole document), and replayRecord one after each rule and priority.
+func (h *Home) applyRecord(rec Record, c compiled) error {
+	switch rec.Kind {
+	case RecordUser:
+		// A LexiconFactory may hand several homes one lexicon, where another
+		// home may have added the person already.
+		if err := h.lex.Add(vocab.Entry{Phrase: rec.User, Kind: vocab.KindPerson}); err != nil && !errors.Is(err, vocab.ErrDuplicate) {
+			return err
+		}
+		h.users = append(h.users, rec.User)
+		h.engine.SetUsers(append([]string(nil), h.users...))
+		if len(rec.Favorites) > 0 {
+			h.setFavorites(rec.User, rec.Favorites)
+		}
+		return nil
+	case RecordFavorites:
+		h.setFavorites(rec.User, rec.Favorites)
+		return nil
+	case RecordCondWord, RecordConfWord:
+		define := h.lex.DefineCondWord
+		if rec.Kind == RecordConfWord {
+			define = h.lex.DefineConfWord
+		}
+		if err := define(rec.Word, rec.Source, rec.Owner); err != nil {
+			return err
+		}
+		h.words = append(h.words, wordDef{rec.Kind, vocab.Normalize(rec.Word), rec.Source, rec.Owner})
+		return nil
+	case RecordRule:
+		return h.restoreRule(rec, c.rule)
+	case RecordRemove:
+		return h.removeRule(rec.ID)
+	case RecordPriority:
+		if c.order == nil {
+			order, err := h.priorityOrder(rec)
+			if err != nil {
+				return err
+			}
+			c.order = &order
+		}
+		h.priorities.Set(*c.order)
+		return nil
+	default:
+		return fmt.Errorf("fleet: unknown record kind %q", rec.Kind)
+	}
+}
+
+// replayRecord applies a replayed or migrated record and, after a rule or
+// a priority order, runs the engine pass a live write of it runs. The hub
+// runs replay and migration import quiet, so the pass adopts owners and
+// fires nothing.
+func (h *Home) replayRecord(rec Record) error {
+	if err := h.applyRecord(rec, compiled{}); err != nil {
+		return err
+	}
+	if rec.Kind == RecordRule || rec.Kind == RecordPriority {
+		h.engine.Tick()
+	}
 	return nil
 }
 
@@ -405,11 +489,7 @@ func (h *Home) snapshotRecords() []Record {
 		recs = append(recs, Record{Home: h.id, Kind: RecordUser, User: u, Favorites: h.favorites[u]})
 	}
 	for _, w := range h.words {
-		rk := RecordCondWord
-		if w.kind == vocab.KindConfWord {
-			rk = RecordConfWord
-		}
-		recs = append(recs, Record{Home: h.id, Kind: rk, Word: w.name, Owner: w.owner, Source: w.source})
+		recs = append(recs, Record{Home: h.id, Kind: w.kind, Word: w.name, Owner: w.owner, Source: w.source})
 	}
 	for _, r := range h.db.Records() {
 		recs = append(recs, Record{Home: h.id, Kind: RecordRule, ID: r.ID, Owner: r.Owner, Source: r.Source})
@@ -422,73 +502,4 @@ func (h *Home) snapshotRecords() []Record {
 		})
 	}
 	return recs
-}
-
-// ---- store-append rollbacks ----
-// A mutation is undone when its store append fails, so in-memory state never
-// outlives what a restart would rehydrate. Lexicon person entries are left
-// in place (they may be shared across homes and are harmless alone).
-
-func (h *Home) rollbackUser(name string) {
-	name = vocab.Normalize(name)
-	for i, u := range h.users {
-		if u == name {
-			h.users = append(h.users[:i:i], h.users[i+1:]...)
-			break
-		}
-	}
-	if _, had := h.favorites[name]; had {
-		delete(h.favorites, name)
-		h.engine.SetFavorites(name, nil)
-	}
-	h.engine.SetUsers(append([]string(nil), h.users...))
-}
-
-func (h *Home) rollbackRule(id string) {
-	_ = h.RemoveRule(id)
-	h.engine.Tick()
-}
-
-func (h *Home) rollbackWord(kind vocab.Kind, name string) {
-	_ = h.lex.Remove(kind, name)
-	for i := len(h.words) - 1; i >= 0; i-- {
-		if h.words[i].kind == kind && h.words[i].name == name {
-			h.words = append(h.words[:i:i], h.words[i+1:]...)
-			break
-		}
-	}
-}
-
-// applyRecord replays one persisted mutation onto the home.
-func (h *Home) applyRecord(rec Record) error {
-	switch rec.Kind {
-	case RecordUser:
-		return h.RegisterUser(rec.User, rec.Favorites...)
-	case RecordFavorites:
-		h.SetFavorites(rec.User, rec.Favorites)
-		return nil
-	case RecordCondWord:
-		if err := h.lex.DefineCondWord(rec.Word, rec.Source, rec.Owner); err != nil {
-			return err
-		}
-		h.words = append(h.words, wordDef{vocab.KindCondWord, vocab.Normalize(rec.Word), rec.Source, rec.Owner})
-		return nil
-	case RecordConfWord:
-		if err := h.lex.DefineConfWord(rec.Word, rec.Source, rec.Owner); err != nil {
-			return err
-		}
-		h.words = append(h.words, wordDef{vocab.KindConfWord, vocab.Normalize(rec.Word), rec.Source, rec.Owner})
-		return nil
-	case RecordRule:
-		return h.restoreRule(rec.ID, rec.Owner, rec.Source)
-	case RecordRemove:
-		return h.RemoveRule(rec.ID)
-	case RecordPriority:
-		if rec.Device == nil {
-			return errors.New("fleet: priority record without device")
-		}
-		return h.SetPriority(*rec.Device, rec.Users, rec.Context)
-	default:
-		return fmt.Errorf("fleet: unknown record kind %q", rec.Kind)
-	}
 }

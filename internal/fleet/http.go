@@ -150,8 +150,8 @@ func errorStatus(err error) int {
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrStoreDegraded):
-		// Fail-closed write path: the durable store is unreachable, the
-		// mutation was rolled back. writeError adds Retry-After from the
+		// Fail-closed write path: the durable store is unreachable, and the
+		// mutation was not applied. writeError adds Retry-After from the
 		// breaker's cool-down.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrHomeSealed):

@@ -380,7 +380,7 @@ func (h *Hub) replay() error {
 		}
 		hm := s.home(rec.Home)
 		hm.engine.SetQuiet(true) // idempotent; lifted when replay finishes
-		if err := hm.applyRecord(rec); err != nil {
+		if err := hm.replayRecord(rec); err != nil {
 			return fmt.Errorf("fleet: replay home %q: %w", rec.Home, err)
 		}
 		return nil
@@ -585,22 +585,30 @@ func (h *Hub) EventsAccepted() uint64 { return h.events.Load() }
 // ---- per-home operations ----
 // Every operation runs on the home's shard goroutine, serialized with the
 // home's event stream: an operation observes all events enqueued before it.
-// Mutations materialize the home on first touch and, when a store append
-// fails, roll themselves back so memory never outlives what a restart would
-// rehydrate. Reads on a home that was never written return empty results
-// without creating anything (probing ids must not grow the fleet).
+// A write checks the home, appends its record to the store and only then
+// applies it (commit), so a write whose append fails changes nothing and
+// memory never outlives what a restart would rehydrate. Writes materialize
+// the home on first touch. Reads on a home that was never written return
+// empty results without creating anything (probing ids must not grow the
+// fleet).
+
+// commit journals a checked write's record, then applies it to the home
+// with what the check compiled.
+func (h *Hub) commit(hm *Home, rec Record, c compiled) error {
+	if err := h.append(rec); err != nil {
+		return err
+	}
+	return hm.applyRecord(rec, c)
+}
 
 // RegisterUser adds a user to a home, creating the home on first touch.
 func (h *Hub) RegisterUser(home, name string, favorites ...string) error {
 	return h.exec(home, accCreate, func(hm *Home) error {
-		if err := hm.RegisterUser(name, favorites...); err != nil {
+		rec, err := hm.checkUser(name, favorites)
+		if err != nil {
 			return err
 		}
-		if err := h.append(Record{Home: home, Kind: RecordUser, User: vocab.Normalize(name), Favorites: favorites}); err != nil {
-			hm.rollbackUser(name)
-			return err
-		}
-		return nil
+		return h.commit(hm, rec, compiled{})
 	})
 }
 
@@ -619,53 +627,29 @@ func (h *Hub) Users(home string) ([]string, error) {
 // SetFavorites replaces a user's favourite keywords.
 func (h *Hub) SetFavorites(home, user string, keywords []string) error {
 	return h.exec(home, accCreate, func(hm *Home) error {
-		old, had := hm.favorites[vocab.Normalize(user)]
-		hm.SetFavorites(user, keywords)
-		if err := h.append(Record{Home: home, Kind: RecordFavorites, User: vocab.Normalize(user), Favorites: keywords}); err != nil {
-			if had {
-				hm.SetFavorites(user, old)
-			} else {
-				delete(hm.favorites, vocab.Normalize(user))
-				hm.engine.SetFavorites(vocab.Normalize(user), nil)
-			}
-			return err
-		}
-		return nil
+		return h.commit(hm, Record{Home: home, Kind: RecordFavorites, User: vocab.Normalize(user), Favorites: keywords}, compiled{})
 	})
 }
 
-// Submit parses and registers one CADEL command for a home (see Home.Submit).
+// Submit parses one CADEL command for a home (a rule, a condition-word or a
+// configuration-word definition), checks it, journals it and registers it.
+// A rule is refused with ErrUnknownUser, ErrForbidden or ErrInconsistent; a
+// rule that conflicts with existing ones is registered, and the Result
+// lists the conflicts so the user can set a priority order.
 func (h *Hub) Submit(home, source, owner string) (*Result, error) {
 	var res *Result
 	err := h.exec(home, accCreate, func(hm *Home) error {
-		var err error
-		res, err = hm.Submit(source, owner)
+		rec, r, err := hm.checkSubmit(source, owner, "")
 		if err != nil {
 			return err
 		}
-		var rec Record
-		var undo func()
-		switch {
-		case res.Rule != nil:
-			rec = Record{Home: home, Kind: RecordRule,
-				ID: res.Rule.ID, Owner: res.Rule.Owner, Source: res.Rule.Source}
-			undo = func() { hm.rollbackRule(res.Rule.ID) }
-		case res.WordKind == vocab.KindCondWord:
-			rec = Record{Home: home, Kind: RecordCondWord,
-				Word: res.DefinedWord, Owner: vocab.Normalize(owner), Source: res.WordSource}
-			undo = func() { hm.rollbackWord(vocab.KindCondWord, res.DefinedWord) }
-		case res.WordKind == vocab.KindConfWord:
-			rec = Record{Home: home, Kind: RecordConfWord,
-				Word: res.DefinedWord, Owner: vocab.Normalize(owner), Source: res.WordSource}
-			undo = func() { hm.rollbackWord(vocab.KindConfWord, res.DefinedWord) }
-		default:
-			return nil
-		}
-		if err := h.append(rec); err != nil {
-			undo()
-			res = nil
+		if err := h.commit(hm, rec, compiled{rule: r.Rule}); err != nil {
 			return err
 		}
+		if r.Rule != nil {
+			hm.engine.Tick()
+		}
+		res = r
 		return nil
 	})
 	return res, err
@@ -677,17 +661,11 @@ func (h *Hub) RemoveRule(home, id string) error {
 		if hm == nil {
 			return fmt.Errorf("%w: %q", registry.ErrNotFound, id)
 		}
-		removed, _ := hm.db.Get(id)
-		if err := hm.RemoveRule(id); err != nil {
+		rec, err := hm.checkRemove(id)
+		if err != nil {
 			return err
 		}
-		if err := h.append(Record{Home: home, Kind: RecordRemove, ID: id}); err != nil {
-			if removed != nil {
-				_ = hm.restoreRule(removed.ID, removed.Owner, removed.Source)
-			}
-			return err
-		}
-		return nil
+		return h.commit(hm, rec, compiled{})
 	})
 }
 
@@ -731,42 +709,51 @@ func (h *Hub) ExportRules(home string) ([]byte, error) {
 	return out, err
 }
 
-// ImportRules loads rules exported by ExportRules into a home. Rules whose
-// store append fails are rolled back, so the reported count matches what a
-// restart would rehydrate.
+// ImportRules loads rules exported by ExportRules into a home. Each rule
+// keeps its exported id and runs the checks Submit runs (the owner must be
+// a user of the home), then is journaled and registered as a submitted rule
+// is. The import stops at the first rule that fails; the count is the
+// number of rules journaled before it. One engine pass follows the rules
+// registered, as if the document had arrived at once.
 func (h *Hub) ImportRules(home string, data []byte) (int, error) {
+	rules, err := registry.DecodeExport(data)
+	if err != nil {
+		return 0, err
+	}
 	var n int
-	err := h.exec(home, accCreate, func(hm *Home) error {
-		var recs []registry.Record
-		var err error
-		n, recs, err = hm.ImportRules(data)
-		for _, r := range recs {
-			if aerr := h.append(Record{Home: home, Kind: RecordRule, ID: r.ID, Owner: r.Owner, Source: r.Source}); aerr != nil {
-				hm.rollbackRule(r.ID)
-				n--
-				if err == nil {
-					err = aerr
-				}
+	err = h.exec(home, accCreate, func(hm *Home) error {
+		defer func() {
+			if n > 0 {
+				hm.engine.Tick()
 			}
+		}()
+		for _, r := range rules {
+			rec, res, err := hm.checkImport(r)
+			if err != nil {
+				return err
+			}
+			if err := h.commit(hm, rec, compiled{rule: res.Rule}); err != nil {
+				return err
+			}
+			n++
 		}
-		return err
+		return nil
 	})
 	return n, err
 }
 
-// SetPriority records a priority order for a device in a home. A failed
-// store append is reported but not rolled back (the previous order is
-// overwritten in place); the caller should retry.
+// SetPriority records a priority order for a device in a home.
 func (h *Hub) SetPriority(home string, ref core.DeviceRef, users []string, contextSource string) error {
 	return h.exec(home, accCreate, func(hm *Home) error {
-		if err := hm.SetPriority(ref, users, contextSource); err != nil {
+		rec, order, err := hm.checkPriority(ref, users, contextSource)
+		if err != nil {
 			return err
 		}
-		dev := ref
-		return h.append(Record{
-			Home: home, Kind: RecordPriority,
-			Device: &dev, Users: users, Context: contextSource,
-		})
+		if err := h.commit(hm, rec, compiled{order: order}); err != nil {
+			return err
+		}
+		hm.engine.Tick()
+		return nil
 	})
 }
 

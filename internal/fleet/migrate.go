@@ -191,7 +191,7 @@ func (s *shard) importHome(exp *HomeExport) error {
 	defer hm.engine.SetQuiet(false)
 	for _, rec := range exp.Records {
 		rec.Seq = 0 // transfer-stream numbering; this hub's store renumbers
-		if err := hm.applyRecord(rec); err != nil {
+		if err := hm.replayRecord(rec); err != nil {
 			s.dropHome(exp.Home)
 			return err
 		}

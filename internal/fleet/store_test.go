@@ -1,14 +1,19 @@
 package fleet
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/registry"
 )
 
 // populate fills a hub with a few homes' worth of durable state: users,
@@ -267,63 +272,344 @@ func TestConcurrentCompact(t *testing.T) {
 	}
 }
 
-// failingStore wraps MemStore and fails Append on demand.
+// failingStore wraps MemStore and fails Append on demand: once fail is
+// set, the next after appends still succeed and every later one fails.
 type failingStore struct {
 	*MemStore
-	fail bool
+	fail  bool
+	after int
 }
 
 func (f *failingStore) Append(rec Record) error {
 	if f.fail {
-		return os.ErrClosed
+		if f.after == 0 {
+			return os.ErrClosed
+		}
+		f.after--
 	}
 	return f.MemStore.Append(rec)
 }
 
-// TestAppendFailureRollsBack checks that a mutation whose store append fails
-// is undone, so in-memory state never diverges from what a restart would
-// rehydrate.
+// floorLamp is the device the write-path tests contest.
+var floorLamp = core.DeviceRef{Name: "floor lamp"}
+
+// homeState is what a write whose append fails must leave as it was.
+type homeState struct {
+	records []Record // users with favourites, words, rules, priority orders
+	rules   []string // rule ids in registration order
+	owners  map[string]string
+	log     []string
+	users   []string
+	orders  string // the floor lamp's priority orders
+}
+
+func readHomeState(t *testing.T, h *Hub, home string) homeState {
+	t.Helper()
+	var st homeState
+	if err := h.do(home, func(hm *Home) error {
+		st.records = hm.snapshotRecords()
+		for _, r := range hm.Rules() {
+			st.rules = append(st.rules, r.ID)
+		}
+		st.owners = hm.Owners()
+		for _, f := range hm.Log() {
+			st.log = append(st.log, f.String())
+		}
+		st.users = hm.Users()
+		st.orders = fmt.Sprint(hm.PriorityOrders(floorLamp))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestAppendFailureRollsBack runs every hub write against a store whose
+// append fails. Each must return the store error, dispatch nothing and
+// leave the home as it was, and once the store recovers, a hub rehydrated
+// from it must hold the live hub's rules, in order, and owners.
 func TestAppendFailureRollsBack(t *testing.T) {
-	st := &failingStore{MemStore: NewMemStore()}
-	h, err := NewHub(WithShards(1), WithClock(testClock()), WithStore(st))
+	cases := []struct {
+		name  string
+		write func(h *Hub) error
+	}{
+		{"RegisterUser with favourites", func(h *Hub) error {
+			return h.RegisterUser("home", "alan", "roman holiday")
+		}},
+		{"SetFavorites", func(h *Hub) error {
+			return h.SetFavorites("home", "tom", []string{"jazz"})
+		}},
+		{"Submit of a rule whose condition holds", func(h *Hub) error {
+			_, err := h.Submit("home", "Turn on the light at the hall.", "emily")
+			return err
+		}},
+		{"Submit of a condition word", func(h *Hub) error {
+			_, err := h.Submit("home", "Let's call the condition that humidity is higher than 65 % "+
+				"and temperature is higher than 28 degrees hot and stuffy", "tom")
+			return err
+		}},
+		{"Submit of a configuration word", func(h *Hub) error {
+			_, err := h.Submit("home", "Let's call the configuration that 50 percent of brightness setting half-lighting", "tom")
+			return err
+		}},
+		{"RemoveRule of a contested device's owner", func(h *Hub) error {
+			return h.RemoveRule("home", "tom-1")
+		}},
+		{"SetPriority", func(h *Hub) error {
+			return h.SetPriority("home", floorLamp, []string{"emily", "tom"}, "")
+		}},
+		{"ImportRules", func(h *Hub) error {
+			_, err := h.ImportRules("home", []byte(`{"rules":[{"id":"emily-9","owner":"emily",`+
+				`"source":"Turn on the light at the hall."}]}`))
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &failingStore{MemStore: NewMemStore()}
+			var dispatched atomic.Int64
+			h, err := NewHub(WithShards(1), WithClock(testClock()), WithStore(st),
+				WithDispatcher(func(string, core.DeviceRef, core.Action) error {
+					dispatched.Add(1)
+					return nil
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = h.Close() }()
+			// tom-1 and emily-2 contend for the floor lamp; tom-1, the
+			// earlier rule, owns it.
+			for _, u := range []string{"tom", "emily"} {
+				if err := h.RegisterUser("home", u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, w := range []struct{ owner, source string }{
+				{"tom", "Turn on the floor lamp."},
+				{"emily", "Turn on the floor lamp with half-lighting."},
+			} {
+				if _, err := h.Submit("home", w.source, w.owner); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := readHomeState(t, h, "home")
+			if owner := before.owners[floorLamp.Key()]; owner != "tom-1" {
+				t.Fatalf("floor lamp owner = %q, want tom-1 (owners %v)", owner, before.owners)
+			}
+			calls := dispatched.Load()
+
+			st.fail = true
+			if err := tc.write(h); !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("write with failing store = %v, want the store error", err)
+			}
+			if n := dispatched.Load(); n != calls {
+				t.Errorf("dispatcher called %d times during the failed write, want 0", n-calls)
+			}
+			if after := readHomeState(t, h, "home"); !reflect.DeepEqual(after, before) {
+				t.Errorf("failed write changed the home:\nbefore %+v\nafter  %+v", before, after)
+			}
+
+			// Once the store recovers, the journal holds what memory holds,
+			// before and after the same write succeeds.
+			st.fail = false
+			checkRehydrates(t, h, st.MemStore)
+			if err := tc.write(h); err != nil {
+				t.Fatalf("write after the store recovered: %v", err)
+			}
+			checkRehydrates(t, h, st.MemStore)
+		})
+	}
+}
+
+// checkRehydrates compares a live hub's home with one a new hub rehydrates
+// from the same store: the same records, the same rules in the same order,
+// and the same owners after a Tick.
+func checkRehydrates(t *testing.T, live *Hub, st Store) {
+	t.Helper()
+	rehydrated, err := NewHub(WithShards(1), WithClock(testClock()), WithStore(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = h.Close() }()
-	if err := h.RegisterUser("home", "tom"); err != nil {
-		t.Fatal(err)
+	defer func() { _ = rehydrated.Close() }()
+	for _, h := range []*Hub{live, rehydrated} {
+		if err := h.Tick("home"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := readHomeState(t, live, "home"), readHomeState(t, rehydrated, "home")
+	if !reflect.DeepEqual(a.rules, b.rules) || !reflect.DeepEqual(a.owners, b.owners) ||
+		!reflect.DeepEqual(a.records, b.records) {
+		t.Errorf("rehydrated hub differs from the live one:\nlive       rules %v owners %v\nrehydrated rules %v owners %v",
+			a.rules, a.owners, b.rules, b.owners)
+	}
+}
+
+// TestImportRulesRunsSubmitChecks checks that ImportRules holds an
+// imported rule to the checks Submit holds a submitted one to, and journals
+// each rule before it registers it.
+func TestImportRulesRunsSubmitChecks(t *testing.T) {
+	doc := func(owner string, sources ...string) []byte {
+		t.Helper()
+		var recs []registry.Record
+		for i, src := range sources {
+			recs = append(recs, registry.Record{ID: fmt.Sprintf("%s-%d", owner, i+1), Owner: owner, Source: src})
+		}
+		data, err := json.Marshal(map[string]any{"rules": recs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	lamp := "Turn on the floor lamp."
+
+	t.Run("forbidden", func(t *testing.T) {
+		h := newTestHub(t, WithShards(1), WithAuthorizer(func(string, string, core.DeviceRef, string) bool { return false }))
+		if err := h.RegisterUser("home", "tom"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Submit("home", lamp, "tom"); !errors.Is(err, ErrForbidden) {
+			t.Fatalf("Submit = %v, want ErrForbidden", err)
+		}
+		n, err := h.ImportRules("home", doc("tom", lamp))
+		if n != 0 || !errors.Is(err, ErrForbidden) {
+			t.Fatalf("ImportRules = %d, %v; want 0, ErrForbidden", n, err)
+		}
+		if rules, _ := h.Rules("home"); len(rules) != 0 {
+			t.Fatalf("forbidden import registered %d rules", len(rules))
+		}
+	})
+
+	t.Run("unknown owner", func(t *testing.T) {
+		h := newTestHub(t, WithShards(1))
+		if err := h.RegisterUser("home", "tom"); err != nil {
+			t.Fatal(err)
+		}
+		n, err := h.ImportRules("home", doc("nobody", lamp))
+		if n != 0 || !errors.Is(err, ErrUnknownUser) {
+			t.Fatalf("ImportRules = %d, %v; want 0, ErrUnknownUser", n, err)
+		}
+	})
+
+	// A rule that fails a check stops the import: the rules before it stay,
+	// journaled, and the refused rule leaves no rule and no record.
+	for _, tc := range []struct {
+		name string
+		bad  registry.Record
+	}{
+		{"source is not CADEL", registry.Record{ID: "tom-8", Owner: "tom", Source: "gibberish"}},
+		{"source is not a rule", registry.Record{ID: "tom-8", Owner: "tom",
+			Source: "Let's call the configuration that 50 percent of brightness setting half-lighting"}},
+		{"no id", registry.Record{Owner: "tom", Source: "Turn on the light at the hall."}},
+		{"id already live", registry.Record{ID: "tom-1", Owner: "tom", Source: "Turn on the light at the hall."}},
+		{"id earlier in the document", registry.Record{ID: "tom-7", Owner: "tom", Source: "Turn on the light at the hall."}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewMemStore()
+			h, err := NewHub(WithShards(1), WithClock(testClock()), WithStore(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = h.Close() }()
+			if err := h.RegisterUser("home", "tom"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Submit("home", lamp, "tom"); err != nil {
+				t.Fatal(err)
+			}
+			before := journaled(t, st)
+			data, err := json.Marshal(map[string]any{"rules": []registry.Record{
+				{ID: "tom-7", Owner: "tom", Source: hotRule}, tc.bad,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := h.ImportRules("home", data)
+			if n != 1 || err == nil {
+				t.Fatalf("ImportRules = %d, %v; want 1 and an error", n, err)
+			}
+			want := []string{"tom-1", "tom-7"}
+			if got := readHomeState(t, h, "home").rules; !reflect.DeepEqual(got, want) {
+				t.Fatalf("rules = %v, want %v", got, want)
+			}
+			if got := journaled(t, st); got != before+1 {
+				t.Fatalf("import journaled %d records, want 1", got-before)
+			}
+		})
 	}
 
-	st.fail = true
-	if _, err := h.Submit("home", hotRule, "tom"); err == nil {
-		t.Fatal("submit with failing store must error")
-	}
-	if err := h.RegisterUser("home", "emily"); err == nil {
-		t.Fatal("register with failing store must error")
-	}
-	st.fail = false
+	t.Run("append fails on the third rule", func(t *testing.T) {
+		st := &failingStore{MemStore: NewMemStore()}
+		h, err := NewHub(WithShards(1), WithClock(testClock()), WithStore(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = h.Close() }()
+		if err := h.RegisterUser("home", "tom"); err != nil {
+			t.Fatal(err)
+		}
+		st.fail, st.after = true, 2
+		n, err := h.ImportRules("home", doc("tom", lamp, hotRule, "Turn on the light at the hall."))
+		if n != 2 || !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("ImportRules = %d, %v; want 2, the store error", n, err)
+		}
+		st.fail = false
+		want := []string{"tom-1", "tom-2"}
+		if got := readHomeState(t, h, "home").rules; !reflect.DeepEqual(got, want) {
+			t.Fatalf("live rules = %v, want %v", got, want)
+		}
+		restarted, err := NewHub(WithShards(1), WithClock(testClock()), WithStore(st.MemStore))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = restarted.Close() }()
+		if got := readHomeState(t, restarted, "home").rules; !reflect.DeepEqual(got, want) {
+			t.Fatalf("restarted rules = %v, want %v", got, want)
+		}
+	})
+}
 
-	rules, err := h.Rules("home")
+// journaled counts the records a store replays.
+func journaled(t *testing.T, st Store) int {
+	t.Helper()
+	n := 0
+	if err := st.Replay(func(Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestImportRulesRunsOnePass checks that an import runs one engine pass
+// after its rules, as if the document had arrived at once: of two imported
+// rules contending for a device, only the one the priority order favours
+// fires, although the other comes first in the document.
+func TestImportRulesRunsOnePass(t *testing.T) {
+	var dispatched atomic.Int64
+	h := newTestHub(t, WithShards(1), WithDispatcher(func(string, core.DeviceRef, core.Action) error {
+		dispatched.Add(1)
+		return nil
+	}))
+	for _, u := range []string{"tom", "emily"} {
+		if err := h.RegisterUser("home", u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.SetPriority("home", floorLamp, []string{"emily", "tom"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(map[string]any{"rules": []registry.Record{
+		{ID: "tom-1", Owner: "tom", Source: "Turn on the floor lamp."},
+		{ID: "emily-2", Owner: "emily", Source: "Turn on the floor lamp with half-lighting."},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rules) != 0 {
-		t.Fatalf("rolled-back rule still registered: %v", rules)
+	if n, err := h.ImportRules("home", data); n != 2 || err != nil {
+		t.Fatalf("ImportRules = %d, %v; want 2, nil", n, err)
 	}
-	users, err := h.Users("home")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(users) != 1 || users[0] != "tom" {
-		t.Fatalf("rolled-back user still registered: %v", users)
-	}
-	// The freed rule id is reusable and the home still works.
-	res, err := h.Submit("home", hotRule, "tom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rule.ID != "tom-1" && res.Rule.ID != "tom-2" {
-		t.Fatalf("unexpected rule id %q", res.Rule.ID)
+	st := readHomeState(t, h, "home")
+	if owner := st.owners[floorLamp.Key()]; owner != "emily-2" || dispatched.Load() != 1 {
+		t.Fatalf("floor lamp owner %q after %d dispatches (log %v), want emily-2 after 1",
+			owner, dispatched.Load(), st.log)
 	}
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -295,6 +296,15 @@ func TestRuleTemplatesMatchDirectCompile(t *testing.T) {
 	checkSharing(t, target)
 }
 
+// removeWord drops a condition word the home defined from its lexicon and
+// its word list, which no hub write does.
+func removeWord(hm *Home, name string) {
+	_ = hm.lex.Remove(vocab.KindCondWord, name)
+	hm.words = slices.DeleteFunc(hm.words, func(w wordDef) bool {
+		return w.kind == RecordCondWord && w.name == name
+	})
+}
+
 // TestRuleTemplatesFollowWordRedefinition removes and redefines a word
 // between two submits of one text: the second submit must read the new
 // definition, and going back to the first definition finds its template.
@@ -314,7 +324,7 @@ func TestRuleTemplatesFollowWordRedefinition(t *testing.T) {
 	redefine := func(def string) {
 		t.Helper()
 		if err := h.exec("same-a", accWrite, func(hm *Home) error {
-			hm.rollbackWord(vocab.KindCondWord, "hot and stuffy")
+			removeWord(hm, "hot and stuffy")
 			return nil
 		}); err != nil {
 			t.Fatal(err)

@@ -162,11 +162,11 @@ func TestHubDegradedStoreFailsClosedWith503(t *testing.T) {
 		t.Fatal("degraded 503 is missing Retry-After")
 	}
 
-	// The failed mutation rolled back: memory never outlives the journal.
+	// The failed mutation was never applied: memory never outlives the journal.
 	var users []string
 	get(t, api.URL+"/fleet/homes/alpha/users", &users)
 	if len(users) != 1 || users[0] != "tom" {
-		t.Fatalf("users after rolled-back write = %v, want [tom]", users)
+		t.Fatalf("users after failed write = %v, want [tom]", users)
 	}
 
 	// /fleet/stats surfaces the degraded store.

@@ -394,27 +394,12 @@ func (db *DB) Export() ([]byte, error) {
 	return json.MarshalIndent(exportDoc{Rules: db.Records()}, "", "  ")
 }
 
-// CompileFunc recompiles one exported rule. The server wires this to the
-// CADEL parser + compiler.
-type CompileFunc func(source, id, owner string) (*core.Rule, error)
-
-// Import adds every rule from an Export document, recompiling each source.
-// It stops at the first error.
-func (db *DB) Import(data []byte, compile CompileFunc) (int, error) {
+// DecodeExport reads the rules of an Export document, in export order. The
+// caller recompiles and checks each before it registers it.
+func DecodeExport(data []byte) ([]Record, error) {
 	var doc exportDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return 0, fmt.Errorf("registry: decode import: %w", err)
+		return nil, fmt.Errorf("registry: decode import: %w", err)
 	}
-	count := 0
-	for _, er := range doc.Rules {
-		rule, err := compile(er.Source, er.ID, er.Owner)
-		if err != nil {
-			return count, fmt.Errorf("registry: recompile %q: %w", er.ID, err)
-		}
-		if err := db.Add(rule); err != nil {
-			return count, err
-		}
-		count++
-	}
-	return count, nil
+	return doc.Rules, nil
 }

@@ -256,13 +256,22 @@ func TestExportImport(t *testing.T) {
 		t.Fatalf("Export: %v", err)
 	}
 
-	restored := New()
-	n, err := restored.Import(data, compile)
+	recs, err := DecodeExport(data)
 	if err != nil {
-		t.Fatalf("Import: %v", err)
+		t.Fatalf("DecodeExport: %v", err)
 	}
-	if n != 2 || restored.Len() != 2 {
-		t.Errorf("imported %d rules, len %d; want 2", n, restored.Len())
+	restored := New()
+	for _, rec := range recs {
+		rule, err := compile(rec.Source, rec.ID, rec.Owner)
+		if err != nil {
+			t.Fatalf("recompile %q: %v", rec.ID, err)
+		}
+		if err := restored.Add(rule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(recs) != 2 || restored.Len() != 2 {
+		t.Errorf("decoded %d rules, len %d; want 2", len(recs), restored.Len())
 	}
 	r, ok := restored.Get("r0")
 	if !ok {
@@ -280,16 +289,18 @@ func TestExportImport(t *testing.T) {
 }
 
 func TestImportBadData(t *testing.T) {
-	db := New()
-	if _, err := db.Import([]byte("not json"), nil); err == nil {
+	if _, err := DecodeExport([]byte("not json")); err == nil {
 		t.Error("garbage import should fail")
 	}
-	bad := []byte(`{"rules":[{"id":"x","owner":"t","source":"gibberish"}]}`)
-	failCompile := func(source, id, owner string) (*core.Rule, error) {
-		return nil, errors.New("nope")
+	if _, err := DecodeExport([]byte(`{"rules":{"id":"x"}}`)); err == nil {
+		t.Error("a rules field that is not a list should fail")
 	}
-	if _, err := db.Import(bad, failCompile); err == nil {
-		t.Error("compile failure should propagate")
+	// Decoding does not compile: a source that is not CADEL decodes, and
+	// the importer's check rejects it (fleet's
+	// TestImportRulesRunsSubmitChecks).
+	recs, err := DecodeExport([]byte(`{"rules":[{"id":"x","owner":"t","source":"gibberish"}]}`))
+	if err != nil || len(recs) != 1 || recs[0] != (Record{ID: "x", Owner: "t", Source: "gibberish"}) {
+		t.Errorf("DecodeExport = %v, %v", recs, err)
 	}
 }
 
