@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/interval"
 	"repro/internal/lang"
 	"repro/internal/registry"
@@ -564,13 +565,33 @@ func BenchmarkFleetSubmit(b *testing.B) {
 
 // BenchmarkHomeHeap reports the live heap of one idle home in B/home: the
 // hub benchwork.BuildHub seeds, whose homes each hold one user and one
-// rule, the home shape of the bench module's wire workloads. The hub-wide
-// state (the shared built-in lexicon, the shard's trace ring and compiled
-// rule) is built before the count or divided among homeHeapHomes homes.
+// rule, the home shape of the bench module's wire workloads.
 // internal/fleet's TestPerHomeHeapCeiling gates the same figure.
 func BenchmarkHomeHeap(b *testing.B) {
-	const homeHeapHomes = 1024
-	warm, _, err := benchwork.BuildHub(1, 1) // builds the process-wide base lexicon
+	benchHomeHeap(b, func(homes int) (*fleet.Hub, error) {
+		hub, _, err := benchwork.BuildHub(homes, 1)
+		return hub, err
+	})
+}
+
+// BenchmarkFigure1HomeHeap reports the live heap of one home holding the
+// paper's Fig. 1 household, after one pass, in B/home: the hub
+// benchwork.BuildFigure1Hub seeds, the home shape of the bench module's
+// rebalance workload. internal/fleet's TestFigure1HomeHeapCeiling gates the
+// same figure.
+func BenchmarkFigure1HomeHeap(b *testing.B) {
+	benchHomeHeap(b, func(homes int) (*fleet.Hub, error) {
+		return benchwork.BuildFigure1Hub(homes, 1)
+	})
+}
+
+// benchHomeHeap reports the live heap per home of a one-shard hub of 1024
+// homes that build seeds. The hub-wide state (the shared built-in lexicon,
+// the shard's trace ring and compiled rules) is built before the count or
+// divided among the homes.
+func benchHomeHeap(b *testing.B, build func(homes int) (*fleet.Hub, error)) {
+	const homes = 1024
+	warm, err := build(1) // builds the process-wide base lexicon
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -578,11 +599,11 @@ func BenchmarkHomeHeap(b *testing.B) {
 	var perHome float64
 	for i := 0; i < b.N; i++ {
 		before := alloctest.LiveHeap()
-		hub, _, err := benchwork.BuildHub(homeHeapHomes, 1)
+		hub, err := build(homes)
 		if err != nil {
 			b.Fatal(err)
 		}
-		perHome = float64(alloctest.LiveHeap()-before) / homeHeapHomes
+		perHome = float64(alloctest.LiveHeap()-before) / homes
 		_ = hub.Close()
 	}
 	b.ReportMetric(perHome, "B/home")

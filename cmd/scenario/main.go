@@ -10,6 +10,7 @@ import (
 	"time"
 
 	cadel "repro"
+	"repro/internal/figure1"
 	"repro/internal/home"
 )
 
@@ -37,13 +38,10 @@ func run() error {
 	}
 	defer func() { _ = srv.Close() }()
 
-	for _, u := range []string{"tom", "alan"} {
-		if err := srv.RegisterUser(u); err != nil {
+	for _, u := range figure1.Users {
+		if err := srv.RegisterUser(u.Name, u.Favorites...); err != nil {
 			return err
 		}
-	}
-	if err := srv.RegisterUser("emily", "roman holiday"); err != nil {
-		return err
 	}
 	if n, err := srv.DiscoverDevices(700 * time.Millisecond); err != nil {
 		return err
@@ -51,58 +49,31 @@ func run() error {
 		fmt.Printf("discovered %d virtual UPnP devices\n\n", n)
 	}
 
-	submissions := []struct{ src, owner string }{
-		{"Let's call the condition that temperature is higher than 26 degrees and humidity is higher than 65 percent hot and stuffy", "tom"},
-		{"Let's call the condition that temperature is higher than 25 degrees and humidity is higher than 60 percent muggy", "alan"},
-		{"Let's call the condition that temperature is higher than 29 degrees and humidity is higher than 75 percent sticky", "emily"},
-		{"Let's call the configuration that 50 percent of brightness setting half-lighting", "tom"},
-		{"In the evening, if i am in the living room, play the stereo with jazz of mode setting and 40 percent of volume setting.", "tom"},
-		{"When i am in the living room, turn on the floor lamp with half-lighting.", "tom"},
-		{"If i am in the living room and hot and stuffy, turn on the air conditioner at the living room with 25 degrees of temperature setting and 60 percent of humidity setting.", "tom"},
-		{"If i am in the living room and a baseball game is on air, turn on the tv with 1 of channel setting.", "alan"},
-		{"If emily is in the living room and a baseball game is on air, record the video recorder.", "alan"},
-		{"If i am in the living room and muggy, turn on the air conditioner at the living room with 24 degrees of temperature setting and 55 percent of humidity setting.", "alan"},
-		{"If i am in the living room and my favorite movie is on air, turn on the tv with 3 of channel setting.", "emily"},
-		{"When i am in the living room and my favorite movie is on air, play the stereo with movie of mode setting.", "emily"},
-		{"When i am in the living room and my favorite movie is on air, turn on the fluorescent light.", "emily"},
-		{"If i am in the living room and sticky, turn on the air conditioner at the living room with 27 degrees of temperature setting and 65 percent of humidity setting.", "emily"},
-	}
 	fmt.Println("registering rules:")
-	for _, s := range submissions {
-		res, err := srv.Submit(s.src, s.owner)
+	for _, s := range figure1.Submissions {
+		res, err := srv.Submit(s.Source, s.Owner)
 		if err != nil {
-			return fmt.Errorf("submit %q: %w", s.src, err)
+			return fmt.Errorf("submit %q: %w", s.Source, err)
 		}
 		switch {
 		case res.DefinedWord != "":
-			fmt.Printf("  %-6s defined word %q\n", s.owner, res.DefinedWord)
+			fmt.Printf("  %-6s defined word %q\n", s.Owner, res.DefinedWord)
 		case len(res.Conflicts) > 0:
-			fmt.Printf("  %-6s rule %s CONFLICTS with:\n", s.owner, res.Rule.ID)
+			fmt.Printf("  %-6s rule %s CONFLICTS with:\n", s.Owner, res.Rule.ID)
 			for _, c := range res.Conflicts {
 				fmt.Printf("         - %s (owner %s)\n", c.Existing.ID, c.Existing.Owner)
 			}
 		default:
-			fmt.Printf("  %-6s rule %s registered\n", s.owner, res.Rule.ID)
+			fmt.Printf("  %-6s rule %s registered\n", s.Owner, res.Rule.ID)
 		}
 	}
 
 	fmt.Println("\nsetting priority orders (Fig. 7):")
-	priorities := []struct {
-		device  string
-		users   []string
-		context string
-	}{
-		{"tv", []string{"alan", "tom", "emily"}, "alan got home from work"},
-		{"tv", []string{"emily", "alan", "tom"}, "emily got home from shopping"},
-		{"stereo", []string{"emily", "tom", "alan"}, "emily got home from shopping"},
-		{"air conditioner", []string{"alan", "tom", "emily"}, "alan got home from work"},
-		{"air conditioner", []string{"emily", "alan", "tom"}, "emily got home from shopping"},
-	}
-	for _, p := range priorities {
-		if err := srv.SetPriority(cadel.DeviceRef{Name: p.device}, p.users, p.context); err != nil {
+	for _, p := range figure1.Orders {
+		if err := srv.SetPriority(cadel.DeviceRef{Name: p.Device}, p.Users, p.Context); err != nil {
 			return err
 		}
-		fmt.Printf("  %-16s [%s]: %v\n", p.device, p.context, p.users)
+		fmt.Printf("  %-16s [%s]: %v\n", p.Device, p.Context, p.Users)
 	}
 
 	fmt.Println("\n--- 17:00  Tom comes to the living room (*1) ---")

@@ -20,9 +20,11 @@
 //     whose context is dirtied by presence churn, so every pass
 //     re-arbitrates.
 //
-// NewChurnWorkload churns uniquely named rules through one home, and
-// BuildHub seeds a hub whose homes each hold one user and one temperature
-// rule, the home shape of the bench module's wire workloads.
+// NewChurnWorkload churns uniquely named rules through one home. BuildHub
+// seeds a hub whose homes each hold one user and one temperature rule, the
+// home shape of the bench module's wire workloads; BuildFigure1Hub one whose
+// homes hold the paper's Fig. 1 household, the shape of its rebalance
+// workload.
 package benchwork
 
 import (
@@ -33,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/figure1"
 	"repro/internal/fleet"
 	"repro/internal/ingest"
 	"repro/internal/obs"
@@ -459,6 +462,47 @@ const fleetRule = "If temperature is higher than 28 degrees, turn on the air con
 // BuildHub seeds a hub with the standard fleet workload: homes each holding
 // one user and one temperature rule.
 func BuildHub(homes, shards int) (*fleet.Hub, []string, error) {
+	return buildHub(homes, shards, func(hub *fleet.Hub, id string) error {
+		if err := hub.RegisterUser(id, "u"); err != nil {
+			return err
+		}
+		_, err := hub.Submit(id, fleetRule, "u")
+		return err
+	})
+}
+
+// BuildFigure1Hub seeds a hub whose homes each hold the paper's Fig. 1
+// household (package figure1), the home shape of the bench module's
+// rebalance workload, and then runs one pass in each home: a living-room
+// temperature event that fires no rule.
+func BuildFigure1Hub(homes, shards int) (*fleet.Hub, error) {
+	hub, _, err := buildHub(homes, shards, func(hub *fleet.Hub, id string) error {
+		for _, u := range figure1.Users {
+			if err := hub.RegisterUser(id, u.Name, u.Favorites...); err != nil {
+				return err
+			}
+		}
+		for _, s := range figure1.Submissions {
+			if _, err := hub.Submit(id, s.Source, s.Owner); err != nil {
+				return err
+			}
+		}
+		for _, o := range figure1.Orders {
+			if err := hub.SetPriority(id, core.DeviceRef{Name: o.Device}, o.Users, o.Context); err != nil {
+				return err
+			}
+		}
+		return hub.PostEvent(id, device.TypeThermometer, "thermometer", "living room",
+			map[string]string{"temperature": "20"})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return hub, hub.Quiesce()
+}
+
+// buildHub makes a hub and seeds each of its homes.
+func buildHub(homes, shards int, seed func(*fleet.Hub, string) error) (*fleet.Hub, []string, error) {
 	hub, err := fleet.NewHub(
 		fleet.WithShards(shards),
 		fleet.WithClock(func() time.Time { return epoch }),
@@ -470,11 +514,7 @@ func BuildHub(homes, shards int) (*fleet.Hub, []string, error) {
 	ids := make([]string, homes)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("home-%06d", i)
-		if err := hub.RegisterUser(ids[i], "u"); err != nil {
-			_ = hub.Close()
-			return nil, nil, err
-		}
-		if _, err := hub.Submit(ids[i], fleetRule, "u"); err != nil {
+		if err := seed(hub, ids[i]); err != nil {
 			_ = hub.Close()
 			return nil, nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 )
@@ -11,6 +12,12 @@ import (
 // stores values in id-indexed slices, and the engine's dirty-key set is a
 // bitset over ids — so the symtab is the single point where names and ids
 // meet. Ids are assigned in intern order starting at 0 and are never reused.
+//
+// Each name is stored once, in names. The lookup index is an open-addressed
+// hash table over it: a power-of-two slice of id+1 entries (0 marks an empty
+// slot), probed linearly from the name's hash and doubled when it is more
+// than three quarters full. A table therefore costs 4 bytes per slot on top
+// of its names, where a map would hold every name a second time as a key.
 //
 // A Symtab is owned by one home (its rule database creates it; the home's
 // engine and context share it). Interning happens on cold paths — rule
@@ -26,10 +33,13 @@ import (
 // epoch across all holders.
 type Symtab struct {
 	mu    sync.RWMutex
-	ids   map[string]uint32
 	names []string
+	index []uint32 // id+1 by hash slot, 0 when empty; len 0 or a power of two
 	epoch uint64
 }
+
+// symSeed seeds every table's name hash; ids never depend on it.
+var symSeed = maphash.MakeSeed()
 
 // DeadID is the remap-table entry for a symbol dropped by Compact. Holders
 // of an id that remaps to DeadID must discard the state attached to it (by
@@ -39,34 +49,77 @@ const DeadID = ^uint32(0)
 
 // NewSymtab returns an empty symbol table.
 func NewSymtab() *Symtab {
-	return &Symtab{ids: make(map[string]uint32)}
+	return &Symtab{}
 }
 
 // Intern returns the id for name, assigning the next dense id on first
 // sight. The same name always maps to the same id.
 func (t *Symtab) Intern(name string) uint32 {
 	t.mu.RLock()
-	id, ok := t.ids[name]
+	_, id, ok := t.find(name)
 	t.mu.RUnlock()
 	if ok {
 		return id
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.ids[name]; ok {
+	slot, id, ok := t.find(name)
+	if ok {
 		return id
 	}
 	id = uint32(len(t.names))
 	t.names = append(t.names, name)
-	t.ids[name] = id
+	if len(t.names)*4 > len(t.index)*3 {
+		t.rehash()
+	} else {
+		t.index[slot] = id + 1
+	}
 	return id
+}
+
+// find probes the index for name. It returns the name's id, or, when the
+// name is absent, the empty slot where it would go (-1 for an empty index).
+// The caller holds mu.
+func (t *Symtab) find(name string) (slot int, id uint32, ok bool) {
+	if len(t.index) == 0 {
+		return -1, 0, false
+	}
+	mask := len(t.index) - 1
+	for i := int(maphash.String(symSeed, name)) & mask; ; i = (i + 1) & mask {
+		v := t.index[i]
+		if v == 0 {
+			return i, 0, false
+		}
+		if t.names[v-1] == name {
+			return i, v - 1, true
+		}
+	}
+}
+
+// rehash rebuilds the index over names at the smallest power-of-two size,
+// 8 or more, that keeps it at most three quarters full. The caller holds mu
+// for writing.
+func (t *Symtab) rehash() {
+	size := 8
+	for len(t.names)*4 > size*3 {
+		size *= 2
+	}
+	t.index = make([]uint32, size)
+	mask := size - 1
+	for id, name := range t.names {
+		i := int(maphash.String(symSeed, name)) & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = uint32(id) + 1
+	}
 }
 
 // Lookup returns the id for an already-interned name.
 func (t *Symtab) Lookup(name string) (uint32, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	id, ok := t.ids[name]
+	_, id, ok := t.find(name)
 	return id, ok
 }
 
@@ -98,7 +151,8 @@ func (t *Symtab) Epoch() uint64 {
 // symbols) and the new epoch. Renumbering preserves relative order, so the
 // remap is monotonically increasing over live ids and a name's id never
 // grows. A dropped name is forgotten entirely: re-interning it later
-// assigns a fresh id at the end of the table.
+// assigns a fresh id at the end of the table. The index is rebuilt at the
+// size the live names need.
 //
 // Compact only renumbers the table itself. The caller owns the coordination
 // problem — every structure holding ids from this table must be rewritten
@@ -112,16 +166,15 @@ func (t *Symtab) Compact(live *IDSet) (remap []uint32, epoch uint64) {
 	for id, name := range t.names {
 		if !live.Has(uint32(id)) {
 			remap[id] = DeadID
-			delete(t.ids, name)
 			continue
 		}
 		remap[id] = next
 		t.names[next] = name
-		t.ids[name] = next
 		next++
 	}
 	// Release the dropped tail so a heavily churned table actually shrinks.
 	t.names = append([]string(nil), t.names[:next]...)
+	t.rehash()
 	t.epoch++
 	return remap, t.epoch
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -42,6 +43,101 @@ func TestSymtabInternRoundTrip(t *testing.T) {
 	}
 	if _, ok := tab.Lookup("never-interned"); ok {
 		t.Error("Lookup of never-interned name succeeded")
+	}
+}
+
+// TestSymtabMatchesMapOracle runs seeded Intern, Lookup and Compact
+// sequences against a plain map model. Names share long prefixes and most
+// differ in one character, the index grows through several rehashes, and
+// compactions renumber the table in between. Every id, Lookup answer, Name
+// and Len must match the model.
+func TestSymtabMatchesMapOracle(t *testing.T) {
+	prefixes := []string{"num/living room/", "num/", "bool/kitchen/", "loc/", "event/", ""}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			tab := NewSymtab()
+			model := map[string]uint32{}
+			var names []string // the model's id → name
+			randName := func() string {
+				return fmt.Sprintf("%s%d", prefixes[rng.Intn(len(prefixes))], rng.Intn(6000))
+			}
+			check := func(step int, name string) {
+				t.Helper()
+				got, ok := tab.Lookup(name)
+				want, wok := model[name]
+				if ok != wok || got != want {
+					t.Fatalf("step %d: Lookup(%q) = %d,%v, model %d,%v", step, name, got, ok, want, wok)
+				}
+			}
+			rehashes, compactions := 0, 0
+			for step := 0; step < 20000; step++ {
+				switch op := rng.Intn(1000); {
+				case op < 600:
+					name := randName()
+					size := len(tab.index)
+					id := tab.Intern(name)
+					if len(tab.index) != size {
+						rehashes++
+					}
+					want, ok := model[name]
+					if !ok {
+						want = uint32(len(names))
+						model[name] = want
+						names = append(names, name)
+					}
+					if id != want {
+						t.Fatalf("step %d: Intern(%q) = %d, model %d", step, name, id, want)
+					}
+				case op < 999:
+					check(step, randName())
+				default:
+					// Keep about seven names in eight; the model renumbers
+					// the kept ones densely in their old order.
+					var live IDSet
+					var kept []string
+					for id, name := range names {
+						if rng.Intn(8) > 0 {
+							live.Add(uint32(id))
+							kept = append(kept, name)
+						}
+					}
+					remap, _ := tab.Compact(&live)
+					clear(model)
+					for id, name := range kept {
+						model[name] = uint32(id)
+					}
+					next := uint32(0)
+					for id := range names {
+						want := DeadID
+						if live.Has(uint32(id)) {
+							want, next = next, next+1
+						}
+						if remap[id] != want {
+							t.Fatalf("step %d: remap[%d] = %d, want %d", step, id, remap[id], want)
+						}
+					}
+					for _, name := range names {
+						check(step, name)
+					}
+					names = kept
+					compactions++
+				}
+			}
+			if tab.Len() != len(names) {
+				t.Fatalf("Len = %d, model %d", tab.Len(), len(names))
+			}
+			for id, name := range names {
+				if got := tab.Name(uint32(id)); got != name {
+					t.Fatalf("Name(%d) = %q, model %q", id, got, name)
+				}
+				check(-1, name)
+			}
+			if rehashes < 3 || compactions == 0 {
+				t.Fatalf("%d rehashes and %d compactions, want at least 3 and 1", rehashes, compactions)
+			}
+			t.Logf("%d names, %d rehashes, %d compactions", len(names), rehashes, compactions)
+		})
 	}
 }
 

@@ -107,12 +107,13 @@ func (f Fired) String() string {
 	return sb.String()
 }
 
-// orderDep caches the dependency set of one contextual priority order, so a
-// pass can tell whether the dirty keys may have flipped which order applies.
+// orderDep caches what one contextual priority order's context reads, so a
+// pass can tell whether the dirty keys or the clock may have flipped which
+// order applies.
 type orderDep struct {
 	device core.DeviceRef
-	deps   core.DepSet
-	ids    []uint32 // interned form of deps.Keys
+	time   bool     // the context can change with the clock alone (DepSet.Time)
+	ids    []uint32 // the context's interned dependency keys
 }
 
 // cachedVar is the resolved ingest plan for one device-variable signature.
@@ -451,6 +452,15 @@ func (e *Engine) SetFavorites(user string, keywords []string) {
 	e.Tick()
 }
 
+// Favorites returns a user's favourite keywords, nil when none are set. The
+// slice is the engine's own: SetFavorites replaces it rather than writing
+// into it, and callers must not modify it.
+func (e *Engine) Favorites(user string) []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ctx.Favorites[user]
+}
+
 // SetUsers registers the known users (needed by nobody/everyone).
 func (e *Engine) SetUsers(users []string) {
 	e.mu.Lock()
@@ -711,7 +721,7 @@ func (e *Engine) syncTableDepsLocked(gen uint64) {
 	for _, o := range e.priorities.Orders() {
 		if o.Context != nil {
 			deps := core.CondDeps(o.Context)
-			e.tblDeps = append(e.tblDeps, orderDep{device: o.Device, deps: deps, ids: deps.IDsIn(e.tab)})
+			e.tblDeps = append(e.tblDeps, orderDep{device: o.Device, time: deps.Time, ids: deps.IDsIn(e.tab)})
 		}
 	}
 }
@@ -839,7 +849,7 @@ func (e *Engine) internedPassLocked() []Fired {
 		}
 	} else {
 		for _, od := range e.tblDeps {
-			touched := e.allDirty || (od.deps.Time && nowChanged) || e.dirtyIDs.IntersectsAny(od.ids)
+			touched := e.allDirty || (od.time && nowChanged) || e.dirtyIDs.IntersectsAny(od.ids)
 			if !touched {
 				continue
 			}

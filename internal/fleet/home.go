@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/conflict"
@@ -35,9 +36,9 @@ type Home struct {
 	engine     *engine.Engine
 	rules      *ruleTable // the shard's compiled-rule table, shared by its homes
 	pending    bool       // queued in the shard's pending list (shard.flush)
+	journaled  bool       // a write appended a record for it (Hub.commit; see shard.exec)
 
-	users     []string
-	favorites map[string][]string // made on the first SetFavorites
+	users []string
 	// words tracks the definitions THIS home made, in definition order. The
 	// lexicon cannot be consulted for this: it also holds the built-in
 	// entries, and a custom LexiconFactory may share one lexicon across
@@ -45,7 +46,7 @@ type Home struct {
 	// to replay).
 	words     []wordDef
 	authorize Authorizer
-	ruleSeq   uint64
+	ruleSeq   uint64 // the highest n of any "<owner>-<n>" rule id given or applied
 }
 
 // wordDef is one user-defined word registered by this home.
@@ -137,15 +138,6 @@ func (h *Home) isUser(name string) bool {
 		}
 	}
 	return false
-}
-
-// setFavorites registers a user's favourite keywords.
-func (h *Home) setFavorites(user string, keywords []string) {
-	if h.favorites == nil {
-		h.favorites = make(map[string][]string)
-	}
-	h.favorites[user] = append([]string(nil), keywords...)
-	h.engine.SetFavorites(user, keywords)
 }
 
 // checkSubmit parses and checks one CADEL command for the owner: a rule
@@ -250,7 +242,8 @@ func (h *Home) checkImport(r registry.Record) (Record, *Result, error) {
 }
 
 // nextRuleID generates an unused "<owner>-<n>" rule id. Replayed rules keep
-// their stored ids, so the sequence probes past collisions.
+// their stored ids and move the sequence past them (restoreRule); the
+// sequence still probes past collisions, such as an imported id.
 func (h *Home) nextRuleID(owner string) string {
 	for {
 		h.ruleSeq++
@@ -274,7 +267,9 @@ func (h *Home) compileSource(source, id, owner string) (*core.Rule, error) {
 // compiled for a live write, or, when rule is nil (replay, migration
 // import), the record's source compiled again. The rule's checks ran before
 // its record was journaled, so none runs here, and neither does an engine
-// pass (see applyRecord).
+// pass (see applyRecord). An id of the form "<owner>-<n>" moves the rule-id
+// sequence past n, so a restarted home never hands out the id of a rule
+// its journal holds, removed or not.
 func (h *Home) restoreRule(rec Record, rule *core.Rule) error {
 	if rule == nil {
 		var err error
@@ -286,6 +281,11 @@ func (h *Home) restoreRule(rec Record, rule *core.Rule) error {
 		return err
 	}
 	h.rules.hold(rule)
+	if rest, ok := strings.CutPrefix(rule.ID, rule.Owner); ok && strings.HasPrefix(rest, "-") {
+		if n, err := strconv.ParseUint(rest[1:], 10, 64); err == nil {
+			h.ruleSeq = max(h.ruleSeq, n)
+		}
+	}
 	return nil
 }
 
@@ -377,11 +377,11 @@ func (h *Home) applyRecord(rec Record, c compiled) error {
 		h.users = append(h.users, rec.User)
 		h.engine.SetUsers(append([]string(nil), h.users...))
 		if len(rec.Favorites) > 0 {
-			h.setFavorites(rec.User, rec.Favorites)
+			h.engine.SetFavorites(rec.User, rec.Favorites)
 		}
 		return nil
 	case RecordFavorites:
-		h.setFavorites(rec.User, rec.Favorites)
+		h.engine.SetFavorites(rec.User, rec.Favorites)
 		return nil
 	case RecordCondWord, RecordConfWord:
 		define := h.lex.DefineCondWord
@@ -486,7 +486,7 @@ func (h *Home) Passes() uint64 { return h.engine.Passes() }
 func (h *Home) snapshotRecords() []Record {
 	var recs []Record
 	for _, u := range h.users {
-		recs = append(recs, Record{Home: h.id, Kind: RecordUser, User: u, Favorites: h.favorites[u]})
+		recs = append(recs, Record{Home: h.id, Kind: RecordUser, User: u, Favorites: h.engine.Favorites(u)})
 	}
 	for _, w := range h.words {
 		recs = append(recs, Record{Home: h.id, Kind: w.kind, Word: w.name, Owner: w.owner, Source: w.source})

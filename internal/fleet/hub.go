@@ -37,7 +37,7 @@ type access uint8
 const (
 	accRead     access = iota // reads, shard-level tasks and migration steps: always admitted
 	accWrite                  // mutation of an existing home (RemoveRule)
-	accCreate                 // mutation or external event: materializes the home on first touch
+	accCreate                 // mutation or external event: materializes the home on first touch (see shard.exec)
 	accFeedback               // dispatch-feedback event: accCreate, but admitted while sealed
 )
 
@@ -206,7 +206,8 @@ func (s *shard) exec(t task) {
 	// Reads on a home that was never written leave hm nil: a probe of an
 	// unknown home id must not grow the shard's home map.
 	hm := s.homes[t.home]
-	if hm == nil && t.acc >= accCreate {
+	created := hm == nil && t.acc >= accCreate
+	if created {
 		hm = s.home(t.home)
 	}
 	if t.event != nil {
@@ -225,6 +226,11 @@ func (s *shard) exec(t task) {
 	// relative to the events around them.
 	s.flush()
 	t.fn(hm)
+	// A write that created its home keeps it only once it journaled a
+	// record: a failed write to an unused id leaves no home behind.
+	if created && !hm.journaled {
+		s.evict(t.home)
+	}
 	if t.done != nil {
 		close(t.done)
 	}
@@ -587,10 +593,11 @@ func (h *Hub) EventsAccepted() uint64 { return h.events.Load() }
 // home's event stream: an operation observes all events enqueued before it.
 // A write checks the home, appends its record to the store and only then
 // applies it (commit), so a write whose append fails changes nothing and
-// memory never outlives what a restart would rehydrate. Writes materialize
-// the home on first touch. Reads on a home that was never written return
-// empty results without creating anything (probing ids must not grow the
-// fleet).
+// memory never outlives what a restart would rehydrate. A write
+// materializes its home on first touch and keeps it only if it journals a
+// record, so a refused write to an unused id creates nothing. Reads on a
+// home that was never written return empty results without creating
+// anything (probing ids must not grow the fleet).
 
 // commit journals a checked write's record, then applies it to the home
 // with what the check compiled.
@@ -598,6 +605,7 @@ func (h *Hub) commit(hm *Home, rec Record, c compiled) error {
 	if err := h.append(rec); err != nil {
 		return err
 	}
+	hm.journaled = true
 	return hm.applyRecord(rec, c)
 }
 

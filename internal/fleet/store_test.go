@@ -648,6 +648,82 @@ func TestReadsDoNotCreateHomes(t *testing.T) {
 	}
 }
 
+// TestFailedWritesDoNotCreateHomes sends refused writes to unused home ids:
+// a Submit by a user the home does not have, an ImportRules whose owner is
+// not registered and a SetPriority whose context does not parse. None may
+// leave a home behind, while a write that succeeds still creates one.
+func TestFailedWritesDoNotCreateHomes(t *testing.T) {
+	src := newTestHub(t)
+	seedHome(t, src, "source")
+	export, err := src.ExportRules("source")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestHub(t, WithShards(2))
+	if _, err := h.Submit("ghost-submit", hotRule, "nobody"); !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("Submit by an unknown user: %v, want ErrUnknownUser", err)
+	}
+	if n, err := h.ImportRules("ghost-import", export); n != 0 || !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("ImportRules with an unregistered owner: %d, %v, want 0, ErrUnknownUser", n, err)
+	}
+	if err := h.SetPriority("ghost-priority", core.DeviceRef{Name: "tv"}, []string{"tom"}, "blah blah blah"); err == nil {
+		t.Fatal("SetPriority with an unparsable context succeeded")
+	}
+	homes := func() int {
+		t.Helper()
+		st, err := h.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Homes
+	}
+	if n := homes(); n != 0 {
+		t.Fatalf("failed writes left %d homes, want 0", n)
+	}
+	if err := h.RegisterUser("ghost-submit", "tom"); err != nil {
+		t.Fatal(err)
+	}
+	if n := homes(); n != 1 {
+		t.Fatalf("a committed write left %d homes, want 1", n)
+	}
+}
+
+// TestRuleIDsNotReusedAfterRestart removes a rule and restarts the hub over
+// the same store: the next rule must get the id the live hub would have
+// given it, not the removed rule's.
+func TestRuleIDsNotReusedAfterRestart(t *testing.T) {
+	st := NewMemStore()
+	h1 := newTestHub(t, WithShards(1), WithStore(st))
+	for _, u := range []string{"tom", "emily"} {
+		if err := h1.RegisterUser("home", u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []struct{ owner, want string }{{"tom", "tom-1"}, {"emily", "emily-2"}} {
+		res, err := h1.Submit("home", hotRule, w.owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rule.ID != w.want {
+			t.Fatalf("rule id %q, want %q", res.Rule.ID, w.want)
+		}
+	}
+	if err := h1.RemoveRule("home", "tom-1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2 := newTestHub(t, WithShards(1), WithStore(st))
+	res, err := h2.Submit("home", hotRule, "tom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rule.ID != "tom-3" {
+		t.Fatalf("first rule after the restart got id %q, want tom-3", res.Rule.ID)
+	}
+}
+
 // TestMemStoreRoundTrip exercises the in-memory store through the same
 // hub lifecycle (minus process restarts).
 func TestMemStoreRoundTrip(t *testing.T) {

@@ -133,9 +133,7 @@ func (db *DB) Remove(id string) error {
 	} else {
 		delete(db.byName, r.Device.Name)
 	}
-	if core.CondDeps(r.Cond).Time {
-		db.timeDep = removeRule(db.timeDep, id)
-	}
+	db.timeDep = removeRule(db.timeDep, id)
 	if i, found := db.seqIndex(r.Seq); found {
 		db.inserted = append(db.inserted[:i:i], db.inserted[i+1:]...)
 	}

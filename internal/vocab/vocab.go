@@ -16,7 +16,9 @@
 // entries had been added first to a flat lexicon. Removing a base phrase
 // first copies the base into that lexicon's overlay (copy-on-write), so no
 // other lexicon sees the removal. Entry.Meta maps may be shared with every
-// other lexicon and must be treated as read-only.
+// other lexicon and must be treated as read-only. A user-defined word keeps
+// its source and owner in a typed field instead of a Meta map; MetaValue,
+// the JSON form and Fingerprint show them as the two meta keys.
 //
 // Each layer is one slice of entries ordered by first token, then longest
 // first, then insertion order: the order MatchLongest breaks ties by and
@@ -116,16 +118,31 @@ const (
 // Entry is a single lexicon item. Phrase is the lowercase, single-spaced
 // surface form; Canon is the canonical identifier used by the compiler
 // (defaults to Phrase). Meta is read-only: entries returned by a lexicon may
-// share it with other lexicons.
+// share it with other lexicons. A word made by DefineCondWord or
+// DefineConfWord has no Meta map; its MetaSource and MetaOwner values live
+// in word, which reads exactly as that two-key map would.
 type Entry struct {
 	Phrase string            `json:"phrase"`
 	Kind   Kind              `json:"kind"`
 	Canon  string            `json:"canon"`
 	Meta   map[string]string `json:"meta,omitempty"`
+	word   *userWord
 }
+
+// userWord is the meta of a user-defined condition or configuration word.
+type userWord struct{ source, owner string }
 
 // MetaValue returns the value for a meta key, empty when absent.
 func (e Entry) MetaValue(key string) string {
+	if e.word != nil {
+		switch key {
+		case MetaSource:
+			return e.word.source
+		case MetaOwner:
+			return e.word.owner
+		}
+		return ""
+	}
 	return e.Meta[key]
 }
 
@@ -384,12 +401,12 @@ func (l *Lexicon) Version() uint64 {
 // the Version it describes. Two lexicons get equal fingerprints only when
 // every Lookup, MatchLongest and Entries call agrees between them: the same
 // frozen base, and the same overlay entries (kind, phrase, canon and every
-// meta field) in the same order among the equally long phrases of one head
-// word, the order MatchLongest breaks ties by. The handle wraps the whole
-// canonical listing, not a hash of it, so equal fingerprints never come from
-// a collision. A lexicon that copied its base (flatten) is named by a
-// process-unique id and its version instead, and equals no other lexicon.
-// The listing is built once per version.
+// meta value, as MetaValue reads it) in the same order among the equally
+// long phrases of one head word, the order MatchLongest breaks ties by. The
+// handle wraps the whole canonical listing, not a hash of it, so equal
+// fingerprints never come from a collision. A lexicon that copied its base
+// (flatten) is named by a process-unique id and its version instead, and
+// equals no other lexicon. The listing is built once per version.
 func (l *Lexicon) Fingerprint() (unique.Handle[string], uint64) {
 	l.mu.RLock()
 	fp, ok, v := l.fp, l.fpOK, l.version
@@ -425,7 +442,14 @@ func (l *Lexicon) listing() string {
 		b = strconv.AppendQuote(b, p.Phrase)
 		b = append(b, ' ')
 		b = strconv.AppendQuote(b, p.Canon)
-		if p.Meta != nil { // an empty map and none read alike but dump apart
+		switch {
+		case p.word != nil: // listed as its two-key map would be
+			b = append(b, ` { "owner"=`...)
+			b = strconv.AppendQuote(b, p.word.owner)
+			b = append(b, ` "source"=`...)
+			b = strconv.AppendQuote(b, p.word.source)
+			b = append(b, '}')
+		case p.Meta != nil: // an empty map and none read alike but dump apart
 			keys = keys[:0]
 			for k := range p.Meta {
 				keys = append(keys, k)
@@ -464,20 +488,12 @@ func (l *Lexicon) Entries(kind Kind) []Entry {
 // DefineCondWord registers a user-defined condition word (CondDef). The
 // source is the CADEL condition expression text the word stands for.
 func (l *Lexicon) DefineCondWord(name, source, owner string) error {
-	return l.Add(Entry{
-		Phrase: name,
-		Kind:   KindCondWord,
-		Meta:   map[string]string{MetaSource: source, MetaOwner: owner},
-	})
+	return l.Add(Entry{Phrase: name, Kind: KindCondWord, word: &userWord{source, owner}})
 }
 
 // DefineConfWord registers a user-defined configuration word (ConfDef).
 func (l *Lexicon) DefineConfWord(name, source, owner string) error {
-	return l.Add(Entry{
-		Phrase: name,
-		Kind:   KindConfWord,
-		Meta:   map[string]string{MetaSource: source, MetaOwner: owner},
-	})
+	return l.Add(Entry{Phrase: name, Kind: KindConfWord, word: &userWord{source, owner}})
 }
 
 // lexiconJSON is the serialized form.
@@ -486,14 +502,18 @@ type lexiconJSON struct {
 }
 
 // MarshalJSON serializes all entries of both layers, sorted by kind and then
-// phrase.
+// phrase. A user-defined word's source and owner appear as its meta object.
 func (l *Lexicon) MarshalJSON() ([]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var doc lexiconJSON
 	for _, t := range l.layers() {
 		for _, p := range *t {
-			doc.Entries = append(doc.Entries, p.Entry)
+			e := p.Entry
+			if e.word != nil {
+				e.Meta = map[string]string{MetaSource: e.word.source, MetaOwner: e.word.owner}
+			}
+			doc.Entries = append(doc.Entries, e)
 		}
 	}
 	slices.SortFunc(doc.Entries, func(a, b Entry) int {
@@ -503,7 +523,9 @@ func (l *Lexicon) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON replaces the lexicon content, both layers, with the
-// serialized entries.
+// serialized entries. A condition or configuration word whose meta holds
+// exactly a source and an owner is restored as DefineCondWord or
+// DefineConfWord made it.
 func (l *Lexicon) UnmarshalJSON(data []byte) error {
 	var doc lexiconJSON
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -514,6 +536,11 @@ func (l *Lexicon) UnmarshalJSON(data []byte) error {
 	l.changed()
 	l.mu.Unlock()
 	for _, e := range doc.Entries {
+		src, okSrc := e.Meta[MetaSource]
+		owner, okOwner := e.Meta[MetaOwner]
+		if (e.Kind == KindCondWord || e.Kind == KindConfWord) && okSrc && okOwner && len(e.Meta) == 2 {
+			e.Meta, e.word = nil, &userWord{src, owner}
+		}
 		if err := l.Add(e); err != nil {
 			return err
 		}

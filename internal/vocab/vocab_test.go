@@ -3,6 +3,7 @@ package vocab
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -212,8 +213,31 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Errorf("kind %v: %d entries after round trip, want %d", kind, got, want)
 		}
 	}
-	if _, ok := restored.Lookup(KindCondWord, "hot and stuffy"); !ok {
-		t.Error("user word lost in round trip")
+	e, ok := restored.Lookup(KindCondWord, "hot and stuffy")
+	if !ok {
+		t.Fatal("user word lost in round trip")
+	}
+	if got := e.MetaValue(MetaSource); got != "temperature is higher than 28 degrees" {
+		t.Errorf("source after round trip = %q", got)
+	}
+	if got := e.MetaValue(MetaOwner); got != "tom" {
+		t.Errorf("owner after round trip = %q", got)
+	}
+	if orig, _ := l.Lookup(KindCondWord, "hot and stuffy"); !reflect.DeepEqual(e, orig) {
+		t.Errorf("user word after round trip = %+v, want %+v as DefineCondWord made it", e, orig)
+	}
+	// The user word serializes its source and owner as a meta object, and a
+	// lexicon restored from it lists them, and so fingerprints, as before.
+	const wordJSON = `{"phrase":"hot and stuffy","kind":9,"canon":"hot and stuffy",` +
+		`"meta":{"owner":"tom","source":"temperature is higher than 28 degrees"}}`
+	if !strings.Contains(string(data), wordJSON) {
+		t.Errorf("serialized lexicon lacks %s", wordJSON)
+	}
+	const wordListing = `9 "hot and stuffy" "hot and stuffy" { "owner"="tom" "source"="temperature is higher than 28 degrees"}` + "\n"
+	for name, lex := range map[string]*Lexicon{"original": l, "restored": restored} {
+		if got := lex.listing(); !strings.Contains(got, "\n"+wordListing) {
+			t.Errorf("%s listing lacks %q:\n%s", name, wordListing, got)
+		}
 	}
 	// Matching still works (the sorted slice keeps its order).
 	if _, n, ok := restored.MatchLongest(strings.Fields("hot and stuffy today"), KindCondWord); !ok || n != 3 {
